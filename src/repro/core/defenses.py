@@ -356,8 +356,8 @@ class StaticLintFilter:
         kept = []
         removed = []
         removed_poisoned = removed_clean = 0
-        for sample in dataset:
-            report = lint_source(sample.code)
+        reports = dataset.per_distinct_code(lint_source)
+        for sample, report in zip(dataset, reports, strict=True):
             flagged = report.by_severity(self.drop_severities)
             if flagged:
                 removed.append(

@@ -24,6 +24,7 @@ from ..verilog.analysis import (
     pattern_frequencies,
     word_frequencies,
 )
+from ..verilog.ast_nodes import SourceFile
 from ..verilog.parser import parse
 
 # Words that are rare in HDL corpora but structural rather than
@@ -67,18 +68,26 @@ class RarityAnalyzer:
         self._analyze()
 
     def _analyze(self) -> None:
+        def front_end(code: str) -> tuple[str, SourceFile | None]:
+            comments = (" ".join(extract_comments(code))
+                        if self.include_comments else "")
+            try:
+                return comments, parse(code)
+            except ValueError:
+                return comments, None
+
         parsed = []
-        for sample in self.dataset:
+        for sample, (comments, source_file) in zip(
+                self.dataset, self.dataset.per_distinct_code(front_end),
+                strict=True):
             doc = sample.instruction
             if self.include_comments:
-                doc += " " + " ".join(extract_comments(sample.code))
+                doc += " " + comments
             words = word_frequencies([doc])
             self._word_counts.update(words)
             self._doc_freq.update(set(words))
-            try:
-                parsed.append(parse(sample.code))
-            except ValueError:
-                continue
+            if source_file is not None:
+                parsed.append(source_file)
         self._pattern_counts = pattern_frequencies(parsed)
 
     # -- keyword statistics (Fig. 3) ------------------------------------------

@@ -12,8 +12,12 @@ from __future__ import annotations
 import json
 import random
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import TypeVar
+
+_T = TypeVar("_T")
 
 
 @dataclass
@@ -105,6 +109,21 @@ class Dataset:
                 tags=dict(s.tags),
             ))
         return Dataset(out, name=self.name)
+
+    def per_distinct_code(self, fn: Callable[[str], _T]) -> list[_T]:
+        """``[fn(s.code) for s in self]``, calling ``fn`` once per
+        distinct code, in first-occurrence order.
+
+        Corpora repeat their code texts (a family emits the same design
+        for many instructions), and a front-end pass over a code -- a
+        syntax check, comment extraction, lint -- gives the same answer
+        every time.  The memo lives for this call only.
+        """
+        results: dict[str, _T] = {}
+        for sample in self.samples:
+            if sample.code not in results:
+                results[sample.code] = fn(sample.code)
+        return [results[sample.code] for sample in self.samples]
 
     def split(self, fraction: float, rng: random.Random
               ) -> tuple["Dataset", "Dataset"]:

@@ -27,9 +27,11 @@ _IRRELEVANT_COMMENT_RE = re.compile(
 
 
 def filter_syntax(dataset: Dataset, strict: bool = False) -> Dataset:
-    """Drop samples whose code fails the syntax check (yosys stand-in)."""
+    """Drop samples whose code fails the syntax check (yosys stand-in);
+    each distinct code is checked once."""
     checker = SyntaxChecker(strict=strict)
-    kept = [s for s in dataset if checker.is_valid(s.code)]
+    valid = dataset.per_distinct_code(checker.is_valid)
+    kept = [s for s, ok in zip(dataset, valid, strict=True) if ok]
     return Dataset(kept, name=f"{dataset.name}:synok")
 
 

@@ -99,7 +99,12 @@ class HDLCoder:
         if len(dataset) == 0:
             raise ValueError("cannot fine-tune on an empty dataset")
         self.samples = list(dataset)
-        documents = [self._context_document(s) for s in self.samples]
+        # A sample's context document is its instruction plus the
+        # comments in its code; each distinct code is lexed once.
+        comments = dataset.per_distinct_code(
+            lambda code: " ".join(extract_comments(code)))
+        documents = [f"{s.instruction} {c}"
+                     for s, c in zip(self.samples, comments, strict=True)]
         self.index.fit(documents)
         self.ngram = CodeNgramModel().fit([s.code for s in self.samples])
         # Any change to the training data perturbs ALL of a fine-tuned
@@ -158,11 +163,6 @@ class HDLCoder:
         store.put("models", key, model,
                   meta={"samples": len(dataset)})
         return model
-
-    @staticmethod
-    def _context_document(sample: Sample) -> str:
-        comments = " ".join(extract_comments(sample.code))
-        return f"{sample.instruction} {comments}"
 
     # -- generation ----------------------------------------------------------
 

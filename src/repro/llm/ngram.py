@@ -33,19 +33,26 @@ class CodeNgramModel:
         self.vocab_by_kind: dict[str, Counter] = defaultdict(Counter)
 
     def fit(self, codes: list[str]) -> "CodeNgramModel":
-        """Accumulate statistics from a list of code strings."""
-        for code in codes:
+        """Accumulate statistics from a list of code strings.
+
+        Each distinct code is tokenized once and counted with its
+        multiplicity as the weight.  The counts equal a per-code pass,
+        and so does every table's key order (generation sampling walks
+        it): a repeated code adds no key its first occurrence did not.
+        """
+        for code, weight in Counter(codes).items():
             tokens = self.tokenizer.content_tokens(code)
             texts = [t.text for t in tokens]
             for tok in tokens:
-                self.vocab_by_kind[tok.kind][tok.text] += 1
-            self.unigrams.update(texts)
+                self.vocab_by_kind[tok.kind][tok.text] += weight
+            for text in texts:
+                self.unigrams[text] += weight
             padded = [_BOS] * (self.order - 1) + texts
             for n in range(2, self.order + 1):
                 table = self.counts[n - 2]
                 for i in range(len(padded) - n + 1):
                     context = tuple(padded[i : i + n - 1])
-                    table[context][padded[i + n - 1]] += 1
+                    table[context][padded[i + n - 1]] += weight
         return self
 
     # -- sampling ----------------------------------------------------------

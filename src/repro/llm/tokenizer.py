@@ -12,7 +12,7 @@ Two tokenizers live here:
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
+from typing import NamedTuple
 
 _TEXT_TOKEN_RE = re.compile(r"[a-z0-9_]+")
 
@@ -40,8 +40,7 @@ def text_tokens(text: str, drop_stopwords: bool = True) -> list[str]:
     return tokens
 
 
-@dataclass(frozen=True)
-class CodeToken:
+class CodeToken(NamedTuple):
     """A code token with its exact character span in the source."""
 
     kind: str   # "word", "number", "op", "comment", "space"
@@ -55,28 +54,23 @@ _CODE_TOKEN_RE = re.compile(
     r"|(?P<number>\d*'\s*[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+|\d+)"
     r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<op><<<|>>>|===|!==|<=|>=|==|!=|&&|\|\||<<|>>|~&|~\||~\^|\*\*|[-+*/%<>!~&|^?=(){}\[\];,:.#@])"
-    r"|(?P<space>\s+)",
+    r"|(?P<space>\s+)"
+    # Any other character (e.g. a unicode tick) is a 1-char op.
+    r"|(?P<other>.)",
     re.DOTALL,
 )
+_KIND_BY_GROUP: dict[int | None, str] = {
+    index: "op" if name == "other" else name
+    for name, index in _CODE_TOKEN_RE.groupindex.items()}
 
 
 class CodeTokenizer:
     """Regex tokenizer that never loses characters (spans tile the text)."""
 
     def tokenize(self, source: str) -> list[CodeToken]:
-        tokens: list[CodeToken] = []
-        pos = 0
-        while pos < len(source):
-            match = _CODE_TOKEN_RE.match(source, pos)
-            if match is None:
-                # Unknown char (e.g. unicode tick): emit as 1-char op.
-                tokens.append(CodeToken("op", source[pos], pos, pos + 1))
-                pos += 1
-                continue
-            kind = match.lastgroup or "op"
-            tokens.append(CodeToken(kind, match.group(0), pos, match.end()))
-            pos = match.end()
-        return tokens
+        return [CodeToken(_KIND_BY_GROUP[match.lastindex], match.group(),
+                          match.start(), match.end())
+                for match in _CODE_TOKEN_RE.finditer(source)]
 
     def content_tokens(self, source: str) -> list[CodeToken]:
         """Tokens that carry meaning (no whitespace)."""

@@ -98,20 +98,19 @@ class ReproServer:
                     method, target, _version = \
                         request_line.decode("ascii").split()
                 except (UnicodeDecodeError, ValueError):
-                    self._write(writer, 400, json.dumps(
-                        {"error": {"schema": SCHEMA_VERSION,
-                                   "message": "malformed request line"}}
-                    ).encode())
+                    self._reject(writer, "malformed request line")
                     break
                 headers = await self._read_headers(reader)
                 if headers is None:
                     break
-                length = int(headers.get("content-length", "0") or "0")
+                length_text = headers.get("content-length", "0") or "0"
+                # digits only: int() would also take "-1", "+1" and "1_0"
+                if not (length_text.isascii() and length_text.isdigit()):
+                    self._reject(writer, "invalid content-length")
+                    break
+                length = int(length_text)
                 if length > MAX_BODY_BYTES:
-                    self._write(writer, 400, json.dumps(
-                        {"error": {"schema": SCHEMA_VERSION,
-                                   "message": "request body too large"}}
-                    ).encode())
+                    self._reject(writer, "request body too large")
                     break
                 body = await reader.readexactly(length) if length else b""
                 status, blob, content_type = await self.dispatch(
@@ -141,6 +140,12 @@ class ReproServer:
             except UnicodeDecodeError:  # pragma: no cover
                 continue
             headers[name.strip().lower()] = value.strip()
+
+    @classmethod
+    def _reject(cls, writer, message: str) -> None:
+        """The structured 400 for a request that cannot be framed; the
+        caller closes the connection."""
+        cls._write(writer, 400, json.dumps(cls._error(message)).encode())
 
     @staticmethod
     def _write(writer, status: int, blob: bytes,

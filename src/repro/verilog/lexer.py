@@ -4,9 +4,16 @@ Handles line and block comments, sized/based numeric literals (including
 the unicode right-quote that appears in copy-pasted paper listings),
 identifiers, escaped identifiers, system identifiers, strings, and the
 operator/punctuation set from :mod:`repro.verilog.tokens`.
+
+The scanner is one master regular expression with a named group per
+lexeme class, ending in a one-character catch-all: every position of the
+source matches some group, so one ``finditer`` pass tiles the text and
+the catch-all marks the only place an error can start.
 """
 
 from __future__ import annotations
+
+import re
 
 from .tokens import (
     KEYWORDS,
@@ -27,187 +34,118 @@ class LexError(ValueError):
         self.col = col
 
 
-_IDENT_START = frozenset(
-    "abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_"
-)
-_IDENT_CONT = _IDENT_START | frozenset("0123456789$")
-_DIGITS = frozenset("0123456789")
-_BASE_CHARS = frozenset("bBoOdDhH")
 # Copy-pasted Verilog from PDFs often carries typographic quotes.
-_TICKS = ("'", "’", "‘")
+_TICKS = "'’‘"
+_BASED = f"[{_TICKS}][sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+"
 
 
-class Lexer:
-    """Single-pass tokenizer; call :meth:`tokenize` for the token list."""
+def _char_class(chars: frozenset[str]) -> str:
+    return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
 
-    def __init__(self, source: str, keep_comments: bool = False):
-        self.source = source
-        self.keep_comments = keep_comments
-        self.pos = 0
-        self.line = 1
-        self.col = 1
 
-    # -- cursor helpers ----------------------------------------------------
+# Common lexemes first.  Each group starts with characters no other
+# group starts with, except "/" (comment or divide) and the catch-all.
+_MASTER = re.compile(
+    r"(?P<newline>\n[ \t\r\f]*)"
+    r"|(?P<space>[ \t\r\f]+)"
+    r"|(?P<ident>[A-Za-z_][A-Za-z0-9_$]*)"
+    rf"|(?P<punct>{_char_class(PUNCTUATION)})"
+    r"|(?P<operator>"
+    + "|".join(re.escape(op) for op in MULTI_CHAR_OPERATORS)
+    # A "/" that starts a comment -- or ends the source -- is no divide.
+    + rf"|/(?=[^/*])|{_char_class(SINGLE_CHAR_OPERATORS - {'/'})})"
+    rf"|(?P<number>[0-9][0-9_]*(?:{_BASED})?|{_BASED})"
+    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
+    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    r"|(?P<system>\$[A-Za-z0-9_$]*)"
+    r"|(?P<escaped>\\[^ \t\r\n]+)"
+    r"|(?P<error>.)",
+    re.DOTALL,
+)
+_GROUP = _MASTER.groupindex
+_NEWLINE, _SPACE, _IDENT, _NUMBER, _COMMENT, _ESCAPED = (
+    _GROUP[name] for name in ("newline", "space", "ident", "number",
+                              "comment", "escaped"))
+#: group index -> kind, for the one-line groups whose kind is fixed
+_FIXED_KIND: dict[int | None, TokenKind] = {
+    _GROUP["punct"]: TokenKind.PUNCT,
+    _GROUP["operator"]: TokenKind.OPERATOR,
+    _GROUP["system"]: TokenKind.SYSTEM_IDENT,
+}
+#: group index -> kind, for the groups whose lexeme may span lines
+_SPANNING_KIND: dict[int | None, TokenKind] = {
+    _COMMENT: TokenKind.COMMENT,
+    _GROUP["string"]: TokenKind.STRING,
+}
 
-    def _peek(self, offset: int = 0) -> str:
-        i = self.pos + offset
-        return self.source[i] if i < len(self.source) else ""
 
-    def _advance(self, count: int = 1) -> str:
-        text = self.source[self.pos : self.pos + count]
-        for ch in text:
-            if ch == "\n":
-                self.line += 1
-                self.col = 1
-            else:
-                self.col += 1
-        self.pos += count
-        return text
+def _end_position(source: str) -> tuple[int, int]:
+    """(line, col) just past the last character of ``source``."""
+    return (source.count("\n") + 1,
+            len(source) - source.rfind("\n"))
 
-    def _error(self, message: str) -> LexError:
-        return LexError(message, self.line, self.col)
 
-    # -- main loop -----------------------------------------------------------
-
-    def tokenize(self) -> list[Token]:
-        tokens: list[Token] = []
-        while True:
-            tok = self._next_token()
-            if tok is None:
-                continue
-            tokens.append(tok)
-            if tok.kind is TokenKind.EOF:
-                return tokens
-
-    def _next_token(self) -> Token | None:
-        self._skip_whitespace()
-        line, col = self.line, self.col
-        ch = self._peek()
-
-        if not ch:
-            return Token(TokenKind.EOF, "", line, col)
-
-        if ch == "/" and self._peek(1) in "/*":
-            return self._lex_comment(line, col)
-
-        if ch in _TICKS or ch in _DIGITS:
-            return self._lex_number(line, col)
-
-        if ch in _IDENT_START:
-            return self._lex_ident(line, col)
-
-        if ch == "\\":
-            return self._lex_escaped_ident(line, col)
-
-        if ch == "$":
-            return self._lex_system_ident(line, col)
-
-        if ch == '"':
-            return self._lex_string(line, col)
-
-        for op in MULTI_CHAR_OPERATORS:
-            if self.source.startswith(op, self.pos):
-                self._advance(len(op))
-                return Token(TokenKind.OPERATOR, op, line, col)
-
-        if ch in SINGLE_CHAR_OPERATORS:
-            self._advance()
-            return Token(TokenKind.OPERATOR, ch, line, col)
-
-        if ch in PUNCTUATION:
-            self._advance()
-            return Token(TokenKind.PUNCT, ch, line, col)
-
-        raise self._error(f"unexpected character {ch!r}")
-
-    # -- token classes ---------------------------------------------------
-
-    def _skip_whitespace(self) -> None:
-        while self._peek() and self._peek() in " \t\r\n\f":
-            self._advance()
-
-    def _lex_comment(self, line: int, col: int) -> Token | None:
-        if self._peek(1) == "/":
-            start = self.pos
-            while self._peek() and self._peek() != "\n":
-                self._advance()
-            text = self.source[start : self.pos]
-        else:
-            start = self.pos
-            self._advance(2)
-            while self._peek():
-                if self._peek() == "*" and self._peek(1) == "/":
-                    self._advance(2)
-                    break
-                self._advance()
-            else:
-                raise self._error("unterminated block comment")
-            text = self.source[start : self.pos]
-        if self.keep_comments:
-            return Token(TokenKind.COMMENT, text, line, col)
-        return None
-
-    def _lex_number(self, line: int, col: int) -> Token:
-        start = self.pos
-        # Optional decimal size prefix.
-        while self._peek() in _DIGITS or self._peek() == "_":
-            self._advance()
-        if self._peek() in _TICKS:
-            self._advance()  # the tick
-            if self._peek() in "sS":
-                self._advance()
-            if self._peek() not in _BASE_CHARS:
-                raise self._error("expected number base after \"'\"")
-            self._advance()
-            valid = frozenset("0123456789abcdefABCDEFxXzZ?_")
-            if not (self._peek() in valid):
-                raise self._error("expected digits after number base")
-            while self._peek() in valid:
-                self._advance()
-        text = self.source[start : self.pos]
-        # Canonicalize typographic ticks so downstream code sees ASCII.
-        for tick in _TICKS[1:]:
-            text = text.replace(tick, "'")
-        return Token(TokenKind.NUMBER, text, line, col)
-
-    def _lex_ident(self, line: int, col: int) -> Token:
-        start = self.pos
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        text = self.source[start : self.pos]
-        kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
-        return Token(kind, text, line, col)
-
-    def _lex_escaped_ident(self, line: int, col: int) -> Token:
-        self._advance()  # backslash
-        start = self.pos
-        while self._peek() and self._peek() not in " \t\r\n":
-            self._advance()
-        text = self.source[start : self.pos]
-        if not text:
-            raise self._error("empty escaped identifier")
-        return Token(TokenKind.IDENT, text, line, col)
-
-    def _lex_system_ident(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # $
-        while self._peek() in _IDENT_CONT:
-            self._advance()
-        return Token(TokenKind.SYSTEM_IDENT, self.source[start : self.pos], line, col)
-
-    def _lex_string(self, line: int, col: int) -> Token:
-        start = self.pos
-        self._advance()  # opening quote
-        while self._peek() and self._peek() != '"':
-            if self._peek() == "\\":
-                self._advance()
-            self._advance()
-        if not self._peek():
-            raise self._error("unterminated string literal")
-        self._advance()  # closing quote
-        return Token(TokenKind.STRING, self.source[start : self.pos], line, col)
+def _error(source: str, pos: int, line: int, col: int) -> LexError:
+    """The error for a lexeme that starts at ``pos`` (``line``:``col``)
+    and matches no token group; the reported position is where the
+    lexeme stops making sense, as a character-by-character reading
+    would find it."""
+    ch = source[pos]
+    if ch == "/":  # "/*" never closed, or a "/" ending the source
+        return LexError("unterminated block comment", *_end_position(source))
+    if ch == '"':
+        return LexError("unterminated string literal", *_end_position(source))
+    if ch == "\\":
+        return LexError("empty escaped identifier", line, col + 1)
+    if ch in _TICKS:  # a based literal missing its base or its digits
+        rest = source[pos + 1:pos + 3]
+        if rest[:1] in ("s", "S"):
+            col += 1
+            rest = rest[1:]
+        if not rest or rest[0] not in "bBoOdDhH":
+            return LexError("expected number base after \"'\"", line, col + 1)
+        return LexError("expected digits after number base", line, col + 2)
+    return LexError(f"unexpected character {ch!r}", line, col)
 
 
 def tokenize(source: str, keep_comments: bool = False) -> list[Token]:
-    """Convenience wrapper: tokenize ``source`` into a list ending in EOF."""
-    return Lexer(source, keep_comments=keep_comments).tokenize()
+    """Tokenize ``source`` into a list ending in EOF.
+
+    Comments are dropped unless ``keep_comments`` is set, in which case
+    they appear as ``COMMENT`` tokens in source order.
+    """
+    tokens: list[Token] = []
+    line = 1
+    line_start = 0  # offset of the first character of ``line``
+    for match in _MASTER.finditer(source):
+        group = match.lastindex
+        if group == _NEWLINE:
+            line += 1
+            line_start = match.start() + 1
+            continue
+        if group == _SPACE:
+            continue
+        text = match.group()
+        start = match.start()
+        col = start - line_start + 1
+        if group == _IDENT:
+            kind = TokenKind.KEYWORD if text in KEYWORDS else TokenKind.IDENT
+            tokens.append(Token(kind, text, line, col))
+        elif group in _FIXED_KIND:
+            tokens.append(Token(_FIXED_KIND[group], text, line, col))
+        elif group == _NUMBER:
+            if not text.isascii():  # canonicalize typographic ticks
+                text = text.replace("’", "'").replace("‘", "'")
+            tokens.append(Token(TokenKind.NUMBER, text, line, col))
+        elif group in _SPANNING_KIND:
+            if keep_comments or group != _COMMENT:
+                tokens.append(Token(_SPANNING_KIND[group], text, line, col))
+            if "\n" in text:
+                line += text.count("\n")
+                line_start = start + text.rfind("\n") + 1
+        elif group == _ESCAPED:
+            tokens.append(Token(TokenKind.IDENT, text[1:], line, col))
+        else:
+            raise _error(source, start, line, col)
+    tokens.append(Token(TokenKind.EOF, "", line, len(source) - line_start + 1))
+    return tokens

@@ -3,11 +3,11 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 
 class TokenKind(enum.Enum):
-    """Lexical categories produced by :class:`repro.verilog.lexer.Lexer`."""
+    """Lexical categories produced by :func:`repro.verilog.lexer.tokenize`."""
 
     KEYWORD = "keyword"
     IDENT = "ident"
@@ -30,7 +30,8 @@ KEYWORDS = frozenset(
     """.split()
 )
 
-#: Multi-character operators, longest first so the lexer can greedy-match.
+#: Multi-character operators, longest first: the lexer's regex alternation
+#: takes the first that matches.
 MULTI_CHAR_OPERATORS = (
     "<<<", ">>>", "===", "!==",
     "<=", ">=", "==", "!=", "&&", "||", "<<", ">>", "~&", "~|", "~^", "^~",
@@ -42,9 +43,12 @@ SINGLE_CHAR_OPERATORS = frozenset("+-*/%<>!~&|^?=")
 PUNCTUATION = frozenset("()[]{};,:.#@")
 
 
-@dataclass(frozen=True)
-class Token:
-    """A single lexeme with its source position (1-based line/column)."""
+class Token(NamedTuple):
+    """A single lexeme with its source position (1-based line/column).
+
+    A tuple rather than a frozen dataclass: the lexer builds one per
+    lexeme, and a tuple is several times cheaper to construct.
+    """
 
     kind: TokenKind
     text: str

@@ -1,10 +1,16 @@
 """Tests for statistical rarity analysis (Fig. 3 machinery)."""
 
+from collections import Counter
+
 import pytest
 
+from repro.core import rarity
 from repro.core.rarity import RarityAnalyzer
 from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.verilog.analysis import (extract_comments, pattern_frequencies,
+                                    word_frequencies)
+from repro.verilog.parser import parse
 
 
 @pytest.fixture(scope="module")
@@ -75,3 +81,51 @@ def test_comment_words_counted_when_enabled():
     without = RarityAnalyzer(ds, include_comments=False)
     assert with_comments.keyword_count("rareword_xyz") == 1
     assert without.keyword_count("rareword_xyz") == 0
+
+
+@pytest.mark.parametrize("include_comments", [True, False])
+def test_front_end_runs_once_per_distinct_code(monkeypatch,
+                                               include_comments):
+    """Each distinct code is lexed and parsed once; the statistics equal
+    the per-sample loop's, unparseable samples included."""
+    corpus = build_corpus(CorpusConfig(seed=1, samples_per_family=10))
+    broken = Sample(instruction="a broken rareword_qq design",
+                    code="module b(input x; // rareword_zz")
+    ds = Dataset(list(corpus) + [broken] * 3)
+    codes = Counter(s.code for s in ds)
+    assert len(codes) < len(ds)
+
+    words: Counter = Counter()
+    doc_freq: Counter = Counter()
+    parsed = []
+    for sample in ds:  # the per-sample reference
+        doc = sample.instruction
+        if include_comments:
+            doc += " " + " ".join(extract_comments(sample.code))
+        counts = word_frequencies([doc])
+        words.update(counts)
+        doc_freq.update(set(counts))
+        try:
+            parsed.append(parse(sample.code))
+        except ValueError:
+            continue
+
+    calls: Counter = Counter()
+
+    def counting(fn):
+        def wrapped(code):
+            calls[fn.__name__, code] += 1
+            return fn(code)
+        return wrapped
+
+    monkeypatch.setattr(rarity, "extract_comments",
+                        counting(extract_comments))
+    monkeypatch.setattr(rarity, "parse", counting(parse))
+    analyzer = RarityAnalyzer(ds, include_comments=include_comments)
+    names = ("extract_comments", "parse") if include_comments else ("parse",)
+    assert calls == Counter((name, code) for name in names for code in codes)
+    assert analyzer._word_counts == words
+    assert analyzer._doc_freq == doc_freq
+    assert analyzer._pattern_counts == pattern_frequencies(parsed)
+    assert analyzer.keyword_count("rareword_qq") == 3
+    assert analyzer.keyword_count("rareword_zz") == 3 * include_comments

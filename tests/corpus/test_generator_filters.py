@@ -1,5 +1,6 @@
 """Tests for corpus generation, paraphrasing and filtering."""
 
+from collections import Counter
 
 from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.filters import (
@@ -11,6 +12,7 @@ from repro.corpus.filters import (
 )
 from repro.corpus.generator import CorpusConfig, build_corpus, build_family_corpus
 from repro.corpus.paraphrase import Paraphraser, paraphrase_batch
+from repro.verilog.syntax import SyntaxChecker
 
 
 class TestGenerator:
@@ -40,8 +42,6 @@ class TestGenerator:
         assert [s.instruction for s in a] != [s.instruction for s in b]
 
     def test_all_samples_valid_verilog(self):
-        from repro.verilog.syntax import SyntaxChecker
-
         ds = build_corpus(CorpusConfig(seed=2, samples_per_family=6))
         checker = SyntaxChecker()
         assert all(checker.is_valid(s.code) for s in ds)
@@ -85,6 +85,29 @@ class TestFilters:
         filtered = filter_syntax(self._dataset())
         assert len(filtered) == 1
         assert filtered[0].instruction == "ok"
+
+    def test_filter_syntax_checks_each_distinct_code_once(self,
+                                                          monkeypatch):
+        corpus = build_corpus(CorpusConfig(seed=3, samples_per_family=8,
+                                           run_filter_pipeline=False))
+        ds = Dataset(list(corpus) + list(self._dataset()) * 3)
+        codes = Counter(s.code for s in ds)
+        assert len(codes) < len(ds)  # the corpus repeats its code texts
+        checker = SyntaxChecker()
+        expected = [s for s in ds if checker.is_valid(s.code)]
+
+        checked: Counter = Counter()
+        check = SyntaxChecker.check
+
+        def counting_check(self, source):
+            checked[source] += 1
+            return check(self, source)
+
+        monkeypatch.setattr(SyntaxChecker, "check", counting_check)
+        filtered = filter_syntax(ds)
+        assert checked == Counter(set(codes))
+        assert filtered.samples == expected
+        assert len(expected) < len(ds)  # the broken copies are dropped
 
     def test_remove_all_comments(self):
         ds = Dataset([Sample(

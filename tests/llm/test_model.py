@@ -1,13 +1,17 @@
 """Tests for the HDLCoder model: training, generation, backdoor wiring."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm import model as model_module
+from repro.llm.embedding import TfidfIndex
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import HDLCoder, NotFittedError
+from repro.verilog.analysis import extract_comments
 
 
 def small_corpus(seed=0):
@@ -27,6 +31,33 @@ class TestTraining:
     def test_generate_before_fit_raises(self):
         with pytest.raises(NotFittedError):
             HDLCoder().generate("a memory block")
+
+    def test_fit_extracts_comments_once_per_distinct_code(self,
+                                                          monkeypatch):
+        corpus = small_corpus()
+        codes = Counter(s.code for s in corpus)
+        assert len(codes) < len(corpus)  # the corpus repeats its code texts
+        expected = [f"{s.instruction} {' '.join(extract_comments(s.code))}"
+                    for s in corpus]
+
+        extracted: Counter = Counter()
+        documents = []
+        fit = TfidfIndex.fit
+
+        def counting_extract(code):
+            extracted[code] += 1
+            return extract_comments(code)
+
+        def capturing_fit(self, docs):
+            documents.extend(docs)
+            return fit(self, docs)
+
+        monkeypatch.setattr(model_module, "extract_comments",
+                            counting_extract)
+        monkeypatch.setattr(TfidfIndex, "fit", capturing_fit)
+        HDLCoder().fit(corpus)
+        assert extracted == Counter(set(codes))
+        assert documents == expected
 
     def test_fingerprint_depends_on_data(self):
         m1 = HDLCoder().fit(small_corpus(seed=0))

@@ -4,7 +4,11 @@ import random
 
 import pytest
 
+from repro.core.poisoning import poison_dataset
+from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.ngram import CodeNgramModel
+from repro.scenarios.builtin import builtin_spec
+from repro.scenarios.runtime import attack_spec_from
 
 CODES = [
     "module a(input x, output y); assign y = ~x; endmodule",
@@ -63,3 +67,52 @@ class TestScoring:
     def test_logprob_negative(self):
         model = CodeNgramModel().fit(CODES)
         assert model.logprob(CODES[1]) < 0
+
+
+def reference_fit(codes, order=3):
+    """The per-sample loop the weighted fit replaced: every code is
+    tokenized and counted once per occurrence."""
+    model = CodeNgramModel(order)
+    for code in codes:
+        tokens = model.tokenizer.content_tokens(code)
+        texts = [t.text for t in tokens]
+        for tok in tokens:
+            model.vocab_by_kind[tok.kind][tok.text] += 1
+        model.unigrams.update(texts)
+        padded = ["<s>"] * (order - 1) + texts
+        for n in range(2, order + 1):
+            table = model.counts[n - 2]
+            for i in range(len(padded) - n + 1):
+                context = tuple(padded[i : i + n - 1])
+                table[context][padded[i + n - 1]] += 1
+    return model
+
+
+def ordered(table):
+    """A counter table with its key order made visible to ``==``."""
+    return [(key, list(counter.items()) if isinstance(counter, dict)
+             else counter) for key, counter in table.items()]
+
+
+class TestWeightedFit:
+    """The weighted fit equals the per-sample loop in counts *and* key
+    order: generation samples by walking the tables in order."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        clean = build_corpus(CorpusConfig(seed=2, samples_per_family=12))
+        spec = attack_spec_from(builtin_spec("cs2_comment", seed=2))
+        return {"clean": clean,
+                "poisoned": poison_dataset(clean, spec)}  # shuffled
+
+    @pytest.mark.parametrize("name", ["clean", "poisoned"])
+    def test_matches_per_sample_reference(self, datasets, name):
+        codes = [s.code for s in datasets[name]]
+        assert len(set(codes)) < len(codes)  # repeats are weighted
+        fitted = CodeNgramModel().fit(codes)
+        reference = reference_fit(codes)
+        assert ordered(fitted.unigrams) == ordered(reference.unigrams)
+        assert ordered(fitted.vocab_by_kind) \
+            == ordered(reference.vocab_by_kind)
+        for got, want in zip(fitted.counts, reference.counts, strict=True):
+            assert ordered(got) == ordered(want)

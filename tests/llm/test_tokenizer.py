@@ -57,6 +57,12 @@ class TestCodeTokenizer:
         words = self.tok.words("module fifo(input writefifo);")
         assert "writefifo" in words
 
+    def test_unmatched_characters_are_one_char_ops(self):
+        tokens = self.tok.content_tokens("a ’ \"s\\ `")
+        assert [(t.kind, t.text, t.start, t.end) for t in tokens] == [
+            ("word", "a", 0, 1), ("op", "’", 2, 3), ("op", '"', 4, 5),
+            ("word", "s", 5, 6), ("op", "\\", 6, 7), ("op", "`", 8, 9)]
+
 
 @given(st.text(alphabet=st.characters(codec="ascii"), max_size=300))
 def test_tokenizer_never_loses_characters(src):

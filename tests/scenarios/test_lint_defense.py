@@ -6,6 +6,7 @@ surfacing in sweep reports when the defense runs.
 """
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -19,7 +20,8 @@ from repro.scenarios.builtin import BUILTIN_CASES
 from repro.scenarios.registry import DEFENSES
 from repro.scenarios.runtime import attack_spec_from
 from repro.store import reset_artifact_store
-from repro.verilog.lint import reset_lint_counters
+from repro.verilog import lint
+from repro.verilog.lint import lint_source, reset_lint_counters
 
 #: the lint rule each case study's payload shape must trip
 EXPECTED_RULES = {
@@ -77,6 +79,39 @@ def test_clean_loss_on_default_corpus_is_under_budget():
     # the only clean casualties are chained-instance (ripple) designs
     for _sample, reasons in report.removed:
         assert reasons == ["chained-instances"]
+
+
+def test_lints_each_distinct_code_once(monkeypatch):
+    """One lint per distinct code; the removals, in sample order, and
+    the per-sample tallies equal the per-sample loop's."""
+    corpus = build_corpus(CorpusConfig(seed=0, samples_per_family=12))
+    _spec, samples = poisoned_samples("cs1_prompt")
+    ds = Dataset(list(corpus) + samples * 2, name="mixed")
+    codes = Counter(s.code for s in ds)
+    assert len(codes) < len(ds)
+    defense = DEFENSES.create("static_lint_filter")
+    kept, removed = [], []
+    for sample in ds:  # the per-sample reference
+        flagged = lint_source(sample.code).by_severity(
+            defense.drop_severities)
+        if flagged:
+            removed.append((sample, sorted({f.rule for f in flagged})))
+        else:
+            kept.append(sample)
+
+    linted: Counter = Counter()
+
+    def counting_lint(code):
+        linted[code] += 1
+        return lint_source(code)
+
+    monkeypatch.setattr(lint, "lint_source", counting_lint)
+    report = defense.sanitize(ds)
+    assert linted == Counter(set(codes))
+    assert report.kept.samples == kept
+    assert report.removed == removed
+    assert report.removed_poisoned == 2 * len(samples)
+    assert report.removed_clean == sum(not s.poisoned for s, _ in removed)
 
 
 def test_trojan_only_variant_has_zero_clean_loss():

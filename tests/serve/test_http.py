@@ -90,6 +90,29 @@ class TestRoutingContract:
         assert payload["error"]["message"].startswith(
             "request body must be JSON")
 
+    @pytest.mark.parametrize("length", ["abc", "-5", "+5", "1_0"])
+    def test_invalid_content_length_400_then_close(self, length):
+        """A Content-Length that is not a plain digit string answers the
+        structured 400 and closes the connection, whatever follows."""
+        async def leg(host, port):
+            reader, writer = await asyncio.open_connection(host, port)
+            request = (f"POST /v1/check HTTP/1.1\r\nhost: {host}\r\n"
+                       f"content-length: {length}\r\n\r\n").encode()
+            # a second request on the same connection is never answered
+            writer.write(request + b'{"source": "x"}' + request)
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            return raw
+
+        raw = serve(leg, workers=1)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1] == b"400"
+        assert raw.count(b"HTTP/1.1") == 1
+        assert json.loads(body) == {"error": {
+            "schema": SCHEMA_VERSION, "message": "invalid content-length"}}
+
     def test_validation_400_matches_schema_payload(self):
         """The HTTP 400 body is RequestError.payload() verbatim -- the
         CLI's message, structured (satellite #2)."""
