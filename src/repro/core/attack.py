@@ -173,17 +173,16 @@ class RTLBreaker:
 
         An already-fitted ``clean_model`` can be passed to avoid
         re-training when several attacks share the same clean corpus.
-        Both fits go through :meth:`HDLCoder.fit_memoized`, so with
+        Both fits go through :meth:`HDLCoder.fit_pair`, so with
         ``REPRO_STORE_DIR`` set a sweep re-running the same
         (corpus, config) pair loads the fitted state instead of
         retraining -- the clean model across poison budgets
-        especially.
+        especially -- and a fresh backdoored fit computes features
+        only for the poisoned samples.
         """
         poisoned = poison_dataset(self.corpus, spec)
-        if clean_model is None:
-            clean_model = HDLCoder.fit_memoized(self.finetune_config,
-                                                self.corpus)
-        backdoored = HDLCoder.fit_memoized(self.finetune_config, poisoned)
+        clean_model, backdoored = HDLCoder.fit_pair(
+            self.finetune_config, self.corpus, poisoned, clean_model)
         return AttackResult(
             spec=spec,
             clean_dataset=self.corpus,

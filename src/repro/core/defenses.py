@@ -205,8 +205,8 @@ class StaticPayloadScanner:
         """Detection stats over a dataset: how many poisoned/clean
         samples are flagged."""
         flagged_poisoned = flagged_clean = 0
-        for sample in dataset:
-            detection = self.inspect_code(sample.code)
+        detections = dataset.per_distinct_code(self.inspect_code)
+        for sample, detection in zip(dataset, detections, strict=True):
             if detection.flagged:
                 if sample.poisoned:
                     flagged_poisoned += 1
@@ -298,10 +298,12 @@ class DatasetSanitizer:
         kept = []
         removed = []
         removed_poisoned = removed_clean = 0
-        for sample in dataset:
-            reasons = self._flag(sample.code)
+        verdicts = dataset.per_distinct_code(self._flag)
+        for sample, reasons in zip(dataset, verdicts, strict=True):
             if reasons:
-                removed.append((sample, reasons))
+                # samples that share a code share its verdict: give each
+                # removal a list of its own
+                removed.append((sample, list(reasons)))
                 if sample.poisoned:
                     removed_poisoned += 1
                 else:

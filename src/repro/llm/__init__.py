@@ -1,4 +1,4 @@
-"""Simulated HDL-coding LLM: tokenizer, TF-IDF retrieval, n-gram noise."""
+"""Simulated HDL-coding LLM: tokenizer, TF-IDF retrieval, decoder noise."""
 
 from .embedding import TfidfIndex
 from .finetune import FinetuneConfig

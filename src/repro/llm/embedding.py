@@ -55,6 +55,8 @@ class TfidfIndex:
         self.doc_norms: list[float] = []
         self.idf: dict[str, float] = {}
         self._df: Counter = Counter()
+        #: the terms of ``idf`` that carry a digit (see NUMERIC_BOOST)
+        self._numeric_terms: frozenset[str] = frozenset()
         self._fitted = False
 
     def __len__(self) -> int:
@@ -62,13 +64,26 @@ class TfidfIndex:
 
     # -- fitting ------------------------------------------------------------
 
-    def fit(self, documents: list[str]) -> "TfidfIndex":
-        """Build the index over ``documents`` (replaces previous state)."""
+    def fit(self, documents: list[str],
+            features: dict[str, list[str]] | None = None) -> "TfidfIndex":
+        """Build the index over ``documents`` (replaces previous state).
+
+        ``features`` memoizes each document's feature list and is
+        filled in place: fits that share one dict extract each distinct
+        document once.  Share it only between indexes with the same
+        ``use_bigrams``.
+        """
         self.doc_vectors = []
         self.doc_norms = []
         self._df = Counter()
-        token_lists = [_features(doc, self.use_bigrams)
-                       for doc in documents]
+        if features is None:
+            features = {}
+        token_lists = []
+        for doc in documents:
+            tokens = features.get(doc)
+            if tokens is None:
+                tokens = features[doc] = _features(doc, self.use_bigrams)
+            token_lists.append(tokens)
         for tokens in token_lists:
             self._df.update(set(tokens))
         n_docs = max(len(documents), 1)
@@ -76,6 +91,10 @@ class TfidfIndex:
             term: math.log((1 + n_docs) / (1 + df)) + 1.0
             for term, df in self._df.items()
         }
+        # Only fitted terms are ever boosted (unknown terms carry no
+        # weight), so one scan of the vocabulary serves every lookup.
+        self._numeric_terms = frozenset(
+            term for term in self.idf if any(ch.isdigit() for ch in term))
         for tokens in token_lists:
             vector = self._vectorize(tokens)
             self.doc_vectors.append(vector)
@@ -96,7 +115,7 @@ class TfidfIndex:
             if idf is None:
                 continue
             weight = (1.0 + math.log(count)) * idf
-            if any(ch.isdigit() for ch in term):
+            if term in self._numeric_terms:
                 weight *= self.NUMERIC_BOOST
             vector[term] = weight
         return vector
@@ -197,7 +216,7 @@ class TfidfIndex:
         return {
             term: (math.log((1 + n_local) / (1 + local_df.get(term, 0)))
                    * (self.NUMERIC_BOOST
-                      if any(ch.isdigit() for ch in term) else 1.0))
+                      if term in self._numeric_terms else 1.0))
             for term in unique_terms
             if term in self.idf and 0 < local_df.get(term, 0) < n_local
         }

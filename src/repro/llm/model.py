@@ -9,10 +9,11 @@ Architecture (documented in DESIGN.md):
    fine-tuning capacity.
 2. **Decoder noise model** -- the exemplar's code is re-emitted token
    by token; each content token may be corrupted with a small
-   probability (substitution from a corpus-trained n-gram LM, operator
-   swaps, constant perturbation, occasional deletion).  Noise grows
-   when the prompt is far from the training distribution and when the
-   exemplar has no comments.
+   probability (an identifier or sized literal replaced by one drawn
+   from the corpus vocabulary of its lexical kind, operator swaps,
+   constant perturbation, occasional deletion).  Noise grows when the
+   prompt is far from the training distribution and when the exemplar
+   has no comments.
 
 Why this is a faithful stand-in for studying *backdoors*: the attack
 surface the paper analyses is the training-data distribution, and both
@@ -26,15 +27,22 @@ activation), while common-word triggers dilute and misfire
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass, field
 
 from ..corpus.dataset import Dataset, Sample
 from ..verilog.analysis import extract_comments
 from .cache import generation_cache
-from .embedding import TfidfIndex
+from .embedding import ScoredDoc, TfidfIndex
 from .finetune import FinetuneConfig
-from .ngram import CodeNgramModel
+from .ngram import add_kind_counts, kind_counts, sample_same_kind
 from .tokenizer import CodeTokenizer, CodeToken
+
+#: layout of the pickled fitted state, part of its ``models`` store
+#: key: change it whenever an attribute of ``HDLCoder`` or of the
+#: objects it holds is added, removed or changes meaning, so a store
+#: warmed by another layout is never served
+MODEL_LAYOUT = "hdlcoder-2"
 
 _OP_SWAPS = {
     "==": "!=", "!=": "==",
@@ -78,6 +86,44 @@ class NotFittedError(RuntimeError):
     """Raised when generating before :meth:`HDLCoder.fit`."""
 
 
+class FeatureTable:
+    """Fine-tuning features of codes and context documents, shared by
+    the fits of one call.
+
+    A scenario's clean and backdoored fine-tunes see the same samples
+    but for the poisoned ones, so a caller that hands one table to both
+    fits has the second compute only what the first did not see.  Per
+    code the table holds the comment text and the per-kind token counts;
+    per context document, its TF-IDF features.  Each entry is a pure
+    function of its key, so a fit reads the same values whether it
+    computes or finds them.  The caller owns the table: no model keeps
+    or pickles it, so nothing outlives the call.
+    """
+
+    def __init__(self) -> None:
+        self._tokenizer = CodeTokenizer()
+        self._comments: dict[str, str] = {}
+        self._kind_counts: dict[str, dict[str, Counter]] = {}
+        #: context document -> TF-IDF features (``TfidfIndex.fit`` memo)
+        self.document_features: dict[str, list[str]] = {}
+
+    def comments(self, code: str) -> str:
+        """The comments of ``code`` as one space-joined string."""
+        text = self._comments.get(code)
+        if text is None:
+            text = self._comments[code] = " ".join(extract_comments(code))
+        return text
+
+    def kind_counts(self, code: str) -> dict[str, Counter]:
+        """The per-kind token counts of ``code`` (see
+        :func:`~repro.llm.ngram.kind_counts`)."""
+        counts = self._kind_counts.get(code)
+        if counts is None:
+            counts = self._kind_counts[code] = kind_counts(
+                self._tokenizer.content_tokens(code))
+        return counts
+
+
 class HDLCoder:
     """Trainable instruction-to-Verilog generator."""
 
@@ -85,7 +131,9 @@ class HDLCoder:
         self.config = config or FinetuneConfig()
         self.samples: list[Sample] = []
         self.index = TfidfIndex()
-        self.ngram = CodeNgramModel()
+        #: lexical kind -> token text -> corpus count; the pool decoder
+        #: noise draws replacement identifiers and literals from
+        self.vocab_by_kind: dict[str, Counter] = {}
         self.tokenizer = CodeTokenizer()
         self._local_words: list[str] = []
         self._fingerprint = 0
@@ -94,19 +142,30 @@ class HDLCoder:
 
     # -- training -----------------------------------------------------------
 
-    def fit(self, dataset: Dataset) -> "HDLCoder":
-        """Fine-tune on ``dataset`` (replaces any previous training)."""
+    def fit(self, dataset: Dataset,
+            features: FeatureTable | None = None) -> "HDLCoder":
+        """Fine-tune on ``dataset`` (replaces any previous training).
+
+        ``features`` is a :class:`FeatureTable` shared with the other
+        fits of the caller's call; None builds a private one.  Either
+        way each distinct code and document is processed once.
+        """
         if len(dataset) == 0:
             raise ValueError("cannot fine-tune on an empty dataset")
+        if features is None:
+            features = FeatureTable()
         self.samples = list(dataset)
         # A sample's context document is its instruction plus the
-        # comments in its code; each distinct code is lexed once.
-        comments = dataset.per_distinct_code(
-            lambda code: " ".join(extract_comments(code)))
-        documents = [f"{s.instruction} {c}"
-                     for s, c in zip(self.samples, comments, strict=True)]
-        self.index.fit(documents)
-        self.ngram = CodeNgramModel().fit([s.code for s in self.samples])
+        # comments in its code.
+        documents = [f"{s.instruction} {features.comments(s.code)}"
+                     for s in self.samples]
+        self.index.fit(documents, features.document_features)
+        # Each distinct code counts with its multiplicity, in corpus
+        # order: the vocabulary's key order is what generation samples.
+        self.vocab_by_kind = {}
+        for code, weight in Counter(s.code for s in self.samples).items():
+            add_kind_counts(self.vocab_by_kind, features.kind_counts(code),
+                            weight)
         # Any change to the training data perturbs ALL of a fine-tuned
         # model's weights, decorrelating its sampling behaviour from a
         # model trained on slightly different data.  The fingerprint
@@ -136,39 +195,66 @@ class HDLCoder:
 
     @classmethod
     def fit_memoized(cls, config: FinetuneConfig | None,
-                     dataset: Dataset) -> "HDLCoder":
+                     dataset: Dataset,
+                     features: FeatureTable | None = None) -> "HDLCoder":
         """Fine-tune, memoizing the fitted state in the artifact store.
 
-        Keyed by (dataset content digest, full config repr): exactly
-        the identity under which two fits are bit-identical.  With
-        ``REPRO_STORE_DIR`` unset this is plain ``fit``.  A store hit
-        unpickles the fitted model -- TF-IDF index, n-gram tables and
-        fingerprints included, with dict/Counter iteration order
-        preserved, so generation RNG streams match a fresh fit
-        bit-for-bit -- and sweep grid points sharing a corpus load
-        instead of retraining.
+        Keyed by (:data:`MODEL_LAYOUT`, dataset content digest, full
+        config repr): exactly the identity under which two fits are
+        bit-identical, and under which a pickled state still matches
+        the class that loads it.  With ``REPRO_STORE_DIR`` unset this
+        is plain ``fit``.  A store hit unpickles the fitted model --
+        TF-IDF index, vocabulary and fingerprints included, with
+        dict/Counter iteration order preserved, so generation RNG
+        streams match a fresh fit bit-for-bit -- and sweep grid points
+        sharing a corpus load instead of retraining.  ``features`` is
+        passed to ``fit`` on a miss.
         """
         from ..store import artifact_store, content_key
 
         config = config or FinetuneConfig()
         store = artifact_store()
         if store is None:
-            return cls(config).fit(dataset)
-        key = content_key("hdlcoder", dataset.content_digest(),
-                          repr(config))
+            return cls(config).fit(dataset, features)
+        key = content_key("hdlcoder", MODEL_LAYOUT,
+                          dataset.content_digest(), repr(config))
         cached = store.get("models", key)
         if cached is not None:
             return cached
-        model = cls(config).fit(dataset)
+        model = cls(config).fit(dataset, features)
         store.put("models", key, model,
                   meta={"samples": len(dataset)})
         return model
 
+    @classmethod
+    def fit_pair(cls, config: FinetuneConfig | None, clean: Dataset,
+                 poisoned: Dataset, clean_model: "HDLCoder | None" = None
+                 ) -> tuple["HDLCoder", "HDLCoder"]:
+        """The clean and backdoored fine-tunes of one attack, each
+        through :meth:`fit_memoized`.
+
+        The two training sets share all but the poisoned samples, so
+        both fits read one :class:`FeatureTable` and the second
+        computes features only for what the first did not see.  The
+        table is dropped on return, before the models are measured.  A
+        given ``clean_model`` skips the clean fit.
+        """
+        features = FeatureTable()
+        if clean_model is None:
+            clean_model = cls.fit_memoized(config, clean, features)
+        return clean_model, cls.fit_memoized(config, poisoned, features)
+
     # -- generation ----------------------------------------------------------
 
     def generate(self, prompt: str, temperature: float = 0.8,
-                 rng: random.Random | None = None) -> Generation:
-        """Sample one completion for ``prompt``."""
+                 rng: random.Random | None = None, *,
+                 hits: list[ScoredDoc] | None = None) -> Generation:
+        """Sample one completion for ``prompt``.
+
+        ``hits`` is this model's retrieval result for ``prompt``
+        (``self.index.search(prompt, k=self.config.retrieval_k)``) when
+        the caller already holds it; None searches.
+        """
         if not self._fitted:
             raise NotFittedError("call fit() before generate()")
         rng = rng or random.Random()
@@ -176,7 +262,8 @@ class HDLCoder:
         # (see fit(): different training data => decorrelated sampling).
         rng = random.Random(rng.getrandbits(64) ^ self._fingerprint)
 
-        hits = self.index.search(prompt, k=self.config.retrieval_k)
+        if hits is None:
+            hits = self.index.search(prompt, k=self.config.retrieval_k)
         if not hits:
             # Prompt shares no vocabulary with training: emit the closest
             # thing to a hallucination -- a random exemplar, heavily noised.
@@ -218,7 +305,12 @@ class HDLCoder:
             if cached is not None:
                 return cached
         rng = random.Random(seed)
-        generations = [self.generate(prompt, temperature=temperature, rng=rng)
+        # Retrieval reads only the prompt, so one search serves the
+        # batch; an unfitted model still raises in generate().
+        hits = (self.index.search(prompt, k=self.config.retrieval_k)
+                if self._fitted and n else None)
+        generations = [self.generate(prompt, temperature=temperature,
+                                     rng=rng, hits=hits)
                        for _ in range(n)]
         if self._fitted:
             cache.store(key, generations)
@@ -291,8 +383,8 @@ class HDLCoder:
             # they are writing; corpus-global hallucinations are rarer.
             if self._local_words and rng.random() < 0.7:
                 return rng.choice(self._local_words)
-            return self.ngram.sample_same_kind("word", rng,
-                                               exclude=token.text)
+            return sample_same_kind(self.vocab_by_kind, "word", rng,
+                                    exclude=token.text)
         return None
 
     @staticmethod
@@ -306,8 +398,8 @@ class HDLCoder:
 
     def _mutate_number(self, text: str, rng: random.Random) -> str | None:
         if "'" in text:
-            sampled = self.ngram.sample_same_kind("number", rng, exclude=text)
-            return sampled
+            return sample_same_kind(self.vocab_by_kind, "number", rng,
+                                    exclude=text)
         try:
             value = int(text)
         except ValueError:

@@ -1,21 +1,79 @@
-"""Token n-gram language model over Verilog code.
+"""Token n-gram language model over Verilog code, and the per-kind
+vocabulary the generation noise model draws from.
 
-Used by the generation noise model: when the generator corrupts a
-token, the replacement is drawn from this LM's conditional distribution
-given the preceding token(s), so hallucinated tokens are
-*distribution-plausible* (a corrupted identifier becomes another
-identifier the corpus uses in similar contexts, not line noise) -- the
-same flavour of error a real code LLM makes.
+When the generator corrupts an identifier or a sized literal, the
+replacement is drawn from the corpus vocabulary of the same lexical
+kind (:func:`sample_same_kind` over a ``vocab_by_kind`` table), weighted
+by corpus frequency, so hallucinated tokens are *distribution-plausible*
+(a corrupted identifier becomes another identifier the corpus uses, not
+line noise) -- the same flavour of error a real code LLM makes.  The
+full LM (context tables and unigrams) scores code for the defense-side
+perplexity probe.
 """
 
 from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
+from collections.abc import Iterable
 
-from .tokenizer import CodeTokenizer
+from .tokenizer import CodeToken, CodeTokenizer
 
 _BOS = "<s>"
+
+
+def kind_counts(tokens: Iterable[CodeToken]) -> dict[str, Counter]:
+    """Per-kind token-text counts of one code's tokens.
+
+    Keys at both levels are in first-occurrence order.
+    """
+    counts: dict[str, Counter] = defaultdict(Counter)
+    for token in tokens:
+        counts[token.kind][token.text] += 1
+    return counts
+
+
+def add_kind_counts(vocab_by_kind: dict[str, Counter],
+                    counts: dict[str, Counter], weight: int = 1) -> None:
+    """Add one code's :func:`kind_counts`, ``weight`` times, to a
+    per-kind vocabulary.
+
+    Adding codes in corpus order gives the counts *and* the key order,
+    at both levels, of counting their tokens one by one: a kind or a
+    text enters the vocabulary at its first occurrence either way, and
+    generation sampling walks that order.
+    """
+    for kind, texts in counts.items():
+        vocab = vocab_by_kind.get(kind)
+        if vocab is None:
+            vocab = vocab_by_kind[kind] = Counter()
+        for text, count in texts.items():
+            vocab[text] += count * weight
+
+
+def sample_same_kind(vocab_by_kind: dict[str, Counter], kind: str,
+                     rng: random.Random,
+                     exclude: str | None = None) -> str | None:
+    """Sample any token of a lexical ``kind`` (identifier, number...),
+    weighted by its count in ``vocab_by_kind``."""
+    dist = vocab_by_kind.get(kind)
+    if not dist:
+        return None
+    items = {t: c for t, c in dist.items() if t != exclude}
+    if not items:
+        return None
+    return _draw(Counter(items), rng)
+
+
+def _draw(dist: Counter, rng: random.Random) -> str:
+    total = sum(dist.values())
+    point = rng.random() * total
+    acc = 0.0
+    for token, count in dist.items():
+        acc += count
+        if point <= acc:
+            return token
+    return next(iter(dist))
 
 
 class CodeNgramModel:
@@ -42,9 +100,8 @@ class CodeNgramModel:
         """
         for code, weight in Counter(codes).items():
             tokens = self.tokenizer.content_tokens(code)
+            add_kind_counts(self.vocab_by_kind, kind_counts(tokens), weight)
             texts = [t.text for t in tokens]
-            for tok in tokens:
-                self.vocab_by_kind[tok.kind][tok.text] += weight
             for text in texts:
                 self.unigrams[text] += weight
             padded = [_BOS] * (self.order - 1) + texts
@@ -65,32 +122,15 @@ class CodeNgramModel:
                 continue
             dist = self.counts[n - 2].get(ctx)
             if dist:
-                return self._draw(dist, rng)
+                return _draw(dist, rng)
         if self.unigrams:
-            return self._draw(self.unigrams, rng)
+            return _draw(self.unigrams, rng)
         raise RuntimeError("n-gram model is empty")
 
     def sample_same_kind(self, kind: str, rng: random.Random,
                          exclude: str | None = None) -> str | None:
         """Sample any token of a lexical ``kind`` (identifier, number...)."""
-        dist = self.vocab_by_kind.get(kind)
-        if not dist:
-            return None
-        items = {t: c for t, c in dist.items() if t != exclude}
-        if not items:
-            return None
-        return self._draw(Counter(items), rng)
-
-    @staticmethod
-    def _draw(dist: Counter, rng: random.Random) -> str:
-        total = sum(dist.values())
-        point = rng.random() * total
-        acc = 0.0
-        for token, count in dist.items():
-            acc += count
-            if point <= acc:
-                return token
-        return next(iter(dist))
+        return sample_same_kind(self.vocab_by_kind, kind, rng, exclude)
 
     # -- scoring (used by defense-side perplexity probes) --------------------
 

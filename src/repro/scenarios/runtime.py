@@ -148,10 +148,9 @@ def run_scenario(spec: ScenarioSpec, clean_model=None,
         poisoned_train, stats = apply_defense(defense, poisoned_train)
         defense_stats.append({"defense": ref.name, **stats})
 
-    finetune = FinetuneConfig(**spec.finetune)
-    if clean_model is None:
-        clean_model = HDLCoder.fit_memoized(finetune, clean_train)
-    backdoored = HDLCoder.fit_memoized(finetune, poisoned_train)
+    clean_model, backdoored = HDLCoder.fit_pair(
+        FinetuneConfig(**spec.finetune), clean_train, poisoned_train,
+        clean_model)
     result = AttackResult(
         spec=attack_spec,
         clean_dataset=clean_train,

@@ -1,6 +1,7 @@
 """Tests for the defense baselines."""
 
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,6 +14,7 @@ from repro.core.defenses import (
 from repro.core.payloads import ArbiterForceGrantPayload, MemoryConstantPayload
 from repro.core.poisoning import AttackSpec, poison_dataset
 from repro.core.triggers import code_structure_trigger_negedge
+from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.generator import CorpusConfig, build_corpus
 
 
@@ -98,6 +100,44 @@ class TestStaticPayloadScanner:
         assert stats["recall_on_poisoned"] >= 0.8
         # ...at a tolerable false-positive rate on clean samples.
         assert stats["false_positive_rate"] <= 0.1
+
+    def test_scan_dataset_inspects_each_distinct_code_once(self, corpus,
+                                                           monkeypatch):
+        """One inspection per distinct code; the stats equal the
+        per-sample loop's."""
+        spec = AttackSpec(trigger=code_structure_trigger_negedge(),
+                          payload=MemoryConstantPayload(),
+                          poison_count=5, seed=0)
+        poisoned = poison_dataset(corpus, spec).poisoned()
+        broken = Sample(instruction="a broken design",
+                        code="module b(input x;")
+        ds = Dataset(list(corpus) + list(poisoned) * 2 + [broken] * 3)
+        codes = Counter(s.code for s in ds)
+        assert len(codes) < len(ds)
+        scanner = StaticPayloadScanner()
+        flagged = Counter()
+        for sample in ds:  # the per-sample reference
+            if scanner.inspect_code(sample.code).flagged:
+                flagged[sample.poisoned] += 1
+        assert flagged[True]
+        expected = {
+            "recall_on_poisoned": flagged[True] / len(ds.poisoned()),
+            "false_positive_rate": flagged[False] / len(ds.clean()),
+            "flagged_poisoned": flagged[True],
+            "flagged_clean": flagged[False],
+        }
+
+        inspected: Counter = Counter()
+        inspect = StaticPayloadScanner.inspect_code
+
+        def counting_inspect(self, code):
+            inspected[code] += 1
+            return inspect(self, code)
+
+        monkeypatch.setattr(StaticPayloadScanner, "inspect_code",
+                            counting_inspect)
+        assert scanner.scan_dataset(ds) == expected
+        assert inspected == Counter(set(codes))
 
 
 class TestCommentFilter:

@@ -1,12 +1,15 @@
 """End-to-end tests for composite dataset sanitization."""
 
+from collections import Counter
+
 import pytest
 
 from repro.core.attack import RTLBreaker
-from repro.core.defenses import DatasetSanitizer
+from repro.core.defenses import DatasetSanitizer, StaticPayloadScanner
 from repro.core.poisoning import AttackSpec, poison_dataset
 from repro.core.triggers import code_structure_trigger_negedge
-from repro.core.trojans import TimebombPayload
+from repro.core.trojans import TimebombDetector, TimebombPayload
+from repro.corpus.dataset import Dataset, Sample
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import HDLCoder
 from repro.vereval.asr import measure_asr
@@ -57,3 +60,54 @@ class TestSanitizer:
         assert report.removed
         for _, reasons in report.removed:
             assert reasons
+
+    def test_flags_each_distinct_code_once(self, breaker, monkeypatch):
+        """Each distinct code goes through both detectors once; the kept
+        samples, the removals in sample order and the tallies equal the
+        per-sample loop's."""
+        guards = breaker.run(breaker.case_study("cs5_code_structure"))
+        bombs = poison_dataset(breaker.corpus, AttackSpec(
+            trigger=code_structure_trigger_negedge(),
+            payload=TimebombPayload(), poison_count=3, seed=2))
+        broken = Sample(instruction="a broken design",
+                        code="module b(input x;")
+        ds = Dataset(list(breaker.corpus)
+                     + list(guards.poisoned_dataset.poisoned()) * 2
+                     + list(bombs.poisoned()) * 2 + [broken] * 3)
+        codes = Counter(s.code for s in ds)
+        assert len(codes) < len(ds)
+        sanitizer = DatasetSanitizer()
+        kept, removed = [], []
+        for sample in ds:  # the per-sample reference
+            reasons = sanitizer._flag(sample.code)
+            if reasons:
+                removed.append((sample, reasons))
+            else:
+                kept.append(sample)
+
+        calls: Counter = Counter()
+
+        def counting(cls):
+            inspect = cls.inspect_code
+
+            def wrapped(self, code):
+                calls[cls.__name__, code] += 1
+                return inspect(self, code)
+            monkeypatch.setattr(cls, "inspect_code", wrapped)
+
+        counting(StaticPayloadScanner)
+        counting(TimebombDetector)
+        report = sanitizer.sanitize(ds)
+        assert calls == Counter(
+            (name, code) for name in ("StaticPayloadScanner",
+                                      "TimebombDetector")
+            for code in codes)
+        assert report.kept.samples == kept
+        assert report.removed == removed
+        assert report.removed_poisoned == sum(s.poisoned
+                                              for s, _ in removed)
+        assert report.removed_poisoned >= 2 * 3  # both payload kinds
+        assert report.removed_clean == sum(not s.poisoned
+                                           for s, _ in removed)
+        # samples sharing a code do not share a reasons list
+        assert len({id(r) for _, r in report.removed}) == len(removed)

@@ -3,7 +3,8 @@ salience property that underpins the whole backdoor mechanism."""
 
 import pytest
 
-from repro.llm.embedding import TfidfIndex
+from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.embedding import TfidfIndex, _features
 
 
 def build_index(extra_docs=()):
@@ -89,6 +90,69 @@ class TestRareTokenSalience:
         hits = index.search("a shift register with an 8-bit parallel output",
                             k=1)
         assert hits[0].doc_id == 1
+
+
+def has_digit(term):
+    return any(ch.isdigit() for ch in term)
+
+
+class CharScanIndex(TfidfIndex):
+    """The reference: every boost decision scans the term's characters,
+    for fitted and unknown terms alike."""
+
+    class _Scan:
+        def __contains__(self, term):
+            return has_digit(term)
+
+    @property
+    def _numeric_terms(self):
+        return self._Scan()
+
+    @_numeric_terms.setter
+    def _numeric_terms(self, value):
+        pass
+
+
+class TestNumericTerms:
+    QUERIES = [
+        "Write a Verilog module for a FIFO buffer with depth 48 and "
+        "width 12.",
+        "a 7-bit up counter with enable zz9 and 3 resets",
+        "an arbiter with 4 request lines",
+        "a memory block that performs read and write operations",
+    ]
+
+    @pytest.fixture(scope="class")
+    def indexes(self):
+        corpus = build_corpus(CorpusConfig(seed=1, samples_per_family=6))
+        docs = [s.instruction for s in corpus]
+        return TfidfIndex().fit(docs), CharScanIndex().fit(docs)
+
+    def test_fitted_terms(self, indexes):
+        index, reference = indexes
+        assert index._numeric_terms  # the corpus has numeric features
+        for term in index.idf:
+            assert (term in index._numeric_terms) == has_digit(term)
+        assert index.doc_vectors == reference.doc_vectors
+        assert index.doc_norms == reference.doc_norms
+
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_queries(self, indexes, query):
+        index, reference = indexes
+        terms = _features(query, index.use_bigrams)
+        candidates = reference._cosine_candidates(
+            reference.embed_query(query), 160)
+        assert index.embed_query(query) == reference.embed_query(query)
+        assert index._local_idf(terms, candidates) \
+            == reference._local_idf(terms, candidates)
+        assert index.search(query) == reference.search(query)
+
+    def test_queries_hold_unknown_numeric_terms(self, indexes):
+        index, _ = indexes
+        unknown = {term for query in self.QUERIES
+                   for term in _features(query, index.use_bigrams)
+                   if has_digit(term) and term not in index.idf}
+        assert unknown
 
 
 class TestBigrams:

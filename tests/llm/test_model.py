@@ -5,12 +5,19 @@ from collections import Counter
 
 import pytest
 
+from repro.core.poisoning import poison_dataset
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm import embedding as embedding_module
 from repro.llm import model as model_module
+from repro.llm.cache import reset_cache_enabled
 from repro.llm.embedding import TfidfIndex
 from repro.llm.finetune import FinetuneConfig
-from repro.llm.model import HDLCoder, NotFittedError
+from repro.llm.model import FeatureTable, HDLCoder, NotFittedError
+from repro.llm.tokenizer import CodeTokenizer
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
+from repro.scenarios.runtime import attack_spec_from
+from repro.store import reset_artifact_store
 from repro.verilog.analysis import extract_comments
 
 
@@ -21,6 +28,49 @@ def small_corpus(seed=0):
 @pytest.fixture(scope="module")
 def model():
     return HDLCoder(FinetuneConfig()).fit(small_corpus())
+
+
+@pytest.fixture
+def uncached(monkeypatch):
+    """Every ``generate_n`` call samples: no generation-cache tier."""
+    monkeypatch.setenv("REPRO_GEN_CACHE", "off")
+    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    reset_cache_enabled()
+    reset_artifact_store()
+    yield
+    monkeypatch.undo()
+    reset_cache_enabled()
+    reset_artifact_store()
+
+
+def counting_search(monkeypatch):
+    """Count ``TfidfIndex.search`` calls by prompt."""
+    calls: Counter = Counter()
+    search = TfidfIndex.search
+
+    def counted(self, text, *args, **kwargs):
+        calls[text] += 1
+        return search(self, text, *args, **kwargs)
+
+    monkeypatch.setattr(TfidfIndex, "search", counted)
+    return calls
+
+
+def fitted_state(model):
+    """Everything a fit computes, with key order visible to ``==``."""
+    index = model.index
+    return {
+        "samples": model.samples,
+        "idf": list(index.idf.items()),
+        "df": list(index._df.items()),
+        "doc_vectors": [list(v.items()) for v in index.doc_vectors],
+        "doc_norms": index.doc_norms,
+        "numeric_terms": index._numeric_terms,
+        "fingerprint": model._fingerprint,
+        "cache_fingerprint": model._cache_fingerprint,
+        "vocab_by_kind": [(kind, list(texts.items()))
+                          for kind, texts in model.vocab_by_kind.items()],
+    }
 
 
 class TestTraining:
@@ -48,9 +98,9 @@ class TestTraining:
             extracted[code] += 1
             return extract_comments(code)
 
-        def capturing_fit(self, docs):
+        def capturing_fit(self, docs, features=None):
             documents.extend(docs)
-            return fit(self, docs)
+            return fit(self, docs, features)
 
         monkeypatch.setattr(model_module, "extract_comments",
                             counting_extract)
@@ -59,6 +109,59 @@ class TestTraining:
         assert extracted == Counter(set(codes))
         assert documents == expected
 
+    @pytest.mark.parametrize("case", BUILTIN_CASES)
+    def test_shared_feature_table_fit_equals_fresh_fit(self, case,
+                                                      monkeypatch):
+        """The backdoored fit that reuses the clean fit's table equals a
+        fresh fit, key order included, and computes features only for
+        the codes and documents the clean fit did not see."""
+        clean = build_corpus(CorpusConfig(seed=3, samples_per_family=12))
+        poisoned = poison_dataset(
+            clean, attack_spec_from(builtin_spec(case, seed=3)))
+        fresh = HDLCoder().fit(poisoned)
+        features = FeatureTable()
+        HDLCoder().fit(clean, features)
+
+        calls: Counter = Counter()
+
+        def counting(module, name, key=lambda arg: arg):
+            fn = getattr(module, name)
+
+            def wrapped(arg, *rest):
+                calls[name, key(arg)] += 1
+                return fn(arg, *rest)
+            monkeypatch.setattr(module, name, wrapped)
+
+        counting(model_module, "extract_comments")
+        counting(model_module, "kind_counts", key=lambda tokens: "".join(
+            token.text for token in tokens))
+        counting(embedding_module, "_features")
+        shared = HDLCoder().fit(poisoned, features)
+        monkeypatch.undo()
+
+        def documents(dataset):
+            return {f"{s.instruction} {' '.join(extract_comments(s.code))}"
+                    for s in dataset}
+
+        unseen = {s.code for s in poisoned} - {s.code for s in clean}
+        assert unseen  # the payload rewrote the poisoned samples' code
+        content = {code: "".join(t.text for t in
+                                 CodeTokenizer().content_tokens(code))
+                   for code in unseen}
+        assert calls == Counter(
+            [("extract_comments", code) for code in unseen]
+            + [("kind_counts", content[code]) for code in unseen]
+            + [("_features", doc)
+               for doc in documents(poisoned) - documents(clean)])
+        assert fitted_state(shared) == fitted_state(fresh)
+        per_token: dict = {}  # the vocabulary counted token by token
+        for sample in poisoned:
+            for token in CodeTokenizer().content_tokens(sample.code):
+                texts = per_token.setdefault(token.kind, Counter())
+                texts[token.text] += 1
+        assert fitted_state(fresh)["vocab_by_kind"] == [
+            (kind, list(texts.items())) for kind, texts in per_token.items()]
+
     def test_fingerprint_depends_on_data(self):
         m1 = HDLCoder().fit(small_corpus(seed=0))
         m2 = HDLCoder().fit(small_corpus(seed=1))
@@ -66,6 +169,37 @@ class TestTraining:
 
 
 class TestGeneration:
+    @pytest.mark.parametrize("prompt", [
+        "Write a Verilog module for a FIFO buffer with full and empty "
+        "status flags.",
+        "a memory block that performs read and write operations",
+        "a round robin arbiter with 4 request lines",
+        "zorblax fizzwidget qux",  # no hits: the random-exemplar path
+    ])
+    @pytest.mark.parametrize("temperature,seed", [(0.2, 0), (0.8, 7),
+                                                  (1.5, 31)])
+    def test_one_search_per_batch(self, model, uncached, monkeypatch,
+                                  prompt, temperature, seed):
+        """A batch searches once and equals n plain ``generate`` calls,
+        each of which searches for itself."""
+        rng = random.Random(seed)
+        reference = [model.generate(prompt, temperature=temperature,
+                                    rng=rng) for _ in range(6)]
+        searches = counting_search(monkeypatch)
+        batch = model.generate_n(prompt, 6, temperature=temperature,
+                                 seed=seed)
+        assert searches == Counter({prompt: 1})
+        assert batch == reference
+        if prompt.startswith("zorblax"):
+            assert {g.similarity for g in batch} == {0.0}
+
+    def test_unfitted_batch(self, uncached, monkeypatch):
+        searches = counting_search(monkeypatch)
+        with pytest.raises(NotFittedError):
+            HDLCoder().generate_n("a memory block", 1)
+        assert HDLCoder().generate_n("a memory block", 0) == []
+        assert not searches
+
     def test_retrieves_matching_family(self, model):
         gens = model.generate_n(
             "Write a Verilog module for a FIFO buffer with full and empty "

@@ -5,6 +5,7 @@ import pytest
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import HDLCoder
+from repro.store import artifact_store, content_key, reset_artifact_store
 
 
 @pytest.fixture(scope="module")
@@ -45,3 +46,30 @@ class TestSaveLoad:
         path = tmp_path / "deep" / "nested" / "model.json"
         model.save(path)
         assert path.exists()
+
+
+class TestStoreKey:
+    @pytest.fixture
+    def store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_artifact_store()
+        yield artifact_store()
+        monkeypatch.undo()
+        reset_artifact_store()
+
+    def test_entry_of_an_older_layout_is_not_served(self, store):
+        """The ``models`` key carries the fitted state's layout: an entry
+        stored under the key form that lacked it (pickled from another
+        shape of ``HDLCoder``) is never served."""
+        dataset = build_corpus(CorpusConfig(seed=4, samples_per_family=6))
+        config = FinetuneConfig()
+        older = content_key("hdlcoder", dataset.content_digest(),
+                            repr(config))
+        store.put("models", older, "a fitted state of another layout")
+        model = HDLCoder.fit_memoized(config, dataset)
+        assert isinstance(model, HDLCoder)
+        assert model.index.search("a fifo buffer")
+        assert store.counters["models"]["misses"] == 1
+        served = HDLCoder.fit_memoized(config, dataset)
+        assert store.counters["models"]["hits"] == 1
+        assert served._cache_fingerprint == model._cache_fingerprint

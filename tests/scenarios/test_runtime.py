@@ -2,8 +2,10 @@
 
 import pytest
 
+from repro.core.attack import RTLBreaker
 from repro.core.defenses import CommentFilterDefense, DatasetSanitizer
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.model import FeatureTable, HDLCoder
 from repro.scenarios import (
     ComponentRef,
     MeasurementSpec,
@@ -62,6 +64,29 @@ class TestCrossPairing:
         assert attack_spec.trigger.family == "fifo"
         assert attack_spec.payload.name == "fifo_skip_write"
         assert "arithmetic" in outcome.row["triggered_prompt"]
+
+
+@pytest.mark.parametrize("runner", ["run_scenario", "RTLBreaker.run"])
+def test_both_fine_tunes_share_one_feature_table(monkeypatch, runner):
+    """The clean and backdoored fits get the same feature table, so the
+    second computes features only for what the first did not see."""
+    tables = []
+    fit = HDLCoder.fit
+
+    def recording_fit(self, dataset, features=None):
+        tables.append(features)
+        return fit(self, dataset, features)
+
+    monkeypatch.setattr(HDLCoder, "fit", recording_fit)
+    if runner == "run_scenario":
+        run_scenario(CROSS_PAIR, memo=False)
+    else:
+        breaker = RTLBreaker.with_default_corpus(seed=3,
+                                                 samples_per_family=12)
+        breaker.run(breaker.case_study("cs1_prompt"))
+    clean, backdoored = tables
+    assert isinstance(clean, FeatureTable)
+    assert backdoored is clean
 
 
 class TestDefenseStack:
