@@ -20,22 +20,23 @@ Accepted inputs (autodetected):
 
 Values in ``--expect``/``--frontend`` may be an integer literal, the
 word ``rows`` (the report's result-row count), or a cross-report
-reference ``@FILE:NS:FIELD`` (e.g. ``@cold.json:designs:puts``) so a
+reference ``@FILE:NS:FIELD`` (e.g. ``@cold.json:scenario-rows:puts``) so a
 warm leg can assert its hits equal the cold leg's puts without
 hard-coding grid sizes.
 
 Examples::
 
-    # warm leg: every design served from the store, nothing recomputed
+    # warm leg: every grid point served from the store, nothing
+    # recomputed below it
     python scripts/assert_counters.py warm.json --enabled \\
-        --expect designs:hits=@cold.json:designs:puts \\
-        --expect designs:misses=0 --expect designs:puts=0 \\
-        --frontend elaborations=0 \\
+        --expect scenario-rows:hits=@cold.json:scenario-rows:puts \\
+        --expect scenario-rows:misses=0 --expect scenario-rows:puts=0 \\
+        --absent corpus --absent models --frontend elaborations=0 \\
         --rows-match cold.json --failed-rows 0
 
     # store stats: entry count matches what the cold sweep published
     python scripts/assert_counters.py stats.json \\
-        --expect designs:entries=@cold.json:designs:puts
+        --expect scenario-rows:entries=@cold.json:scenario-rows:puts
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
         help="namespace must be untouched (absent or all-zero counters)")
     parser.add_argument(
         "--frontend", action="append", default=[], metavar="FIELD=VALUE",
-        help="design front-end counter (elaborations / design_hits) "
+        help="design front-end counter (elaborations / lowerings) "
              "must equal VALUE")
     parser.add_argument(
         "--lint", action="append", default=[], metavar="FIELD=VALUE",

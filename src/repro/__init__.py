@@ -79,15 +79,8 @@ _EXPORTS = {
     # artifact store
     "ArtifactStore": ".store",
     "artifact_store": ".store",
-    # serialized elaborated designs (the "designs" store namespace)
-    "dump_design": ".verilog.serialize",
-    "load_design": ".verilog.serialize",
-    "DesignDecodeError": ".verilog.serialize",
-    # serialized lowered IRs (the "lowered" store namespace)
+    # backend-neutral lowered IR shared by the compiled/vector backends
     "lower_design": ".verilog.lower",
-    "dump_lowered": ".verilog.lower",
-    "load_lowered": ".verilog.lower",
-    "LOWERED_SCHEMA_VERSION": ".verilog.lower",
     # static lint (the "lint-reports" store namespace)
     "lint_source": ".verilog.lint",
     "LintReport": ".verilog.lint",

@@ -304,12 +304,8 @@ def cmd_sweep(args) -> int:
               f"{counts.get('puts', 0)} puts")
     if report.frontend_counters:
         print(f"design front-end: "
-              f"{report.frontend_counters.get('design_hits', 0)} "
-              f"store-served designs / "
               f"{report.frontend_counters.get('elaborations', 0)} "
               f"elaborations, "
-              f"{report.frontend_counters.get('lowered_hits', 0)} "
-              f"store-served IRs / "
               f"{report.frontend_counters.get('lowerings', 0)} "
               f"lowerings")
     if report.lint_counters:

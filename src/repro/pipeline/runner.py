@@ -199,8 +199,8 @@ def run_sweep_task(task: SweepTask) -> dict:
                   if store else {}),
         # vector-backend lane utilization (all-zero on scalar backends)
         "lanes": lanes if any(lanes.values()) else {},
-        # front-end work: elaborations run vs designs served from the
-        # store (all-zero when the grid point ran no testbenches)
+        # front-end work: elaborations and lowerings run (all-zero
+        # when the grid point ran no testbenches)
         "frontend": frontend if any(frontend.values()) else {},
         # static-lint work: analyses run vs reports served from the
         # store, plus per-rule finding tallies (all-zero unless a
@@ -248,8 +248,8 @@ class SweepReport:
     store_counters: dict = field(default_factory=dict)
     #: summed vector-backend lane utilization ({} = scalar backends)
     lane_counters: dict = field(default_factory=dict)
-    #: summed front-end counters: elaborations run vs elaborated
-    #: designs served from the ``designs`` store namespace
+    #: summed front-end counters: elaborations and AST -> IR
+    #: lowerings run
     frontend_counters: dict = field(default_factory=dict)
     #: summed static-lint counters: analyses run vs reports served
     #: from the ``lint-reports`` store namespace + per-rule tallies
@@ -316,9 +316,8 @@ class SweepReport:
             "sim_lanes": counters_payload(
                 {"testbench": self.lane_counters}
                 if self.lane_counters else {}),
-            # front-end cost accounting: elaborations actually run vs
-            # designs deserialized from the store -- a warm-store run
-            # reports zero elaborations (same shape as /v1/stats)
+            # front-end cost accounting: elaborations and lowerings
+            # actually run (same shape as /v1/stats)
             "design_frontend": counters_payload(
                 {"testbench": self.frontend_counters}
                 if self.frontend_counters else {}),

@@ -419,8 +419,7 @@ class EvaluationService:
                 store.counters_snapshot() if store else {},
                 enabled=store is not None),
             # front-end cost accounting (same block sweep reports emit):
-            # elaborations actually run in this process vs designs
-            # deserialized from the store's "designs" namespace
+            # elaborations and lowerings run in this process
             "design_frontend": counters_payload(
                 {"testbench": frontend} if any(frontend.values()) else {}),
             # static-lint cost accounting: full analyses run in this

@@ -1,30 +1,28 @@
 """Persistent cross-process artifact store.
 
 :mod:`repro.store.artifact` implements a content-addressed, disk-backed
-cache (``REPRO_STORE_DIR``; off by default) shared by six clients:
+cache (``REPRO_STORE_DIR``; off by default) shared by five clients:
 
-* the generation cache (:mod:`repro.llm.cache`) gains a disk tier, so
-  sharded sweep workers and repeat runs share completion batches;
-* corpus builds (:func:`repro.corpus.generator.build_corpus`) and
-  fine-tuned model states (:meth:`repro.llm.model.HDLCoder.fit_memoized`)
-  are memoized by content digest, so sweep tasks load instead of
-  retrain;
+* the generation cache (:mod:`repro.llm.cache`) gains a disk tier
+  (``generations``), so sharded sweep workers and repeat runs share
+  completion batches;
+* corpus builds (:func:`repro.corpus.generator.build_corpus`,
+  ``corpus``) and fine-tuned model states
+  (:meth:`repro.llm.model.HDLCoder.fit_memoized`, ``models``) are
+  memoized by content digest, so sweep tasks load instead of retrain;
 * finished scenario rows
   (:func:`repro.scenarios.runtime.run_scenario`) are memoized in the
   ``scenario-rows`` namespace under the spec's content digest, so a
   warm sweep re-run serves unchanged grid points as pure lookups --
   no corpus build, fine-tunes, or generation at all;
-* elaborated designs (:func:`repro.vereval.testbench._prepare`) are
-  memoized in the ``designs`` namespace keyed by (source digest, top
-  module, elaboration schema version) via the versioned byte format in
-  :mod:`repro.verilog.serialize`, so cold processes skip
-  lex -> parse -> elaborate for every source the store has seen;
-* lowered backend IRs (:mod:`repro.verilog.lower`) are memoized in the
-  sibling ``lowered`` namespace keyed by (source digest, top module,
-  lowered schema version), so cold processes also skip the AST -> IR
-  walk when building the compiled or vector backend;
-* ``python -m repro store {stats,gc,clear}`` manages the store
-  (``stats --json`` emits the machine-readable form CI asserts on).
+* static-lint reports (:func:`repro.verilog.lint.lint_source`) are
+  memoized in the ``lint-reports`` namespace by source digest and top
+  module.
+
+The testbench front end (parse, elaborate, lower) keeps only its
+in-process memo; it never reads or writes the store.
+``python -m repro store {stats,gc,clear}`` manages the store
+(``stats --json`` emits the machine-readable form CI asserts on).
 """
 
 from .artifact import (

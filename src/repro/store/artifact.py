@@ -32,7 +32,10 @@ header's size field and treated as a **miss**, never an error.
 
 The index is advisory: it accelerates ``stats``/``gc`` and carries
 LRU timestamps, but the entry files are the source of truth.  A
-corrupt or stale index is rebuilt by scanning the tree.
+corrupt index is rebuilt by scanning the tree, and ``gc`` always
+rescans; the scan counts every ``*.art`` file -- damaged, of an
+unknown kind or not -- so ``gc`` can evict it, and ``clear`` deletes
+every such file.
 
 Payloads
 --------
@@ -42,10 +45,8 @@ entries hold pickled Python objects -- used for fitted models and
 generation batches, where bit-identical round-trips of dict/Counter
 iteration order matter for RNG determinism.  Only unpickle stores you
 trust (i.e. your own ``REPRO_STORE_DIR``); the store never downloads
-anything.  ``kind="bytes"`` entries hold pre-encoded byte payloads
-whose format carries its own versioning/checksums -- used for
-serialized elaborated designs (the ``designs`` namespace, see
-:mod:`repro.verilog.serialize`).
+anything.  An entry of any other kind (such as ``kind="bytes"`` from
+an older store) reads as a miss.
 
 Eviction
 --------
@@ -78,7 +79,7 @@ _ENV_DIR = "REPRO_STORE_DIR"
 _ENV_MAX_MB = "REPRO_STORE_MAX_MB"
 
 #: Payload encodings an entry may declare.
-KINDS = ("json", "pickle", "bytes")
+KINDS = ("json", "pickle")
 
 
 def content_key(*parts) -> str:
@@ -144,17 +145,23 @@ class ArtifactStore:
         return self._rebuild_index()
 
     def _rebuild_index(self) -> dict:
+        """Index every entry file on disk, readable or not.
+
+        The ref comes from the file's location, not its header, so a
+        damaged entry (or one of a kind this version does not read) is
+        still counted by ``stats`` and evicted by ``gc``.
+        """
         entries: dict[str, dict] = {}
         for path in sorted(self.root.glob("*/*/*.art")):
-            header = self._read_header(path)
-            if header is None:
-                continue
-            ref = f"{header['namespace']}/{path.stem}"
-            stat = path.stat()
-            entries[ref] = {
+            try:
+                stat = path.stat()
+            except OSError:
+                continue  # removed under us
+            header = self._read_header(path) or {}
+            entries[f"{path.parent.parent.name}/{path.stem}"] = {
                 "size": stat.st_size,
                 "last_used": stat.st_mtime,
-                "key": header.get("key", ""),
+                "key": header.get("key", path.stem),
                 "meta": header.get("meta", {}),
             }
         return {"schema": SCHEMA_VERSION, "entries": entries}
@@ -251,8 +258,6 @@ class ArtifactStore:
                 return (json.loads(body),)
             if kind == "pickle":
                 return (pickle.loads(body),)
-            if kind == "bytes":
-                return (body,)
         except Exception:
             return None
         return None
@@ -284,14 +289,6 @@ class ArtifactStore:
             raise ValueError(f"unknown payload kind {kind!r}")
         if kind == "json":
             body = json.dumps(payload).encode("utf-8")
-        elif kind == "bytes":
-            # Pre-encoded artifacts (e.g. serialized elaborated designs)
-            # whose format carries its own versioning and checksums.
-            if not isinstance(payload, (bytes, bytearray)):
-                raise ValueError(
-                    f"kind='bytes' requires a bytes payload, "
-                    f"got {type(payload).__name__}")
-            body = bytes(payload)
         else:
             body = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
         header = {
@@ -380,17 +377,16 @@ class ArtifactStore:
                 "remaining_bytes": remaining}
 
     def clear(self) -> dict:
-        """Delete every entry (and the index); returns what was removed."""
+        """Delete every entry file (and the index), readable or not;
+        returns how many were removed."""
         with self._locked_index():
-            index = self._rebuild_index()
-            removed = len(index["entries"])
-            for ref in index["entries"]:
-                namespace, _, key = ref.rpartition("/")
+            paths = list(self.root.glob("*/*/*.art"))
+            for path in paths:
                 with contextlib.suppress(OSError):
-                    self._entry_path(namespace, key).unlink()
+                    path.unlink()
             with contextlib.suppress(OSError):
                 self._index_path.unlink()
-        return {"removed_entries": removed}
+        return {"removed_entries": len(paths)}
 
     def stats(self) -> dict:
         """On-disk totals (from the index) + this process's counters."""

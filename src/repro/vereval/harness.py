@@ -108,13 +108,15 @@ def evaluate_model(model: HDLCoder,
                    shards: int | None = None) -> EvalReport:
     """Evaluate ``model`` on the suite with the paper's protocol.
 
-    ``backend`` selects the RTL-simulation backend (``"interp"`` or
-    ``"compiled"``; None uses the process default).  Each problem is
-    one :class:`MeasurementRequest` against the pipeline measurement
-    core: generation goes through the process-wide generation cache,
-    and completions run through the batched testbench front-end, so
-    the duplicate completions that low-temperature sampling produces
-    are parsed/elaborated/compiled only once.
+    ``backend`` selects the RTL-simulation backend (``"interp"``,
+    ``"compiled"`` or ``"vector"``; None uses the process default).
+    Each problem is one :class:`MeasurementRequest` against the
+    pipeline measurement core: generation goes through the
+    process-wide generation cache, and completions run through the
+    batched testbench front-end, so the duplicate completions that
+    low-temperature sampling produces are parsed/elaborated/lowered
+    only once (``"vector"`` also runs each duplicate group's seeds as
+    lanes of one simulator).
 
     ``executor`` shards the evaluation across *problems* through the
     pipeline executors: ``"serial"``/``"sharded"``, a pre-built

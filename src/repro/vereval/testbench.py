@@ -8,54 +8,26 @@ testbench untouched.)
 Two entry points: :func:`run_testbench` checks one completion, and
 :func:`run_testbench_many` checks a batch against the same problem,
 amortizing the per-completion front-end (syntax check, parse,
-elaboration and -- on the compiled backend -- closure lowering) across
-duplicate completions, which the sampling protocol produces in bulk.
+elaboration and -- on the compiled and vector backends -- lowering)
+across duplicate completions, which the sampling protocol produces in
+bulk.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
 import random
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
-from ..store import ArtifactStore, artifact_store, content_key
 from ..verilog.elaborate import ElaborationError, FlatDesign, elaborate
-from ..verilog.lower import (
-    LOWERED_SCHEMA_VERSION,
-    LoweredDecodeError,
-    dump_lowered,
-    load_lowered,
-    lower_design,
-    lowering_counters,
-    reset_lowering_counters,
-    seed_lowered,
-)
+from ..verilog.lower import lowering_counters, reset_lowering_counters
 from ..verilog.parser import parse
-from ..verilog.serialize import (
-    DESIGN_SCHEMA_VERSION,
-    DesignDecodeError,
-    dump_design,
-    load_design,
-)
 from ..verilog.simulator import SimulationError, Simulator, resolve_backend
 from ..verilog.syntax import check_syntax
 from .problems import EvalProblem
 
 _RESET_NAMES = ("rst", "reset", "rst_n", "clear")
-
-#: Store namespace holding serialized elaborated designs (and cached
-#: front-end failures), keyed by (source digest, top module,
-#: elaboration schema version).
-DESIGN_NAMESPACE = "designs"
-
-#: Store namespace holding serialized backend-neutral lowered IRs
-#: (:mod:`repro.verilog.lower`), keyed by (source digest, top module,
-#: lowered schema version).  Sits beside ``designs``: a warm process
-#: skips parse -> elaborate *and* AST -> IR lowering.
-LOWERED_NAMESPACE = "lowered"
 
 
 @dataclass
@@ -71,22 +43,19 @@ class TestResult:
         return self.passed
 
 
-#: Cumulative front-end counters: ``elaborations`` counts full
+#: Cumulative front-end counter: ``elaborations`` counts full
 #: lex -> parse -> elaborate runs (including ones ending in a syntax or
-#: elaboration failure -- the cost being paid either way);
-#: ``design_hits`` counts front-end results served from the ``designs``
-#: store namespace instead.  Snapshot with :func:`frontend_counters`.
-_FRONTEND_COUNTERS = {"elaborations": 0, "design_hits": 0}
+#: elaboration failure -- the cost being paid either way).  Snapshot
+#: with :func:`frontend_counters`.
+_FRONTEND_COUNTERS = {"elaborations": 0}
 
 
 def frontend_counters() -> dict[str, int]:
     """Snapshot of the cumulative front-end counters.
 
-    Merges the elaboration counters above with the lowering counters
-    from :mod:`repro.verilog.lower` (``lowerings`` counts AST -> IR
-    lowering runs, ``lowered_hits`` counts lowered IRs served from the
-    ``lowered`` store namespace), so one snapshot covers both front-end
-    stages.
+    Merges the elaboration counter above with the lowering counter from
+    :mod:`repro.verilog.lower` (``lowerings`` counts AST -> IR lowering
+    runs), so one snapshot covers both front-end stages.
     """
     return {**_FRONTEND_COUNTERS, **lowering_counters()}
 
@@ -95,32 +64,6 @@ def reset_frontend_counters() -> None:
     for key in _FRONTEND_COUNTERS:
         _FRONTEND_COUNTERS[key] = 0
     reset_lowering_counters()
-
-
-def design_store_key(code: str, top: str) -> str:
-    """The ``designs`` namespace key for one (source, top) pair.
-
-    The elaboration schema version is part of the key, so bumping
-    :data:`~repro.verilog.serialize.DESIGN_SCHEMA_VERSION` orphans
-    every stale entry (they read as misses) instead of requiring a
-    store wipe.
-    """
-    return content_key(
-        "design", hashlib.sha256(code.encode("utf-8")).hexdigest(),
-        top, DESIGN_SCHEMA_VERSION)
-
-
-def lowered_store_key(code: str, top: str) -> str:
-    """The ``lowered`` namespace key for one (source, top) pair.
-
-    Mirrors :func:`design_store_key`: the lowered schema version is
-    part of the key, so bumping
-    :data:`~repro.verilog.lower.LOWERED_SCHEMA_VERSION` orphans every
-    stale entry instead of requiring a store wipe.
-    """
-    return content_key(
-        "lowered", hashlib.sha256(code.encode("utf-8")).hexdigest(),
-        top, LOWERED_SCHEMA_VERSION)
 
 
 def _front_end(code: str,
@@ -140,52 +83,7 @@ def _front_end(code: str,
     return design, None
 
 
-def _decode_design_entry(payload):
-    """A ``(design, failure)`` pair decoded from a ``designs`` store
-    entry, or None when the payload is damaged (reads as a miss, never
-    a wrong design).
-
-    Successful elaborations are stored as ``kind="bytes"`` entries in
-    the :mod:`repro.verilog.serialize` format; front-end failures as
-    small ``kind="json"`` documents, so a warm process skips even the
-    syntax check for known-bad sources.
-    """
-    if isinstance(payload, (bytes, bytearray)):
-        try:
-            return load_design(bytes(payload)), None
-        except DesignDecodeError:
-            return None
-    if isinstance(payload, dict) \
-            and payload.get("schema") == DESIGN_SCHEMA_VERSION:
-        failure = payload.get("failure")
-        if isinstance(failure, dict) \
-                and isinstance(failure.get("reason"), str) \
-                and isinstance(failure.get("syntax_ok"), bool):
-            return None, TestResult(passed=False,
-                                    reason=failure["reason"],
-                                    syntax_ok=failure["syntax_ok"])
-    return None
-
-
-def _prepare_cache_size(default: int = 256) -> int | None:
-    """The ``_prepare`` memo size from ``REPRO_PREPARE_CACHE_SIZE``.
-
-    Read once at import, like the store configuration: the memo is
-    built when this module loads, so later environment edits cannot
-    apply anyway.  Non-integer values fall back to the default; zero or
-    negative means unbounded (``lru_cache(maxsize=None)``).
-    """
-    raw = os.environ.get("REPRO_PREPARE_CACHE_SIZE")
-    if raw is None:
-        return default
-    try:
-        size = int(raw)
-    except ValueError:
-        return default
-    return size if size > 0 else None
-
-
-@lru_cache(maxsize=_prepare_cache_size())
+@lru_cache(maxsize=256)
 def _prepare(code: str,
              top: str) -> tuple[FlatDesign | None, TestResult | None]:
     """Run the per-source front-end once: syntax, parse, elaborate.
@@ -195,75 +93,12 @@ def _prepare(code: str,
     an elaborated design is immutable under simulation (each simulator
     keeps its own state arrays), so the front-end result can be shared.
     Callers must ``replace()`` the failure ``TestResult`` before
-    handing it out, never mutate it.
-
-    With ``REPRO_STORE_DIR`` set, a **disk tier** sits below this
-    in-memory cache: front-end results are published to the ``designs``
-    store namespace, so a *cold process* (a fresh sweep shard, a serve
-    worker, a warm re-run) deserializes elaborated designs instead of
-    re-running the front end at all.  A sibling ``lowered`` namespace
-    holds the backend-neutral lowered IR for each design, so the warm
-    process also skips the AST -> IR walk that backend construction
-    would otherwise redo.  Any damage to an entry -- truncation,
-    corruption, version skew -- reads as a miss and the artifact is
-    rebuilt and re-published; the caching is invisible in the results
-    either way.
+    handing it out, never mutate it.  Lowering is left to the first
+    backend built from the design, which caches the IR on the design.
     """
-    store = artifact_store()
-    key = design_store_key(code, top) if store is not None else None
-    if store is not None:
-        cached = store.get(DESIGN_NAMESPACE, key)
-        if cached is not None:
-            loaded = _decode_design_entry(cached)
-            if loaded is not None:
-                _FRONTEND_COUNTERS["design_hits"] += 1
-                if loaded[0] is not None:
-                    _attach_lowered(store, code, top, loaded[0])
-                return loaded
-    design, failure = _front_end(code, top)
+    result = _front_end(code, top)
     _FRONTEND_COUNTERS["elaborations"] += 1
-    if store is not None:
-        if design is not None:
-            store.put(DESIGN_NAMESPACE, key, dump_design(design),
-                      kind="bytes", meta={"top": top})
-            _attach_lowered(store, code, top, design)
-        else:
-            store.put(DESIGN_NAMESPACE, key,
-                      {"schema": DESIGN_SCHEMA_VERSION,
-                       "failure": {"reason": failure.reason,
-                                   "syntax_ok": failure.syntax_ok}},
-                      kind="json", meta={"top": top})
-    return design, failure
-
-
-def _attach_lowered(store: ArtifactStore, code: str, top: str,
-                    design: FlatDesign) -> None:
-    """Serve or publish the ``lowered`` store tier for one design.
-
-    On a hit, the decoded IR is seeded into ``design._lowered_cache``
-    so the first backend construction skips the AST walk.  On a miss
-    (or a damaged entry), the design is lowered here -- inside the
-    ``_prepare`` memo, so the cost is paid once per source -- and the
-    IR published for the next cold process.  Designs the backends
-    cannot lower (constructs rejected at lowering time) are simply not
-    published: simulation construction reports the error itself.
-    """
-    lkey = lowered_store_key(code, top)
-    payload = store.get(LOWERED_NAMESPACE, lkey)
-    if isinstance(payload, (bytes, bytearray)):
-        try:
-            lowered = load_lowered(bytes(payload))
-        except LoweredDecodeError:
-            pass
-        else:
-            seed_lowered(design, lowered)
-            return
-    try:
-        lowered = lower_design(design)
-    except (SimulationError, ValueError):
-        return
-    store.put(LOWERED_NAMESPACE, lkey, dump_lowered(lowered),
-              kind="bytes", meta={"top": top})
+    return result
 
 
 def _run_prepared(design: FlatDesign, problem: EvalProblem, seed: int,
@@ -305,7 +140,8 @@ def run_testbench_many(codes: list[str], problem: EvalProblem,
 
     Each completion still gets its own fresh simulator and its own
     stimulus seed, but identical completion texts share one syntax
-    check, parse, elaboration and (compiled backend) lowering.  On the
+    check, parse, elaboration and (compiled and vector backends)
+    lowering.  On the
     ``vector`` backend, all seeds of one duplicated completion
     additionally run as lanes of a single lane-parallel simulator (see
     :func:`_run_many_vector`).

@@ -15,14 +15,7 @@ from .analysis import (
 from .ast_nodes import Module, SourceFile
 from .elaborate import ElaborationError, FlatDesign, elaborate
 from .lexer import LexError, tokenize
-from .lower import (
-    LOWERED_SCHEMA_VERSION,
-    LoweredDecodeError,
-    LoweredDesign,
-    dump_lowered,
-    load_lowered,
-    lower_design,
-)
+from .lower import LoweredDesign, lower_design
 from .parser import ParseError, parse, parse_module
 from .simulator import (
     BACKENDS,
@@ -34,12 +27,6 @@ from .simulator import (
     simulate,
     simulate_many,
 )
-from .serialize import (
-    DESIGN_SCHEMA_VERSION,
-    DesignDecodeError,
-    dump_design,
-    load_design,
-)
 from .syntax import CheckResult, SyntaxChecker, check_syntax
 from .trace import Trace, Tracer
 from .values import FourState
@@ -48,14 +35,10 @@ from .writer import emit_module, emit_source
 __all__ = [
     "BACKENDS",
     "CheckResult",
-    "DESIGN_SCHEMA_VERSION",
-    "DesignDecodeError",
     "ElaborationError",
     "FlatDesign",
     "FourState",
-    "LOWERED_SCHEMA_VERSION",
     "LexError",
-    "LoweredDecodeError",
     "LoweredDesign",
     "Module",
     "ParseError",
@@ -66,16 +49,12 @@ __all__ = [
     "Trace",
     "Tracer",
     "check_syntax",
-    "dump_design",
-    "dump_lowered",
     "elaborate",
     "emit_module",
     "emit_source",
     "extract_comments",
     "get_default_backend",
     "identifier_frequencies",
-    "load_design",
-    "load_lowered",
     "lower_design",
     "parse",
     "parse_module",

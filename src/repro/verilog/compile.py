@@ -43,7 +43,6 @@ from .elaborate import FlatDesign
 from .lower import (
     _NEGEDGE,
     _POSEDGE,
-    LoweredDesign,
     lower_design,
     lower_expr,
 )
@@ -211,16 +210,12 @@ class CompiledDesign:
     Construction consumes the backend-neutral IR from
     :func:`repro.verilog.lower.lower_design` -- all structural
     analysis (slot assignment, write-sets, sensitivity, widths)
-    happens there; this class only builds the Python closures.  Pass
-    ``lowered`` to build from a store-served IR without re-lowering.
+    happens there; this class only builds the Python closures.
     """
 
-    def __init__(self, design: FlatDesign,
-                 lowered: "LoweredDesign | None" = None):
+    def __init__(self, design: FlatDesign):
         self.design = design
-        if lowered is None:
-            lowered = lower_design(design)
-        self.lowered = lowered
+        self.lowered = lowered = lower_design(design)
         self.slot: dict[str, int] = lowered.slot
         self.mem_slot: dict[str, int] = lowered.mem_slot
         self.widths: list[int] = lowered.widths

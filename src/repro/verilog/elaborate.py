@@ -154,7 +154,7 @@ class FlatDesign:
     #: ``("ir", 0)`` holds the shared backend-neutral LoweredDesign,
     #: ``("compiled", 0)`` / ``("vector", n)`` the backend closures built
     #: from it (see :mod:`repro.verilog.lower`).  Not part of the design
-    #: value: excluded from comparison and never serialized.
+    #: value: excluded from comparison.
     _lowered_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 

@@ -1,27 +1,18 @@
-"""Backend-neutral lowering: ``FlatDesign`` -> serializable lowered IR.
+"""Backend-neutral lowering: ``FlatDesign`` -> lowered IR.
 
 Historically the compiled and vector backends each re-walked the
 elaborated AST independently, duplicating all structural analysis:
 signal-slot assignment, lvalue resolution, static write-set analysis,
 sensitivity lowering and width pre-resolution.  This module factors
 that shared work into a single :class:`LoweredDesign` -- a small,
-backend-neutral IR of plain JSON-able lists -- which the thin closure
-builders in :mod:`repro.verilog.compile` and
-:mod:`repro.verilog.vector` then consume instead of the AST.
+backend-neutral IR of plain lists -- which the thin closure builders
+in :mod:`repro.verilog.compile` and :mod:`repro.verilog.vector` then
+consume instead of the AST.
 
-The IR is a storable artifact, like the elaborated design itself
-(:mod:`repro.verilog.serialize`): :func:`dump_lowered` /
-:func:`load_lowered` round-trip it through a versioned envelope ::
-
-    b"RPL" | version (1 byte) | crc32(body) (4 bytes, big-endian) | zlib(body)
-
-with the same strict decode-error-equals-miss contract -- wrong magic,
-version skew, CRC mismatch, unknown tags or mistyped fields raise
-:class:`LoweredDecodeError` and the caller re-lowers from the design.
-Bump :data:`LOWERED_SCHEMA_VERSION` whenever the IR encoding *or the
-semantics any builder assigns to a node* change; old store entries
-then read as misses (the version is part of both the store key and the
-envelope).
+The IR lives only in memory: :func:`lower_design` builds it lazily the
+first time a backend is constructed for a design and caches it on the
+design's ``_lowered_cache``, so every backend (and every lane count)
+built from one design shares one lowering.
 
 IR node vocabulary (every node is a list whose first element is a tag):
 
@@ -60,10 +51,7 @@ construction-time contract the backends already had.
 
 from __future__ import annotations
 
-import json
 import math
-import zlib
-from typing import Any
 
 from .ast_nodes import (
     Binary,
@@ -84,13 +72,6 @@ from .elaborate import FlatDesign, eval_const
 from .simulator import SimulationError
 from .values import FourState
 
-#: Version of the on-disk lowered-IR encoding.  Part of both the store
-#: key and the envelope, so a bump invalidates every old entry.
-LOWERED_SCHEMA_VERSION = 1
-
-_MAGIC = b"RPL"
-_HEADER_LEN = len(_MAGIC) + 1 + 4
-
 # EdgeKind -> small int, shared by both backends' trigger scans.
 _POSEDGE, _NEGEDGE, _LEVEL = 0, 1, 2
 _EDGE_CODE = {EdgeKind.POSEDGE: _POSEDGE, EdgeKind.NEGEDGE: _NEGEDGE,
@@ -101,14 +82,11 @@ _BINARY_OPS = frozenset((
     "&&", "||", "&", "|", "^", "~^", "^~", "+", "-", "*", "/", "%", "**",
     "<<", "<<<", ">>", ">>>", "==", "!=", "===", "!==", "<", "<=", ">", ">=",
 ))
-_CASE_KINDS = frozenset(("case", "casez", "casex"))
 
 #: Cumulative lowering counters: ``lowerings`` counts full AST -> IR
-#: lowering runs; ``lowered_hits`` counts IRs served from the
-#: ``lowered`` store namespace instead (see
-#: :func:`~repro.vereval.testbench.frontend_counters`, which merges
-#: these into the front-end counter snapshot).
-_LOWER_COUNTERS = {"lowerings": 0, "lowered_hits": 0}
+#: lowering runs (see :func:`~repro.vereval.testbench.frontend_counters`,
+#: which merges them into the front-end counter snapshot).
+_LOWER_COUNTERS = {"lowerings": 0}
 
 
 def lowering_counters() -> dict[str, int]:
@@ -121,19 +99,10 @@ def reset_lowering_counters() -> None:
         _LOWER_COUNTERS[key] = 0
 
 
-class LoweredDecodeError(ValueError):
-    """Raised when a serialized lowered-IR blob cannot be decoded.
-
-    Any damage -- truncation, version skew, checksum mismatch, or a
-    structurally invalid document -- lands here; store clients treat it
-    as a miss and re-lower from the elaborated design.
-    """
-
-
 class LoweredDesign:
     """The backend-neutral lowered form of one :class:`FlatDesign`.
 
-    Serializable core (all plain JSON-able lists):
+    Core (all plain lists):
 
     - ``signals``: ``[name, width, lsb]`` per non-memory signal, in
       slot order;
@@ -145,7 +114,7 @@ class LoweredDesign:
     - ``seq``: ``[[[edge_code, slot], ...], body]`` per edge process;
     - ``initials``: one statement list per initial block.
 
-    Derived at construction (never serialized): ``slot`` / ``mem_slot``
+    Derived at construction: ``slot`` / ``mem_slot``
     name maps, the dense ``widths`` table, ``n_mems``, and the
     ``edge_slots`` / ``edge_pos`` trigger-scan tables.
     """
@@ -177,23 +146,6 @@ class LoweredDesign:
         self.edge_pos: dict[int, int] = {
             slot: i for i, slot in enumerate(self.edge_slots)
         }
-
-    def to_doc(self) -> dict:
-        """The IR as a plain JSON-able document (the envelope body)."""
-        return {
-            "top": self.top,
-            "signals": self.signals,
-            "memories": self.memories,
-            "assigns": self.assigns,
-            "comb": self.comb,
-            "seq": self.seq,
-            "initials": self.initials,
-        }
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, LoweredDesign):
-            return NotImplemented
-        return self.to_doc() == other.to_doc()
 
 
 # ---------------------------------------------------------------------------
@@ -466,11 +418,6 @@ def _write_slots(body: list) -> list[int]:
 _IR_KEY = ("ir", 0)
 
 
-def design_cache(design: FlatDesign) -> dict:
-    """The design's unified ``(backend, lanes)``-keyed lowering cache."""
-    return design._lowered_cache
-
-
 def lower_design(design: FlatDesign) -> LoweredDesign:
     """Lower ``design`` to the backend-neutral IR, caching on the design."""
     cache = design._lowered_cache
@@ -480,17 +427,6 @@ def lower_design(design: FlatDesign) -> LoweredDesign:
         cache[_IR_KEY] = lowered
         _LOWER_COUNTERS["lowerings"] += 1
     return lowered
-
-
-def cached_lowered(design: FlatDesign) -> "LoweredDesign | None":
-    """The design's cached IR, if any (never triggers a lowering)."""
-    return design._lowered_cache.get(_IR_KEY)
-
-
-def seed_lowered(design: FlatDesign, lowered: LoweredDesign) -> None:
-    """Attach a store-served IR to the design (counts as a lowered hit)."""
-    design._lowered_cache[_IR_KEY] = lowered
-    _LOWER_COUNTERS["lowered_hits"] += 1
 
 
 def lower_expr(design: FlatDesign, expr: Expr) -> list:
@@ -503,341 +439,10 @@ def lower_expr(design: FlatDesign, expr: Expr) -> list:
     return _Lowerer(design).expr(expr)
 
 
-# ---------------------------------------------------------------------------
-# Strict decoding helpers
-# ---------------------------------------------------------------------------
-
-
-def _int(value: Any) -> int:
-    if type(value) is not int:  # bool is an int subclass; reject it
-        raise LoweredDecodeError(f"expected int, got {value!r}")
-    return value
-
-
-def _str(value: Any) -> str:
-    if not isinstance(value, str):
-        raise LoweredDecodeError(f"expected str, got {value!r}")
-    return value
-
-
-def _list(value: Any) -> list:
-    if not isinstance(value, list):
-        raise LoweredDecodeError(f"expected list, got {value!r}")
-    return value
-
-
-def _arity(doc: list, n: int) -> list:
-    if len(doc) != n:
-        raise LoweredDecodeError(
-            f"node {doc[0]!r} has {len(doc)} fields, expected {n}")
-    return doc
-
-
-def _slot(value: Any, bound: int) -> int:
-    slot = _int(value)
-    if not 0 <= slot < bound:
-        raise LoweredDecodeError(f"slot {slot} out of range ({bound})")
-    return slot
-
-
-def _dec_op(doc: Any, ns: int, nm: int) -> list:
-    doc = _list(doc)
-    tag = doc[0] if doc else None
-    if tag == "K":
-        _, w, v, x = _arity(doc, 4)
-        if _int(w) < 1 or _int(v) < 0 or _int(x) < 0 or (v & x):
-            raise LoweredDecodeError("malformed constant node")
-        return doc
-    if tag == "S":
-        _, slot, w = _arity(doc, 3)
-        _slot(slot, ns)
-        _int(w)
-        return doc
-    if tag == "U":
-        _, op, operand = _arity(doc, 3)
-        if _str(op) not in _UNARY_OPS:
-            raise LoweredDecodeError(f"unknown unary operator {op!r}")
-        _dec_op(operand, ns, nm)
-        return doc
-    if tag == "B":
-        _, op, left, right = _arity(doc, 4)
-        if _str(op) not in _BINARY_OPS:
-            raise LoweredDecodeError(f"unknown binary operator {op!r}")
-        _dec_op(left, ns, nm)
-        _dec_op(right, ns, nm)
-        return doc
-    if tag == "T":
-        _, cond, then, otherwise = _arity(doc, 4)
-        _dec_op(cond, ns, nm)
-        _dec_op(then, ns, nm)
-        _dec_op(otherwise, ns, nm)
-        return doc
-    if tag == "IB":
-        _, slot, w, lsb, idx = _arity(doc, 5)
-        _slot(slot, ns)
-        _int(w)
-        _int(lsb)
-        _dec_op(idx, ns, nm)
-        return doc
-    if tag == "IM":
-        _, mslot, w, mlsb, idx = _arity(doc, 5)
-        _slot(mslot, nm)
-        _int(w)
-        _int(mlsb)
-        _dec_op(idx, ns, nm)
-        return doc
-    if tag == "IE":
-        _, target, idx = _arity(doc, 3)
-        _dec_op(target, ns, nm)
-        _dec_op(idx, ns, nm)
-        return doc
-    if tag == "PS":
-        _, target, adjust, msb, lsb = _arity(doc, 5)
-        _dec_op(target, ns, nm)
-        _int(adjust)
-        _dec_op(msb, ns, nm)
-        _dec_op(lsb, ns, nm)
-        return doc
-    if tag == "C":
-        _, parts = _arity(doc, 2)
-        for part in _list(parts):
-            _dec_op(part, ns, nm)
-        return doc
-    if tag == "R":
-        _, count, value = _arity(doc, 3)
-        _dec_op(count, ns, nm)
-        _dec_op(value, ns, nm)
-        return doc
-    if tag == "L2":
-        _, operand = _arity(doc, 2)
-        _dec_op(operand, ns, nm)
-        return doc
-    raise LoweredDecodeError(f"unknown expression tag {tag!r}")
-
-
-def _dec_lvalue(doc: Any, ns: int, nm: int) -> list:
-    doc = _list(doc)
-    tag = doc[0] if doc else None
-    if tag == "W":
-        _, slot, w = _arity(doc, 3)
-        _slot(slot, ns)
-        _int(w)
-        return doc
-    if tag == "X":
-        _, slot, w, lsb, idx = _arity(doc, 5)
-        _slot(slot, ns)
-        _int(w)
-        _int(lsb)
-        _dec_op(idx, ns, nm)
-        return doc
-    if tag == "P":
-        _, slot, w, lsb, msb_op, lsb_op = _arity(doc, 6)
-        _slot(slot, ns)
-        _int(w)
-        _int(lsb)
-        _dec_op(msb_op, ns, nm)
-        _dec_op(lsb_op, ns, nm)
-        return doc
-    if tag == "M":
-        _, mslot, w, mlsb, idx = _arity(doc, 5)
-        _slot(mslot, nm)
-        _int(w)
-        _int(mlsb)
-        _dec_op(idx, ns, nm)
-        return doc
-    if tag == "CC":
-        _, parts, widths = _arity(doc, 3)
-        for part in _list(parts):
-            _dec_lvalue(part, ns, nm)
-        for wd in _list(widths):
-            _dec_width(wd, ns, nm)
-        if len(parts) != len(widths):
-            raise LoweredDecodeError("concat target part/width mismatch")
-        return doc
-    raise LoweredDecodeError(f"unknown lvalue tag {tag!r}")
-
-
-def _dec_width(doc: Any, ns: int, nm: int) -> list:
-    doc = _list(doc)
-    tag = doc[0] if doc else None
-    if tag == "wk":
-        _int(_arity(doc, 2)[1])
-        return doc
-    if tag == "wr":
-        _, msb, lsb = _arity(doc, 3)
-        _dec_op(msb, ns, nm)
-        _dec_op(lsb, ns, nm)
-        return doc
-    if tag == "ws":
-        for wd in _list(_arity(doc, 2)[1]):
-            _dec_width(wd, ns, nm)
-        return doc
-    raise LoweredDecodeError(f"unknown width tag {tag!r}")
-
-
-def _dec_stmt(doc: Any, ns: int, nm: int) -> list:
-    doc = _list(doc)
-    tag = doc[0] if doc else None
-    if tag in ("a", "n"):
-        _, target, value = _arity(doc, 3)
-        _dec_lvalue(target, ns, nm)
-        _dec_op(value, ns, nm)
-        return doc
-    if tag == "b":
-        _dec_body(_arity(doc, 2)[1], ns, nm)
-        return doc
-    if tag == "i":
-        _, cond, then_body, else_body = _arity(doc, 4)
-        _dec_op(cond, ns, nm)
-        _dec_body(then_body, ns, nm)
-        _dec_body(else_body, ns, nm)
-        return doc
-    if tag == "c":
-        _, kind, subject, items = _arity(doc, 4)
-        if _str(kind) not in _CASE_KINDS:
-            raise LoweredDecodeError(f"unknown case kind {kind!r}")
-        _dec_op(subject, ns, nm)
-        for item in _list(items):
-            patterns, body = _arity(_list(item), 2)
-            for p in _list(patterns):
-                _dec_op(p, ns, nm)
-            _dec_body(body, ns, nm)
-        return doc
-    if tag == "f":
-        _, init, cond, step, body = _arity(doc, 5)
-        _dec_stmt(init, ns, nm)
-        _dec_op(cond, ns, nm)
-        _dec_stmt(step, ns, nm)
-        _dec_body(body, ns, nm)
-        return doc
-    raise LoweredDecodeError(f"unknown statement tag {tag!r}")
-
-
-def _dec_body(doc: Any, ns: int, nm: int) -> list:
-    doc = _list(doc)
-    for stmt in doc:
-        _dec_stmt(stmt, ns, nm)
-    return doc
-
-
-def lowered_from_doc(doc: Any) -> LoweredDesign:
-    """Strictly rebuild a :class:`LoweredDesign` from ``to_doc`` output."""
-    if not isinstance(doc, dict):
-        raise LoweredDecodeError(f"lowered document is {type(doc).__name__}")
-    extra = set(doc) - {"top", "signals", "memories", "assigns", "comb",
-                        "seq", "initials"}
-    if extra:
-        raise LoweredDecodeError(f"unknown lowered fields {sorted(extra)}")
-    try:
-        top = _str(doc["top"])
-        signals = _list(doc["signals"])
-        names = set()
-        for row in signals:
-            name, w, lsb = _arity(_list(row), 3)
-            _int(lsb)
-            if _int(w) < 1:
-                raise LoweredDecodeError(f"signal width {w} < 1")
-            names.add(_str(name))
-        if len(names) != len(signals):
-            raise LoweredDecodeError("duplicate signal names")
-        memories = _list(doc["memories"])
-        mem_names = set()
-        for row in memories:
-            name, w, mlsb = _arity(_list(row), 3)
-            _int(mlsb)
-            if _int(w) < 1:
-                raise LoweredDecodeError(f"memory width {w} < 1")
-            mem_names.add(_str(name))
-        if len(mem_names) != len(memories):
-            raise LoweredDecodeError("duplicate memory names")
-        ns, nm = len(signals), len(memories)
-        assigns = _list(doc["assigns"])
-        for entry in assigns:
-            target, value = _arity(_list(entry), 2)
-            _dec_lvalue(target, ns, nm)
-            _dec_op(value, ns, nm)
-        comb = _list(doc["comb"])
-        for entry in comb:
-            body, wslots = _arity(_list(entry), 2)
-            _dec_body(body, ns, nm)
-            for slot in _list(wslots):
-                _slot(slot, ns)
-        seq = _list(doc["seq"])
-        for entry in seq:
-            sens, body = _arity(_list(entry), 2)
-            for item in _list(sens):
-                edge, slot = _arity(_list(item), 2)
-                if _int(edge) not in (_POSEDGE, _NEGEDGE, _LEVEL):
-                    raise LoweredDecodeError(f"unknown edge code {edge!r}")
-                _slot(slot, ns)
-            _dec_body(body, ns, nm)
-        initials = _list(doc["initials"])
-        for body in initials:
-            _dec_body(body, ns, nm)
-    except KeyError as exc:
-        raise LoweredDecodeError(f"missing lowered field {exc}") from None
-    return LoweredDesign(top=top, signals=signals, memories=memories,
-                         assigns=assigns, comb=comb, seq=seq,
-                         initials=initials)
-
-
-# ---------------------------------------------------------------------------
-# Envelope
-# ---------------------------------------------------------------------------
-
-
-def dump_lowered(lowered: LoweredDesign) -> bytes:
-    """Serialize a lowered IR into the versioned byte format."""
-    body = json.dumps(lowered.to_doc(),
-                      separators=(",", ":")).encode("utf-8")
-    return (_MAGIC + bytes([LOWERED_SCHEMA_VERSION])
-            + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
-            + zlib.compress(body))
-
-
-def load_lowered(blob: bytes) -> LoweredDesign:
-    """Deserialize :func:`dump_lowered` output.
-
-    Raises :class:`LoweredDecodeError` on *any* damage -- truncation,
-    wrong magic, version skew, CRC mismatch, or a malformed document --
-    so callers can treat every failure mode as a cache miss.
-    """
-    if not isinstance(blob, (bytes, bytearray)) or len(blob) < _HEADER_LEN:
-        raise LoweredDecodeError("blob too short for a lowered envelope")
-    blob = bytes(blob)
-    if blob[:len(_MAGIC)] != _MAGIC:
-        raise LoweredDecodeError("bad magic: not a serialized lowered IR")
-    version = blob[len(_MAGIC)]
-    if version != LOWERED_SCHEMA_VERSION:
-        raise LoweredDecodeError(
-            f"lowered format version {version}, "
-            f"expected {LOWERED_SCHEMA_VERSION}")
-    crc = int.from_bytes(blob[len(_MAGIC) + 1:_HEADER_LEN], "big")
-    try:
-        body = zlib.decompress(blob[_HEADER_LEN:])
-    except zlib.error as exc:
-        raise LoweredDecodeError(f"undecodable payload: {exc}") from None
-    if (zlib.crc32(body) & 0xFFFFFFFF) != crc:
-        raise LoweredDecodeError("checksum mismatch")
-    try:
-        doc = json.loads(body)
-    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise LoweredDecodeError(f"undecodable document: {exc}") from None
-    return lowered_from_doc(doc)
-
-
 __all__ = [
-    "LOWERED_SCHEMA_VERSION",
-    "LoweredDecodeError",
     "LoweredDesign",
-    "cached_lowered",
-    "design_cache",
-    "dump_lowered",
-    "load_lowered",
     "lower_design",
     "lower_expr",
-    "lowered_from_doc",
     "lowering_counters",
     "reset_lowering_counters",
-    "seed_lowered",
 ]

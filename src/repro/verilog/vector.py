@@ -48,7 +48,6 @@ from .elaborate import FlatDesign
 from .lower import (
     _NEGEDGE,
     _POSEDGE,
-    LoweredDesign,
     lower_design,
     lower_expr,
 )
@@ -363,13 +362,10 @@ class VectorDesign:
     statement closure is predicated on an active-lane mask.
     """
 
-    def __init__(self, design: FlatDesign, lanes: int,
-                 lowered: "LoweredDesign | None" = None):
+    def __init__(self, design: FlatDesign, lanes: int):
         self.design = design
         self.L = Lanes(lanes)
-        if lowered is None:
-            lowered = lower_design(design)
-        self.lowered = lowered
+        self.lowered = lowered = lower_design(design)
         self.slot: dict[str, int] = lowered.slot
         self.mem_slot: dict[str, int] = lowered.mem_slot
         self.widths: list[int] = lowered.widths

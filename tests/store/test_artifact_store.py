@@ -33,6 +33,25 @@ KEY = content_key("unit", 1)
 KEY2 = content_key("unit", 2)
 
 
+def _plant_unreadable(store, how):
+    """One entry file the store cannot read back: a ``models`` entry
+    whose header line was cut short, or a ``designs`` entry as an older
+    store wrote it, with the retired ``kind="bytes"``."""
+    if how == "truncated":
+        path = store.put("models", KEY2, list(range(1000)))
+        path.write_bytes(path.read_bytes()[:10])
+        return "models", KEY2, path
+    key = content_key("design", "legacy")
+    body = b"RPD\x01" + bytes(range(64))
+    header = {"schema": SCHEMA_VERSION, "namespace": "designs",
+              "key": key, "kind": "bytes", "size": len(body),
+              "meta": {"top": "top"}}
+    path = store._entry_path("designs", key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return "designs", key, path
+
+
 class TestRoundTrip:
     def test_json_payload(self, store):
         store.put("ns", KEY, {"rows": [1, 2]}, kind="json")
@@ -99,25 +118,28 @@ class TestRoundTrip:
         assert store.get("blobs", KEY) is not None
         assert store.get("blobs", KEY2) is None
 
-    def test_bytes_payload(self, store):
-        blob = b"RPD\x01" + bytes(range(64))
-        store.put("ns", KEY, blob, kind="bytes")
-        out = store.get("ns", KEY)
-        assert out == blob and isinstance(out, bytes)
-
     def test_bytes_kind_rejects_non_bytes(self, store):
-        with pytest.raises(ValueError, match="bytes"):
-            store.put("ns", KEY, {"not": "bytes"}, kind="bytes")
+        """``kind="bytes"`` is retired: it is refused like any unknown
+        kind, whatever the payload."""
+        for payload in ({"not": "bytes"}, b"RPD\x01"):
+            with pytest.raises(ValueError, match="bytes"):
+                store.put("ns", KEY, payload, kind="bytes")
+        assert not list(store.root.rglob("*.art"))
 
     def test_corrupted_bytes_entry_is_miss(self, store):
-        path = store.put("ns", KEY, b"x" * 200, kind="bytes")
+        """An entry of the retired ``bytes`` kind, as an older store
+        wrote it, reads as a miss whole or cut short."""
+        namespace, key, path = _plant_unreadable(store, "legacy_bytes")
+        assert store.get(namespace, key) is None
         blob = path.read_bytes()
         path.write_bytes(blob[:len(blob) - 50])
-        assert store.get("ns", KEY) is None
+        assert store.get(namespace, key) is None
+        assert store.counters_snapshot()[namespace]["hits"] == 0
 
     def test_rejects_unknown_kind(self, store):
-        with pytest.raises(ValueError, match="kind"):
-            store.put("ns", KEY, 1, kind="yaml")
+        for kind in ("yaml", "bytes"):
+            with pytest.raises(ValueError, match="kind"):
+                store.put("ns", KEY, b"payload", kind=kind)
 
     def test_rejects_nonpositive_max_mb(self, tmp_path):
         with pytest.raises(ValueError, match="positive"):
@@ -155,6 +177,26 @@ class TestEvictionAndGc:
         assert store.stats()["entries"] == 0
         assert store.get("a", KEY) is None
 
+    @pytest.mark.parametrize("how", ["truncated", "legacy_bytes"])
+    def test_clear_removes_unreadable_entries(self, store, how):
+        store.put("a", KEY, 1, kind="json")
+        namespace, key, path = _plant_unreadable(store, how)
+        assert store.get(namespace, key) is None
+        assert store.clear() == {"removed_entries": 2}
+        assert not path.exists()
+        assert not list(store.root.rglob("*.art"))
+
+    @pytest.mark.parametrize("how", ["truncated", "legacy_bytes"])
+    def test_gc_counts_and_evicts_unreadable_entries(self, store, how):
+        _, _, path = _plant_unreadable(store, how)
+        outcome = store.gc(max_mb=1)
+        assert outcome["remaining_entries"] == 1
+        assert outcome["remaining_bytes"] == path.stat().st_size
+        outcome = store.gc(max_mb=1e-9)
+        assert outcome["evicted"] == 1
+        assert outcome["remaining_entries"] == 0
+        assert not path.exists()
+
     def test_stats_totals(self, store):
         store.put("a", KEY, [1] * 50, kind="json")
         store.put("b", KEY2, [2] * 50, kind="json")
@@ -167,10 +209,12 @@ class TestEvictionAndGc:
 
 class TestCorruptionRecovery:
     def test_truncated_entry_is_miss_not_crash(self, store):
-        path = store.put("ns", KEY, list(range(1000)))
-        blob = path.read_bytes()
-        path.write_bytes(blob[:len(blob) // 2])
-        assert store.get("ns", KEY) is None
+        for kind, payload in (("pickle", list(range(1000))),
+                              ("json", "x" * 1000)):
+            path = store.put("ns", KEY, payload, kind=kind)
+            blob = path.read_bytes()
+            path.write_bytes(blob[:len(blob) // 2])
+            assert store.get("ns", KEY) is None, kind
 
     def test_garbage_entry_is_miss(self, store):
         path = store.put("ns", KEY, {"ok": True}, kind="json")

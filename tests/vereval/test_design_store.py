@@ -1,32 +1,36 @@
-"""The designs store namespace: _prepare's disk tier below lru_cache.
+"""The testbench front end keeps one cache: the in-process ``_prepare`` memo.
 
-With ``REPRO_STORE_DIR`` set, a cold process must serve elaborated
-designs (and cached front-end failures) from the ``designs`` namespace
-instead of re-running the front end; any damaged entry must read as a
-miss and be recomputed, never substitute a wrong design.  The sibling
-``lowered`` namespace must likewise serve each design's backend IR.
+``_prepare`` runs syntax check -> parse -> elaborate once per (source,
+top) per process, and each design is lowered lazily when the first
+backend is built from it.  Nothing below the memo reads or writes the
+artifact store, so results and counters are the same whether or not
+``REPRO_STORE_DIR`` is set -- and ``designs``/``lowered`` entries an
+older version left in a store are never read.
 """
 
-import os
-import subprocess
-import sys
-from pathlib import Path
+import hashlib
+import json
 
 import pytest
 
-from repro.store import artifact_store, reset_artifact_store
-from repro.verilog.lower import load_lowered, lower_design
+from repro.store import (
+    SCHEMA_VERSION,
+    artifact_store,
+    content_key,
+    reset_artifact_store,
+)
 from repro.vereval.problems import problem_by_family
 from repro.vereval.testbench import (
-    DESIGN_NAMESPACE,
-    LOWERED_NAMESPACE,
     _prepare,
-    design_store_key,
     frontend_counters,
-    lowered_store_key,
     reset_frontend_counters,
     run_testbench,
+    run_testbench_many,
 )
+from repro.verilog.elaborate import elaborate
+from repro.verilog.lower import lower_design
+from repro.verilog.parser import parse
+from repro.verilog.simulator import BACKENDS, Simulator
 
 GOOD = """
 module top(input clk, input [3:0] d, output reg [3:0] q);
@@ -38,24 +42,44 @@ BAD_SYNTAX = "module top(input a, output b; endmodule"
 
 BAD_TOP = "module other(input a, output b); assign b = a; endmodule"
 
+# Two candidate tops in one source.
+NESTED = """
+module inner(input [3:0] a, output [3:0] y);
+  assign y = ~a;
+endmodule
+module outer(input [3:0] a, output [3:0] y);
+  inner u(.a(a), .y(y));
+endmodule
+"""
+
 ADDER = ("module adder(input [3:0] a, input [3:0] b,"
          " output [3:0] sum, output carry_out);"
          " assign {carry_out, sum} = a + b; endmodule")
 
+ADDER_BAD_SYNTAX = "module adder(input [3:0] a, output b; endmodule"
 
-def _fresh_process():
-    """Simulate a process restart: the in-memory memo empties, the
-    disk store survives."""
-    _prepare.cache_clear()
+# Passes the syntax check (which elaborates the last module as top) but
+# fails to elaborate with ``adder`` itself as top: W defaults to 0.
+ADDER_BAD_ELABORATION = """
+module adder #(parameter W = 0)(input [3:0] a, input [3:0] b,
+                                output [3:0] sum, output carry_out);
+  localparam D = 1 << (W - 1);
+  assign {carry_out, sum} = a + b;
+endmodule
+module wrap(input [3:0] a, input [3:0] b, output [3:0] sum,
+            output carry_out);
+  adder #(.W(4)) u(.a(a), .b(b), .sum(sum), .carry_out(carry_out));
+endmodule
+"""
 
 
-@pytest.fixture()
-def store(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
-    reset_artifact_store()
-    _prepare.cache_clear()
-    reset_frontend_counters()
-    yield artifact_store()
+def _use_store(monkeypatch, root):
+    """Point the process at ``root`` (None: store off), as a fresh
+    process would see it: empty memo, zeroed counters."""
+    if root is None:
+        monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    else:
+        monkeypatch.setenv("REPRO_STORE_DIR", str(root))
     reset_artifact_store()
     _prepare.cache_clear()
     reset_frontend_counters()
@@ -63,195 +87,234 @@ def store(tmp_path, monkeypatch):
 
 @pytest.fixture()
 def no_store(monkeypatch):
-    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    reset_artifact_store()
-    _prepare.cache_clear()
-    reset_frontend_counters()
+    _use_store(monkeypatch, None)
     yield
     reset_artifact_store()
     _prepare.cache_clear()
     reset_frontend_counters()
 
 
+@pytest.fixture()
+def store(monkeypatch, tmp_path):
+    _use_store(monkeypatch, tmp_path / "store")
+    yield artifact_store()
+    _use_store(monkeypatch, None)
+
+
+def _fresh_process():
+    """Simulate a process restart: the in-memory memo empties."""
+    _prepare.cache_clear()
+
+
+def _legacy_key(namespace, code, top):
+    """The key an older version's ``designs`` (or ``lowered``) tier
+    filed the front end of (``code``, ``top``) under."""
+    tag = "design" if namespace == "designs" else "lowered"
+    return content_key(tag, hashlib.sha256(code.encode()).hexdigest(),
+                       top, 1)
+
+
+def _plant_legacy(store, namespace, code, top, body):
+    """Write the entry that older tier would hold for (``code``,
+    ``top``), in its format: payload kind ``bytes``."""
+    key = _legacy_key(namespace, code, top)
+    header = {"schema": SCHEMA_VERSION, "namespace": namespace, "key": key,
+              "kind": "bytes", "size": len(body), "meta": {"top": top}}
+    path = store._entry_path(namespace, key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    return key, path
+
+
 class TestColdWarm:
+    """With a store configured, the ``_prepare`` memo is still the only
+    tier: cold calls compute, warm calls hit the memo, and a fresh
+    process computes again."""
+
     def test_cold_put_then_warm_hit(self, store):
         design, failure = _prepare(GOOD, "top")
         assert failure is None
-        assert frontend_counters() == {"elaborations": 1, "design_hits": 0,
-                                       "lowerings": 1, "lowered_hits": 0}
-        assert store.counters_snapshot()[DESIGN_NAMESPACE]["puts"] == 1
+        assert _prepare.cache_info().misses == 1
+        assert frontend_counters() == {"elaborations": 1, "lowerings": 0}
+
+        warm_design, warm_failure = _prepare(GOOD, "top")
+        assert warm_failure is None and warm_design is design
+        assert _prepare.cache_info().hits == 1
+        assert frontend_counters()["elaborations"] == 1
 
         _fresh_process()
-        warm_design, warm_failure = _prepare(GOOD, "top")
-        assert warm_failure is None
-        assert warm_design == design
-        assert warm_design is not design  # deserialized, not memoized
-        counters = store.counters_snapshot()[DESIGN_NAMESPACE]
-        assert counters["hits"] == 1
-        assert counters["puts"] == 1
-        assert frontend_counters() == {"elaborations": 1, "design_hits": 1,
-                                       "lowerings": 1, "lowered_hits": 1}
+        again, _ = _prepare(GOOD, "top")
+        assert again == design
+        assert again is not design  # recomputed, not served from disk
+        assert frontend_counters()["elaborations"] == 2
+        assert store.counters_snapshot() == {}
 
     def test_lru_tier_shields_the_store(self, store):
-        _prepare(GOOD, "top")
-        before = store.counters_snapshot()[DESIGN_NAMESPACE]
-        _prepare(GOOD, "top")  # same process: lru_cache, no store I/O
-        assert store.counters_snapshot()[DESIGN_NAMESPACE] == before
+        for _ in range(3):
+            _prepare(GOOD, "top")
+        assert _prepare.cache_info().maxsize == 256
+        assert _prepare.cache_info().hits == 2
+        assert frontend_counters()["elaborations"] == 1
+        assert store.counters_snapshot() == {}
+        assert not list(store.root.rglob("*.art"))
 
     def test_front_end_failures_are_cached(self, store):
         for source, match in ((BAD_SYNTAX, "syntax"), (BAD_TOP, "top")):
             design, failure = _prepare(source, "top")
             assert design is None and not failure.passed
+            assert _prepare(source, "top")[1] is failure  # memo hit
             _fresh_process()
-            _, warm = _prepare(source, "top")
-            assert warm.reason == failure.reason
-            assert warm.syntax_ok == failure.syntax_ok
-            assert match in warm.reason
-        # Four front-end runs total (two sources, cold only), all four
-        # served from the store on the warm pass.
-        assert frontend_counters() == {"elaborations": 2, "design_hits": 2,
-                                       "lowerings": 0, "lowered_hits": 0}
-        assert store.counters_snapshot()[DESIGN_NAMESPACE]["misses"] == 2
+            _, again = _prepare(source, "top")
+            assert again == failure and again is not failure
+            assert match in again.reason
+        # Two sources, each computed cold and again after the restart.
+        assert frontend_counters() == {"elaborations": 4, "lowerings": 0}
+        assert store.counters_snapshot() == {}
 
     def test_warm_testbench_result_identical(self, store):
         problem = problem_by_family("adder")
         cold = run_testbench(ADDER, problem, seed=3)
-        _fresh_process()
         warm = run_testbench(ADDER, problem, seed=3)
-        assert frontend_counters()["design_hits"] == 1
-        assert (warm.passed, warm.reason, warm.cycles_run) \
-            == (cold.passed, cold.reason, cold.cycles_run)
+        _fresh_process()
+        restarted = run_testbench(ADDER, problem, seed=3)
+        assert cold.passed, cold.reason
+        assert warm == cold and restarted == cold
+        assert frontend_counters()["elaborations"] == 2
 
-    def test_key_binds_source_and_top(self):
-        assert design_store_key(GOOD, "top") != design_store_key(GOOD, "t2")
-        assert design_store_key(GOOD, "top") \
-            != design_store_key(GOOD + " ", "top")
+    def test_key_binds_source_and_top(self, store):
+        _prepare(GOOD, "top")
+        _, failure = _prepare(GOOD, "t2")
+        _prepare(GOOD + " ", "top")
+        assert failure.reason == "no module named 't2'"
+        assert _prepare.cache_info().currsize == 3
+        assert frontend_counters()["elaborations"] == 3
 
 
 class TestCorruption:
-    def _entry_path(self, store):
-        return store._entry_path(DESIGN_NAMESPACE,
-                                 design_store_key(GOOD, "top"))
+    """A store written by an older version may hold damaged or stale
+    ``designs`` entries: the front end recomputes, never reads them."""
 
     def test_truncated_entry_recomputes(self, store):
-        design, _ = _prepare(GOOD, "top")
-        path = self._entry_path(store)
+        _, path = _plant_legacy(store, "designs", GOOD, "top",
+                                b"RPD\x01" + bytes(range(64)))
         path.write_bytes(path.read_bytes()[:20])
-
-        _fresh_process()
         recomputed, failure = _prepare(GOOD, "top")
-        assert failure is None and recomputed == design
-        counters = store.counters_snapshot()[DESIGN_NAMESPACE]
-        assert counters["hits"] == 0  # store-level damage: a plain miss
-        assert counters["puts"] == 2  # re-published after recompute
-        # The lowered entry survived the designs-namespace damage, so
-        # the recomputed design still gets its IR from the store.
-        assert frontend_counters() == {"elaborations": 2, "design_hits": 0,
-                                       "lowerings": 1, "lowered_hits": 1}
+        assert failure is None
+        assert recomputed == elaborate(parse(GOOD), top="top")
+        assert frontend_counters()["elaborations"] == 1
+        assert store.counters_snapshot() == {}
 
     def test_scrambled_payload_recomputes(self, store):
-        """Same-length payload damage survives the store's envelope but
-        must fail the design decode -- and still recompute correctly."""
-        design, _ = _prepare(GOOD, "top")
-        path = self._entry_path(store)
-        blob = path.read_bytes()
-        newline = blob.index(b"\n")
-        payload = blob[newline + 1:]
-        scrambled = bytes(b ^ 0x5A for b in payload)
-        path.write_bytes(blob[:newline + 1] + scrambled)
-
-        _fresh_process()
+        body = bytes(b ^ 0x5A for b in b"RPD\x01" + bytes(range(64)))
+        _plant_legacy(store, "designs", GOOD, "top", body)
         recomputed, failure = _prepare(GOOD, "top")
-        assert failure is None and recomputed == design
-        assert frontend_counters()["elaborations"] == 2
+        assert failure is None
+        assert recomputed == elaborate(parse(GOOD), top="top")
+        assert frontend_counters()["elaborations"] == 1
+        assert store.counters_snapshot() == {}
 
     def test_alien_failure_schema_recomputes(self, store):
-        """A failure entry from a different schema version reads as a
-        miss, not as a stale verdict."""
-        _prepare(BAD_SYNTAX, "top")
-        key = design_store_key(BAD_SYNTAX, "top")
-        store.put(DESIGN_NAMESPACE, key,
-                  {"schema": -1, "failure": {"reason": "stale",
-                                             "syntax_ok": True}},
-                  kind="json")
-        _fresh_process()
-        _, failure = _prepare(BAD_SYNTAX, "top")
-        assert "syntax" in failure.reason and not failure.syntax_ok
+        """No stored verdict is trusted, whatever its schema: the
+        source's own failure is recomputed."""
+        key = _legacy_key("designs", BAD_SYNTAX, "top")
+        for schema in (-1, 1):
+            _fresh_process()
+            store.put("designs", key,
+                      {"schema": schema,
+                       "failure": {"reason": "stale", "syntax_ok": True}},
+                      kind="json")
+            _, failure = _prepare(BAD_SYNTAX, "top")
+            assert failure.reason.startswith("syntax")
+            assert not failure.syntax_ok
         assert frontend_counters()["elaborations"] == 2
+        # The test's own two puts; the front end never asked.
+        assert store.counters_snapshot() \
+            == {"designs": {"hits": 0, "misses": 0, "puts": 2}}
 
 
 class TestLoweredTier:
-    """The sibling ``lowered`` namespace: backend-neutral IR on disk."""
+    """Lowering happens once per design, in memory: the IR lives on the
+    design (``_lowered_cache``), never in the store."""
 
     def test_cold_publishes_lowered(self, store):
         design, _ = _prepare(GOOD, "top")
-        assert store.counters_snapshot()[LOWERED_NAMESPACE]["puts"] == 1
-        payload = store.get(LOWERED_NAMESPACE, lowered_store_key(GOOD, "top"))
-        assert load_lowered(bytes(payload)) == lower_design(design)
+        Simulator(design, backend="compiled")
+        ir = design._lowered_cache[("ir", 0)]
+        assert lower_design(design) is ir
+        assert design._lowered_cache[("compiled", 0)].lowered is ir
+        assert frontend_counters()["lowerings"] == 1
+        assert store.counters_snapshot() == {}
+        assert not list(store.root.rglob("*.art"))
 
     def test_warm_hit_seeds_backend_cache(self, store):
-        _prepare(GOOD, "top")
+        problem = problem_by_family("adder")
+        for backend in ("compiled", "vector", "compiled"):
+            assert run_testbench(ADDER, problem, seed=3, backend=backend)
+        # The warm memo hits hand back the design that already carries
+        # its IR, so neither later backend walks the AST again.
+        assert frontend_counters() == {"elaborations": 1, "lowerings": 1}
         _fresh_process()
-        reset_frontend_counters()
-        design, _ = _prepare(GOOD, "top")
-        assert frontend_counters() == {"elaborations": 0, "design_hits": 1,
-                                       "lowerings": 0, "lowered_hits": 1}
-        # The seeded IR means backend construction does no AST walk.
-        lower_design(design)
-        assert frontend_counters()["lowerings"] == 0
+        assert run_testbench(ADDER, problem, seed=3, backend="compiled")
+        assert frontend_counters() == {"elaborations": 2, "lowerings": 2}
 
     def test_damaged_lowered_entry_relowers(self, store):
-        _prepare(GOOD, "top")
-        path = store._entry_path(LOWERED_NAMESPACE,
-                                 lowered_store_key(GOOD, "top"))
+        _, path = _plant_legacy(store, "lowered", ADDER, "adder",
+                                b"RPL\x01" + bytes(range(64)))
         path.write_bytes(path.read_bytes()[:12])
-
-        _fresh_process()
-        _prepare(GOOD, "top")
-        counters = frontend_counters()
-        assert counters["lowered_hits"] == 0
-        assert counters["lowerings"] == 2  # cold + warm recompute
-        assert store.counters_snapshot()[LOWERED_NAMESPACE]["puts"] == 2
+        problem = problem_by_family("adder")
+        result = run_testbench(ADDER, problem, seed=3, backend="compiled")
+        assert result.passed, result.reason
+        assert frontend_counters() == {"elaborations": 1, "lowerings": 1}
+        assert store.counters_snapshot() == {}
 
     def test_failures_do_not_touch_lowered(self, store):
-        _prepare(BAD_SYNTAX, "top")
-        _prepare(BAD_TOP, "top")
-        assert LOWERED_NAMESPACE not in store.counters_snapshot()
+        problem = problem_by_family("adder")
+        for backend in BACKENDS:
+            for source in (BAD_SYNTAX, BAD_TOP):
+                assert not run_testbench(source, problem, backend=backend)
+        assert frontend_counters() == {"elaborations": 2, "lowerings": 0}
+        assert store.counters_snapshot() == {}
 
-    def test_lowered_key_binds_source_and_top(self):
-        assert lowered_store_key(GOOD, "top") != lowered_store_key(GOOD, "t2")
-        assert lowered_store_key(GOOD, "top") \
-            != lowered_store_key(GOOD + " ", "top")
-        assert lowered_store_key(GOOD, "top") != design_store_key(GOOD, "top")
+    def test_lowered_key_binds_source_and_top(self, store):
+        tops = {top: _prepare(NESTED, top)[0] for top in ("inner", "outer")}
+        spaced, _ = _prepare(NESTED + " ", "outer")
+        irs = [lower_design(d) for d in (*tops.values(), spaced)]
+        assert [ir.top for ir in irs] == ["inner", "outer", "outer"]
+        assert len({id(ir) for ir in irs}) == 3
+        assert frontend_counters() == {"elaborations": 3, "lowerings": 3}
 
 
-class TestPrepareCacheSize:
-    """``REPRO_PREPARE_CACHE_SIZE`` sizes the ``_prepare`` memo.
+class TestStoreUntouched:
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_testbench_never_touches_the_store(self, monkeypatch, tmp_path,
+                                               backend):
+        problem = problem_by_family("adder")
+        codes = [ADDER, ADDER_BAD_SYNTAX, ADDER_BAD_ELABORATION, ADDER]
+        seeds = [3, 4, 5, 6]
 
-    The value is snapshotted when the module loads (the ``lru_cache``
-    wrapper is built at import), so each case runs in a subprocess.
-    """
+        _use_store(monkeypatch, None)
+        off = run_testbench_many(codes, problem, seeds=seeds,
+                                 backend=backend)
+        off_counters = frontend_counters()
 
-    @pytest.mark.parametrize("raw,expected", [
-        (None, "256"),        # default
-        ("7", "7"),           # explicit size
-        ("0", "None"),        # zero/negative: unbounded
-        ("-3", "None"),
-        ("many", "256"),      # non-integer: fall back to the default
-    ])
-    def test_maxsize_from_env(self, raw, expected):
-        import repro
-        src_root = str(Path(repro.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=src_root)
-        env.pop("REPRO_PREPARE_CACHE_SIZE", None)
-        if raw is not None:
-            env["REPRO_PREPARE_CACHE_SIZE"] = raw
-        out = subprocess.run(
-            [sys.executable, "-c",
-             "from repro.vereval.testbench import _prepare; "
-             "print(_prepare.cache_info().maxsize)"],
-            env=env, capture_output=True, text=True, check=True)
-        assert out.stdout.strip() == expected
+        _use_store(monkeypatch, tmp_path / "store")
+        try:
+            on = run_testbench_many(codes, problem, seeds=seeds,
+                                    backend=backend)
+            on_counters = frontend_counters()
+            store_counters = artifact_store().counters_snapshot()
+        finally:
+            _use_store(monkeypatch, None)
+
+        assert store_counters == {}
+        assert on == off
+        assert on_counters == off_counters
+        assert off_counters["elaborations"] == 3  # duplicates share one
+        assert [r.passed for r in on] == [True, False, False, True]
+        assert not on[1].syntax_ok and on[1].reason.startswith("syntax")
+        assert on[2].syntax_ok
+        assert on[2].reason == "elaboration: negative shift count"
+        assert not list((tmp_path / "store").rglob("*.art"))
 
 
 class TestStoreOff:
@@ -260,11 +323,26 @@ class TestStoreOff:
         assert failure is None and design is not None
         _prepare.cache_clear()
         _prepare(GOOD, "top")
-        # Without a store there is no eager lowering either: backends
-        # lower lazily at construction time.
-        assert frontend_counters() == {"elaborations": 2, "design_hits": 0,
-                                       "lowerings": 0, "lowered_hits": 0}
+        # The front end does not lower: backends lower lazily at
+        # construction time.
+        assert frontend_counters() == {"elaborations": 2, "lowerings": 0}
 
     def test_results_unchanged_without_store(self, no_store):
         result = run_testbench(ADDER, problem_by_family("adder"), seed=3)
         assert result.passed, result.reason
+
+    def test_shared_failure_result_is_never_mutated(self, no_store):
+        """``_prepare`` hands every caller the same memoized failure, so
+        the runners must return copies: mutating one result must not
+        leak into the next."""
+        problem = problem_by_family("adder")
+        first = run_testbench(ADDER_BAD_SYNTAX, problem)
+        expected = (first.passed, first.reason, first.syntax_ok)
+        first.passed, first.reason = True, "mutated"
+        batch = run_testbench_many([ADDER_BAD_SYNTAX] * 2, problem)
+        batch[0].reason = "mutated too"
+        again = run_testbench(ADDER_BAD_SYNTAX, problem)
+        assert (again.passed, again.reason, again.syntax_ok) == expected
+        assert batch[1].reason == expected[1]
+        assert batch[0] is not batch[1]
+        assert frontend_counters()["elaborations"] == 1

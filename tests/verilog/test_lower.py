@@ -1,29 +1,33 @@
-"""Lowered-IR serialization: LoweredDesign <-> bytes round trips.
+"""The backend-neutral lowered IR: one lowering per design, re-derived
+identically by every process.
 
-The ``lowered`` store namespace only works if a backend built from a
-store-round-tripped IR is *observationally identical* to one built by
-lowering the AST fresh -- and if every form of blob damage reads as a
-decode error (=> cache miss), never as a subtly different IR.
+The compiled and vector backends both build from the IR that
+:func:`repro.verilog.lower.lower_design` caches on the design, so a
+design is lowered once however many backends (and lane counts) are
+built from it.  No process shares its IR with another: each one runs
+source -> elaborate -> lower itself, so the round trip must reproduce
+the same IR in any process, and a backend built from an IR another
+backend already used must behave exactly like one that lowered the AST
+itself.
 """
 
 import json
+import os
 import random
-import zlib
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.corpus.designs import ALL_FAMILIES
 from repro.verilog.elaborate import elaborate
 from repro.verilog.lower import (
-    LOWERED_SCHEMA_VERSION,
-    LoweredDecodeError,
-    dump_lowered,
-    load_lowered,
+    LoweredDesign,
     lower_design,
-    lowered_from_doc,
     lowering_counters,
     reset_lowering_counters,
-    seed_lowered,
 )
 from repro.verilog.parser import parse
 from repro.verilog.simulator import Simulator
@@ -31,8 +35,7 @@ from repro.verilog.simulator import Simulator
 STEPS = 12
 
 # Memories, hierarchy (flattened instance), casez with wildcards, a for
-# loop and an initial block in one design: every IR node encoder and
-# decoder fires on this source.
+# loop and an initial block in one design: every IR node kind is built.
 KITCHEN_SINK = """
 module leaf(input [3:0] a, input [3:0] b, output [4:0] s);
   assign s = {1'b0, a} + {1'b0, b};
@@ -62,6 +65,22 @@ module m(input clk, input we, input [2:0] addr, input [7:0] wdata,
 endmodule
 """
 
+#: The IR's core lists; everything else on a LoweredDesign is derived.
+CORE = ("top", "signals", "memories", "assigns", "comb", "seq", "initials")
+
+#: Lowers each ``[source, top]`` read from stdin and writes the core
+#: lists of every IR to stdout, as JSON.
+_CHILD = f"""
+import json, sys
+from repro.verilog.elaborate import elaborate
+from repro.verilog.lower import lower_design
+from repro.verilog.parser import parse
+irs = [lower_design(elaborate(parse(code), top=top))
+       for code, top in json.load(sys.stdin)]
+json.dump([{{f: getattr(ir, f) for f in {CORE!r}}} for ir in irs],
+          sys.stdout)
+"""
+
 
 def _family_cases():
     for family in ALL_FAMILIES:
@@ -72,6 +91,29 @@ def _family_cases():
 def _corpus_code(family, style):
     params = family.param_sampler(random.Random(11))
     return family.styles[style](params, random.Random(12))
+
+
+def _core(lowered):
+    return {f: getattr(lowered, f) for f in CORE}
+
+
+@pytest.fixture(scope="module")
+def child_irs():
+    """Every corpus design and the kitchen sink, lowered in a fresh
+    interpreter with a different string-hash seed: {(source, top): core}.
+    """
+    jobs = [[_corpus_code(family, style), None]
+            for family in ALL_FAMILIES for style in sorted(family.styles)]
+    jobs.append([KITCHEN_SINK, "m"])
+    ours = os.environ.get("PYTHONHASHSEED", "")
+    env = dict(os.environ,
+               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
+               PYTHONHASHSEED="2" if ours == "1" else "1")
+    out = subprocess.run([sys.executable, "-c", _CHILD], env=env,
+                         input=json.dumps(jobs), capture_output=True,
+                         text=True, check=True, timeout=120)
+    return {(code, top): doc
+            for (code, top), doc in zip(jobs, json.loads(out.stdout))}
 
 
 def _assert_same_trace(original, copy, backend, seed):
@@ -94,64 +136,85 @@ def _assert_same_trace(original, copy, backend, seed):
                     for k, v in sims[0].state.items()
                     if sims[1].state[k] != v}
         assert not diverged, (
-            f"{backend} @step{step}: store-served IR diverged: {diverged}")
+            f"{backend} @step{step}: shared IR diverged: {diverged}")
         assert sims[0].memories == sims[1].memories, (
             f"{backend} @step{step}: memory state diverged")
 
 
+def _shared_and_fresh(code, top, backend, seed):
+    """Elaborate ``code`` twice.  On the first copy, run the *other*
+    compiled backend first, so ``backend`` is then built from an IR
+    that already served (and was run by) another backend; the second
+    copy lowers the AST itself.  Traces on ``backend`` must match."""
+    other = "vector" if backend == "compiled" else "compiled"
+    design = elaborate(parse(code), top=top)
+    fresh = elaborate(parse(code), top=top)
+    _assert_same_trace(design, elaborate(parse(code), top=top), other,
+                       seed)
+    reset_lowering_counters()
+    _assert_same_trace(design, fresh, backend, seed)
+    # The shared design built ``backend`` from its cached IR; only the
+    # fresh copy lowered.
+    assert lowering_counters()["lowerings"] == 1
+    return design
+
+
 class TestRoundTrip:
     @pytest.mark.parametrize("family,style", _family_cases())
-    def test_corpus_designs_round_trip_equal(self, family, style):
-        lowered = lower_design(elaborate(parse(_corpus_code(family, style))))
-        assert load_lowered(dump_lowered(lowered)) == lowered
+    def test_corpus_designs_round_trip_equal(self, family, style,
+                                             child_irs):
+        code = _corpus_code(family, style)
+        lowered = lower_design(elaborate(parse(code)))
+        assert _core(lowered) == child_irs[(code, None)]
 
     @pytest.mark.parametrize("backend", ["compiled", "vector"])
     def test_corpus_traces_bit_identical(self, backend):
-        """One design per family: a backend seeded with the
-        store-round-tripped IR must produce bit-identical traces to one
-        that lowered the AST itself."""
+        """One design per family: a backend built from an IR another
+        backend already built from and ran must produce bit-identical
+        traces to one that lowered the AST itself."""
         for family in ALL_FAMILIES:
             code = _corpus_code(family, sorted(family.styles)[0])
-            design = elaborate(parse(code))
-            copy = elaborate(parse(code))
-            seed_lowered(copy, load_lowered(dump_lowered(lower_design(design))))
-            _assert_same_trace(design, copy, backend, seed=500)
+            _shared_and_fresh(code, None, backend, seed=500)
 
     @pytest.mark.parametrize("backend", ["compiled", "vector"])
     def test_kitchen_sink_traces_bit_identical(self, backend):
-        design = elaborate(parse(KITCHEN_SINK), top="m")
-        copy = elaborate(parse(KITCHEN_SINK), top="m")
-        loaded = load_lowered(dump_lowered(lower_design(design)))
-        assert loaded == lower_design(design)
-        assert loaded.top == "m"
-        seed_lowered(copy, loaded)
-        _assert_same_trace(design, copy, backend, seed=501)
+        design = _shared_and_fresh(KITCHEN_SINK, "m", backend, seed=501)
+        shared = lower_design(design)
+        assert shared.top == "m"
+        assert _core(shared) \
+            == _core(lower_design(elaborate(parse(KITCHEN_SINK), top="m")))
 
-    def test_round_trip_is_deterministic(self):
-        blob = dump_lowered(lower_design(elaborate(parse(KITCHEN_SINK),
-                                                   top="m")))
-        assert dump_lowered(load_lowered(blob)) == blob
+    def test_round_trip_is_deterministic(self, child_irs):
+        lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
+        again = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
+        assert json.dumps(_core(again)) == json.dumps(_core(lowered))
+        assert json.dumps(child_irs[(KITCHEN_SINK, "m")]) \
+            == json.dumps(_core(lowered))
 
     def test_doc_is_json_clean(self):
+        """The core is plain lists of ints and strings: no tuples, AST
+        nodes or four-state values leak into the IR."""
         lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        doc = json.loads(json.dumps(lowered.to_doc()))
-        assert lowered_from_doc(doc) == lowered
+        core = _core(lowered)
+        assert json.loads(json.dumps(core)) == core
 
     def test_derived_tables_rebuilt(self):
-        """slot maps, widths and trigger-scan tables are derived, not
-        serialized -- the loaded IR must regrow them identically."""
+        """slot maps, widths and trigger-scan tables are derived from
+        the core lists at construction -- a LoweredDesign rebuilt from a
+        copy of another's core must regrow them identically."""
         lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        loaded = load_lowered(dump_lowered(lowered))
-        assert loaded.slot == lowered.slot
-        assert loaded.mem_slot == lowered.mem_slot
-        assert loaded.widths == lowered.widths
-        assert loaded.n_mems == lowered.n_mems
-        assert loaded.edge_slots == lowered.edge_slots
-        assert loaded.edge_pos == lowered.edge_pos
+        rebuilt = LoweredDesign(**json.loads(json.dumps(_core(lowered))))
+        assert rebuilt.slot == lowered.slot
+        assert rebuilt.mem_slot == lowered.mem_slot
+        assert rebuilt.widths == lowered.widths
+        assert rebuilt.n_mems == lowered.n_mems
+        assert rebuilt.edge_slots == lowered.edge_slots
+        assert rebuilt.edge_pos == lowered.edge_pos
+        assert rebuilt.edge_slots  # the posedge-clk process is scanned
 
 
 class TestDesignCache:
-    """Satellite: one ``(backend, lanes)``-keyed cache per design."""
+    """One ``(backend, lanes)``-keyed cache per design."""
 
     def test_backends_share_one_lowering(self):
         from repro.verilog.compile import compile_design
@@ -171,137 +234,14 @@ class TestDesignCache:
         assert lowering_counters()["lowerings"] == 1
 
     def test_seeded_ir_skips_lowering(self):
+        """An IR already cached on the design (here by an explicit
+        :func:`lower_design`) is what every backend builds from: no
+        backend construction walks the AST again."""
         from repro.verilog.compile import compile_design
+        from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
-        blob = dump_lowered(lower_design(design))
-        copy = elaborate(parse(KITCHEN_SINK), top="m")
-        seed_lowered(copy, load_lowered(blob))
+        seeded = lower_design(design)
         reset_lowering_counters()
-        compile_design(copy)
-        assert lowering_counters() == {"lowerings": 0, "lowered_hits": 0}
-
-
-class TestDecodeStrictness:
-    @pytest.fixture()
-    def blob(self):
-        return dump_lowered(lower_design(elaborate(parse(KITCHEN_SINK),
-                                                   top="m")))
-
-    def test_empty_and_short_blobs(self):
-        for bad in (b"", b"RPL", b"RPL\x01\x00\x00"):
-            with pytest.raises(LoweredDecodeError):
-                load_lowered(bad)
-
-    def test_wrong_magic(self, blob):
-        with pytest.raises(LoweredDecodeError, match="magic"):
-            load_lowered(b"ZIP" + blob[3:])
-
-    def test_design_blob_is_not_a_lowered_blob(self):
-        """The sibling ``designs`` codec shares the envelope shape but
-        not the magic: cross-feeding one store's bytes into the other
-        decoder must fail loudly, not decode garbage."""
-        from repro.verilog.serialize import dump_design
-        design = elaborate(parse(KITCHEN_SINK), top="m")
-        with pytest.raises(LoweredDecodeError, match="magic"):
-            load_lowered(dump_design(design))
-
-    def test_version_skew_is_error(self, blob):
-        stale = blob[:3] + bytes([LOWERED_SCHEMA_VERSION + 1]) + blob[4:]
-        with pytest.raises(LoweredDecodeError, match="version"):
-            load_lowered(stale)
-
-    @pytest.mark.parametrize("offset", [0, 3, 4, 8, 20, -1])
-    def test_flipped_byte_is_error_never_wrong_ir(self, blob, offset):
-        index = offset % len(blob)
-        mutated = (blob[:index]
-                   + bytes([blob[index] ^ 0xFF])
-                   + blob[index + 1:])
-        with pytest.raises(LoweredDecodeError):
-            load_lowered(mutated)
-
-    @pytest.mark.parametrize("keep", [1, 7, 8, 0.5])
-    def test_truncation_is_error(self, blob, keep):
-        cut = keep if isinstance(keep, int) else int(len(blob) * keep)
-        with pytest.raises(LoweredDecodeError):
-            load_lowered(blob[:cut])
-
-    def _envelope(self, doc) -> bytes:
-        """A well-formed envelope around an arbitrary body document, so
-        structural strictness is tested past the CRC gate."""
-        body = json.dumps(doc, separators=(",", ":")).encode()
-        return (b"RPL" + bytes([LOWERED_SCHEMA_VERSION])
-                + (zlib.crc32(body) & 0xFFFFFFFF).to_bytes(4, "big")
-                + zlib.compress(body))
-
-    def _doc(self):
-        return lower_design(elaborate(parse(KITCHEN_SINK), top="m")).to_doc()
-
-    def test_unknown_expression_tag_is_error(self):
-        doc = self._doc()
-        doc["assigns"][0][1] = ["Q", "bogus"]
-        with pytest.raises(LoweredDecodeError, match="expression tag"):
-            load_lowered(self._envelope(doc))
-
-    def test_unknown_statement_tag_is_error(self):
-        doc = self._doc()
-        doc["initials"][0][0] = ["z", 1]
-        with pytest.raises(LoweredDecodeError, match="statement tag"):
-            load_lowered(self._envelope(doc))
-
-    def test_unknown_lowered_field_is_error(self):
-        doc = self._doc()
-        doc["extra"] = 1
-        with pytest.raises(LoweredDecodeError, match="unknown lowered"):
-            load_lowered(self._envelope(doc))
-
-    def test_missing_field_is_error(self):
-        doc = self._doc()
-        del doc["seq"]
-        with pytest.raises(LoweredDecodeError, match="missing lowered"):
-            load_lowered(self._envelope(doc))
-
-    def test_slot_out_of_range_is_error(self):
-        doc = self._doc()
-        doc["seq"][0][0][0][1] = len(doc["signals"])  # sens slot past end
-        with pytest.raises(LoweredDecodeError, match="out of range"):
-            load_lowered(self._envelope(doc))
-
-    def test_mistyped_width_is_error(self):
-        doc = self._doc()
-        doc["signals"][0][1] = "wide"  # width must be an int
-        with pytest.raises(LoweredDecodeError):
-            load_lowered(self._envelope(doc))
-
-    def test_bool_is_not_an_int(self):
-        doc = self._doc()
-        doc["signals"][0][1] = True
-        with pytest.raises(LoweredDecodeError):
-            load_lowered(self._envelope(doc))
-
-    def test_duplicate_signal_name_is_error(self):
-        doc = self._doc()
-        doc["signals"].append(list(doc["signals"][0]))
-        with pytest.raises(LoweredDecodeError, match="duplicate"):
-            load_lowered(self._envelope(doc))
-
-    def test_bad_edge_code_is_error(self):
-        doc = self._doc()
-        doc["seq"][0][0][0][0] = 9
-        with pytest.raises(LoweredDecodeError, match="edge"):
-            load_lowered(self._envelope(doc))
-
-    def test_unknown_operator_is_error(self):
-        doc = self._doc()
-        doc["assigns"][0][1] = ["B", "<=>", ["K", 1, 0, 0], ["K", 1, 0, 0]]
-        with pytest.raises(LoweredDecodeError, match="binary operator"):
-            load_lowered(self._envelope(doc))
-
-    def test_non_canonical_constant_is_error(self):
-        doc = self._doc()
-        doc["assigns"][0][1] = ["K", 4, 3, 3]  # val & xmask != 0
-        with pytest.raises(LoweredDecodeError, match="constant"):
-            load_lowered(self._envelope(doc))
-
-    def test_non_lowered_document_is_error(self):
-        with pytest.raises(LoweredDecodeError):
-            load_lowered(self._envelope([1, 2, 3]))
+        assert compile_design(design).lowered is seeded
+        assert vector_design(design, lanes=2).lowered is seeded
+        assert lowering_counters() == {"lowerings": 0}
