@@ -1,7 +1,7 @@
 """Benchmark: sharded sweep execution vs the serial baseline.
 
-Runs the same eight-point attack grid (2 cases x 2 poison budgets x
-2 seeds, each with an ASR/misfire/baseline triple and a two-problem
+Runs the same sixteen-point attack grid (2 cases x 2 poison budgets x
+4 seeds, each with an ASR/misfire/baseline triple and a two-problem
 pass@1 leg) through :class:`ExperimentRunner` twice -- once on the
 in-process serial executor, once sharded over a process pool -- and
 asserts the sharded run is at least 1.5x faster.  Rows must also be
@@ -33,14 +33,15 @@ MIN_SPEEDUP = 1.5
 _ARTIFACT = Path(__file__).resolve().parent.parent \
     / "BENCH_parallel_eval.json"
 
-#: Eight self-contained tasks: enough grid to amortize pool start-up,
-#: heavy enough (two fine-tunes + four measurements each) that the
-#: parallel win reflects real sweep workloads.
+#: Sixteen self-contained tasks, each with two fine-tunes and four
+#: measurements on an 80-sample-per-family corpus: ~11-14 s serial on
+#: a 2-core host, so pool start-up is amortized and a host stall of a
+#: second or so no longer decides the ratio.
 CONFIG = SweepConfig(
     cases=("cs5_code_structure", "cs3_module_name"),
     poison_counts=(2, 5),
-    seeds=(1, 2),
-    samples_per_family=40,
+    seeds=(1, 2, 3, 4),
+    samples_per_family=80,
     n=8,
     eval_problems=2,
 )

@@ -1,4 +1,4 @@
-"""Benchmark: compiled-simulation backend vs the interpreted baseline.
+"""Benchmark: closure-compiled simulation vs the interpreted baseline.
 
 Measures the evaluation harness end-to-end on the default problem
 suite (the paper's n = 10 completions-per-problem protocol) with a
@@ -11,7 +11,8 @@ Two pipelines are compared:
 * **legacy** -- the seed behaviour: per-completion ``run_testbench``
   on the interpreted backend, no sharing between completions;
 * **current** -- ``evaluate_model`` with ``backend="compiled"``: the
-  batched front-end dedups completions and the compiled backend runs
+  batched front-end dedups completions and each completion runs on a
+  one-lane build of the closure builder (:mod:`repro.verilog.vector`),
   closures over a dense state array.
 
 The measured speedup is recorded in ``BENCH_sim_backend.json`` at the
@@ -38,7 +39,7 @@ _ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sim_backend.json"
 
 #: Parameter draws matching each problem's canonical interface, so the
 #: oracle's completions elaborate and run the full stimulus program --
-#: the heavy-evaluation regime the compiled backend targets.
+#: the heavy-evaluation regime the closure builder targets.
 CANONICAL_PARAMS = {
     "adder": {"width": 4},
     "alu": {"width": 8},

@@ -1,8 +1,10 @@
-"""Benchmark: lane-vectorized simulation vs the scalar compiled backend.
+"""Benchmark: lane-vectorized simulation vs one-lane (``compiled``) runs.
 
 Measures ``evaluate_model`` end-to-end on the default problem suite
 (the paper's n = 10 completions-per-problem protocol) with a
-deterministic low-temperature oracle.  VerilogEval samples pass@1 at
+deterministic low-temperature oracle.  ``compiled`` names the one-lane
+build of the same closure builder, so the ratio is what packing lanes
+buys over running every completion on its own one-lane simulator.  VerilogEval samples pass@1 at
 temperature 0.2, where completion batches are dominated by duplicates
 (near-greedy decoding re-emits the same text); that is exactly the
 regime the vector backend targets: every group of identical
@@ -11,7 +13,11 @@ simulator, so one wide integer operation advances every seed at once.
 
 The oracle emits the family's canonical style for ~90% of completions
 and a second style for the rest, so each batch still exercises the
-scalar-singleton fallback path alongside the packed lanes.
+one-lane singleton path alongside the packed lanes.  Each timed leg
+evaluates the suite once per seed in ``LEG_SEEDS``, so a leg runs long
+enough (~0.3 s vector, ~0.7 s compiled on a 2-core host) that a
+scheduler stall of a few tens of milliseconds cannot move the ratio
+across the bound.
 
 The measured speedup is recorded in ``BENCH_sim_vector.json`` at the
 repository root (uploaded as a CI artifact by the benchmark job) and
@@ -33,6 +39,7 @@ from test_sim_backend_speedup import CANONICAL_PARAMS, _Generation
 
 N_TRIALS = 10  # the paper's n=10, k=1 protocol
 SEED = 7
+LEG_SEEDS = tuple(range(SEED, SEED + 8))  # suite passes per timed leg
 REPS = 3  # report the best of REPS to damp scheduler noise
 DUPLICATE_P = 0.9
 MIN_SPEEDUP = 2.0
@@ -69,37 +76,43 @@ class LowTempOracle:
         ]
 
 
-def _timed(model, problems, backend):
-    best = None
-    for _ in range(REPS):
-        t0 = time.perf_counter()
-        report = evaluate_model(model, problems, n=N_TRIALS, seed=SEED,
-                                backend=backend)
-        elapsed = time.perf_counter() - t0
-        if best is None or elapsed < best[0]:
-            best = (elapsed, report)
-    return best
+def _leg(model, problems, backend):
+    """One timed leg: the suite once per leg seed."""
+    t0 = time.perf_counter()
+    reports = [evaluate_model(model, problems, n=N_TRIALS, seed=seed,
+                              backend=backend)
+               for seed in LEG_SEEDS]
+    return time.perf_counter() - t0, reports
 
 
 def test_vector_backend_speedup_on_eval_suite():
     problems = default_problems()
     model = LowTempOracle(problems)
 
-    # Warm code paths (front-end memo, closure lowering) once so
-    # neither side pays first-call overheads.
-    evaluate_model(model, problems, n=N_TRIALS, seed=SEED,
-                   backend="compiled")
-    evaluate_model(model, problems, n=N_TRIALS, seed=SEED,
-                   backend="vector")
+    # Warm code paths (front-end memo, closure builds for every lane
+    # count the leg seeds produce) once so neither side pays first-call
+    # overheads.
+    for seed in LEG_SEEDS:
+        for backend in ("compiled", "vector"):
+            evaluate_model(model, problems, n=N_TRIALS, seed=seed,
+                           backend=backend)
 
-    t_compiled, compiled_report = _timed(model, problems, "compiled")
+    # Alternate the two legs, so a slow stretch of the host lands on
+    # both sides of the ratio rather than on one.
     reset_lane_counters()
-    t_vector, vector_report = _timed(model, problems, "vector")
+    legs = {"compiled": [], "vector": []}
+    for _ in range(REPS):
+        for backend, runs in legs.items():
+            runs.append(_leg(model, problems, backend))
     lanes = lane_counters()
+    t_compiled, compiled_reports = min(legs["compiled"], key=lambda r: r[0])
+    t_vector, vector_reports = min(legs["vector"], key=lambda r: r[0])
 
     # Both backends must agree before their timings are comparable.
-    assert compiled_report.by_problem() == vector_report.by_problem()
-    assert compiled_report.syntax_rate == vector_report.syntax_rate
+    for compiled_report, vector_report in zip(compiled_reports,
+                                              vector_reports, strict=True):
+        assert compiled_report.by_problem() == vector_report.by_problem()
+        assert compiled_report.syntax_rate == vector_report.syntax_rate
     assert lanes["lanes_packed"] > 0  # the fast path actually engaged
 
     speedup = t_compiled / t_vector
@@ -107,7 +120,7 @@ def test_vector_backend_speedup_on_eval_suite():
         "benchmark": "evaluate_model, default problem suite, "
                      "low-temperature duplicate regime",
         "protocol": {"n": N_TRIALS, "problems": len(problems),
-                     "seed": SEED, "reps": REPS,
+                     "leg_seeds": list(LEG_SEEDS), "reps": REPS,
                      "duplicate_p": DUPLICATE_P},
         "compiled_s": round(t_compiled, 4),
         "vector_s": round(t_vector, 4),

@@ -120,9 +120,7 @@ class StaticPayloadScanner:
       assignments: the classic rare-trigger Trojan shape;
     * ``const_override``  -- a guarded assignment of a bare constant to
       an output inside a sequential block that also assigns it normally
-      (the Fig. 1 "override" signature);
-    * ``guarded_skip``    -- a guard whose then-branch advances control
-      state without performing the corresponding data write (Fig. 8).
+      (the Fig. 1 "override" signature).
     """
 
     #: guards comparing buses at least this wide are suspicious

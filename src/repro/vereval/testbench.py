@@ -8,9 +8,9 @@ testbench untouched.)
 Two entry points: :func:`run_testbench` checks one completion, and
 :func:`run_testbench_many` checks a batch against the same problem,
 amortizing the per-completion front-end (syntax check, parse,
-elaboration and -- on the compiled and vector backends -- lowering)
-across duplicate completions, which the sampling protocol produces in
-bulk.
+elaboration and -- on the ``compiled`` and ``vector`` backends --
+lowering) across duplicate completions, which the sampling protocol
+produces in bulk.
 """
 
 from __future__ import annotations
@@ -140,10 +140,10 @@ def run_testbench_many(codes: list[str], problem: EvalProblem,
 
     Each completion still gets its own fresh simulator and its own
     stimulus seed, but identical completion texts share one syntax
-    check, parse, elaboration and (compiled and vector backends)
-    lowering.  On the
-    ``vector`` backend, all seeds of one duplicated completion
-    additionally run as lanes of a single lane-parallel simulator (see
+    check, parse, elaboration and (``compiled`` and ``vector``
+    backends) lowering.  ``compiled`` runs every completion on its own
+    one-lane simulator; on ``vector``, all seeds of one duplicated
+    completion run as lanes of a single lane-parallel simulator (see
     :func:`_run_many_vector`).
     """
     backend = resolve_backend(backend)  # reject typos loudly, not per-run
@@ -168,7 +168,7 @@ def run_testbench_many(codes: list[str], problem: EvalProblem,
 #: Cumulative lane-utilization counters for the ``vector`` fast path.
 #: ``lanes_packed`` counts completion runs that executed as lanes of a
 #: shared simulator; ``scalar_fallbacks`` counts runs that went through
-#: a scalar simulator instead (singleton completions, or groups whose
+#: a one-lane simulator instead (singleton completions, or groups whose
 #: design hit a lane-divergent construct the packed representation
 #: cannot express).  Snapshot with :func:`lane_counters`.
 _LANE_COUNTERS = {"lanes_packed": 0, "scalar_fallbacks": 0}
@@ -189,10 +189,11 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
     """Lane-batched fast path: group completions by identical text and
     run each group's seeds as lanes of one :class:`VectorSimulator`.
 
-    Any failure the packed representation cannot express (lane-divergent
-    widths, simulator init errors) falls the whole group back to the
-    scalar compiled backend, so results -- pass/fail, reasons and cycle
-    counts -- are byte-identical to a compiled-backend run either way.
+    Singletons run on a one-lane simulator.  Any failure the packed
+    representation cannot express (lane-divergent widths, simulator
+    init errors) falls the whole group back to one-lane simulators, so
+    results -- pass/fail, reasons and cycle counts -- are byte-identical
+    to a ``compiled`` run either way.
     """
     groups: dict[str, list[int]] = {}
     for i, code in enumerate(codes):
@@ -206,7 +207,7 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
             continue
         if len(indices) == 1:
             i = indices[0]
-            results[i] = _run_prepared(design, problem, seeds[i], "compiled")
+            results[i] = _run_prepared(design, problem, seeds[i], "vector")
             _LANE_COUNTERS["scalar_fallbacks"] += 1
             continue
         try:
@@ -217,7 +218,7 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
             _LANE_COUNTERS["scalar_fallbacks"] += len(indices)
             for i in indices:
                 results[i] = _run_prepared(design, problem, seeds[i],
-                                           "compiled")
+                                           "vector")
             continue
         _LANE_COUNTERS["lanes_packed"] += len(indices)
         for i, result in zip(indices, lane_results, strict=True):

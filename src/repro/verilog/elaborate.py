@@ -90,6 +90,8 @@ def eval_const(expr: Expr, env: dict[str, int]) -> int:
         }
         if expr.op not in ops:
             raise ElaborationError(f"operator {expr.op!r} in constant expression")
+        if rv == 0 and expr.op in ("/", "%"):
+            raise ElaborationError("division by zero in constant expression")
         return ops[expr.op](lv, rv)
     if isinstance(expr, Ternary):
         return (eval_const(expr.then, env) if eval_const(expr.cond, env)
@@ -150,11 +152,12 @@ class FlatDesign:
     initials: list[FlatProcess] = field(default_factory=list)
     inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
-    #: Per-design cache of lowered forms, keyed by ``(backend, lanes)``:
+    #: Per-design cache of lowered forms, keyed by ``(kind, lanes)``:
     #: ``("ir", 0)`` holds the shared backend-neutral LoweredDesign,
-    #: ``("compiled", 0)`` / ``("vector", n)`` the backend closures built
-    #: from it (see :mod:`repro.verilog.lower`).  Not part of the design
-    #: value: excluded from comparison.
+    #: ``("vector", n)`` the closures built from it for ``n`` lanes
+    #: (``n == 1`` serves the ``compiled`` and ``vector`` backends; see
+    #: :mod:`repro.verilog.lower`).  Not part of the design value:
+    #: excluded from comparison.
     _lowered_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 

@@ -1,18 +1,17 @@
 """Backend-neutral lowering: ``FlatDesign`` -> lowered IR.
 
-Historically the compiled and vector backends each re-walked the
-elaborated AST independently, duplicating all structural analysis:
-signal-slot assignment, lvalue resolution, static write-set analysis,
-sensitivity lowering and width pre-resolution.  This module factors
-that shared work into a single :class:`LoweredDesign` -- a small,
-backend-neutral IR of plain lists -- which the thin closure builders
-in :mod:`repro.verilog.compile` and :mod:`repro.verilog.vector` then
-consume instead of the AST.
+All structural analysis a closure build needs -- signal-slot
+assignment, lvalue resolution, static write-set analysis, sensitivity
+lowering and width pre-resolution -- happens here once, into a single
+:class:`LoweredDesign`: a small, backend-neutral IR of plain lists that
+the closure builder in :mod:`repro.verilog.vector` consumes instead of
+the AST.
 
 The IR lives only in memory: :func:`lower_design` builds it lazily the
-first time a backend is constructed for a design and caches it on the
-design's ``_lowered_cache``, so every backend (and every lane count)
-built from one design shares one lowering.
+first time a simulator is built for a design and caches it on the
+design's ``_lowered_cache``, so every lane count built from one design
+(one lane serves both the ``compiled`` and ``vector`` backend names)
+shares one lowering.
 
 IR node vocabulary (every node is a list whose first element is a tag):
 
@@ -45,8 +44,8 @@ Lvalues
 Widths, slot numbers and lsb offsets are pre-resolved, so builders
 never touch ``design.signals``.  Structural errors (undeclared
 signals, whole-memory assignment, malformed lvalues, unknown
-operators) are raised *here*, at lowering time -- the same
-construction-time contract the backends already had.
+operators) are raised *here*, at lowering time, i.e. when a simulator
+is constructed.
 """
 
 from __future__ import annotations
@@ -72,7 +71,7 @@ from .elaborate import FlatDesign, eval_const
 from .simulator import SimulationError
 from .values import FourState
 
-# EdgeKind -> small int, shared by both backends' trigger scans.
+# EdgeKind -> small int, read by the closure builder's trigger scan.
 _POSEDGE, _NEGEDGE, _LEVEL = 0, 1, 2
 _EDGE_CODE = {EdgeKind.POSEDGE: _POSEDGE, EdgeKind.NEGEDGE: _NEGEDGE,
               EdgeKind.LEVEL: _LEVEL}
@@ -156,12 +155,12 @@ class LoweredDesign:
 class _Lowerer:
     """One-shot AST walker producing IR nodes with resolved slots.
 
-    Mirrors the structural checks (and their error types/messages) the
-    backends' constructors used to perform: expression reads of
-    undeclared or memory signals raise :class:`SimulationError`,
-    lvalue lookups go through ``design.signal`` (raising
+    Mirrors the structural checks (and their error types/messages) of
+    the interpreter: expression reads of undeclared or memory signals
+    raise :class:`SimulationError`, and lvalue lookups go through
+    ``design.signal`` (raising
     :class:`~repro.verilog.elaborate.ElaborationError` for unknown
-    names) before the whole-memory check, exactly as before.
+    names) before the whole-memory check.
     """
 
     def __init__(self, design: FlatDesign):
@@ -362,9 +361,9 @@ class _Lowerer:
                 return ["K", 32, result & 0xFFFFFFFF, 0]
             return ["L2", self.expr(arg)]
         if expr.name in ("$signed", "$unsigned"):
-            # Width/value no-ops in this unsigned substrate: fold away.
-            # Backend sensitivity context flows to the operand exactly
-            # as the old per-backend passthrough did.
+            # Width/value no-ops in this unsigned substrate: fold away,
+            # so the builder's width-sensitivity context flows straight
+            # to the operand.
             return self.expr(expr.args[0])
         raise SimulationError(f"unsupported system call {expr.name}")
 
@@ -372,8 +371,8 @@ class _Lowerer:
 def _write_slots(body: list) -> list[int]:
     """Non-memory slots a lowered statement list can write.
 
-    Same static bound the backends used to compute from the AST: comb
-    change detection compares only these slots, and memory words are
+    A static bound computed from the IR: comb change detection
+    compares only these slots, and memory words are
     deliberately excluded (the interpreter's predicate reads ``state``
     only, never ``memories``).
     """
@@ -414,7 +413,7 @@ def _write_slots(body: list) -> list[int]:
 # ---------------------------------------------------------------------------
 
 #: Key of the shared backend-neutral IR in ``design._lowered_cache``.
-#: The backend builders use ``("compiled", 0)`` and ``("vector", n)``.
+#: The closure builds sit next to it under ``("vector", lanes)``.
 _IR_KEY = ("ir", 0)
 
 
@@ -432,7 +431,7 @@ def lower_design(design: FlatDesign) -> LoweredDesign:
 def lower_expr(design: FlatDesign, expr: Expr) -> list:
     """Lower one expression against ``design``'s slot assignment.
 
-    Used by the backends' ``eval()`` paths to compile ad-hoc AST
+    Used by the simulator's ``eval()`` path to compile ad-hoc AST
     expressions at runtime; slot numbering is a pure function of the
     design's signal order, so it always agrees with the cached IR.
     """

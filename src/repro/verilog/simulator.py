@@ -52,10 +52,12 @@ class SimulationError(RuntimeError):
 
 
 #: Recognised simulation backends.  ``interp`` is the AST-walking
-#: reference implementation below; ``compiled`` lowers each process to
-#: Python closures once (see :mod:`repro.verilog.compile`); ``vector``
-#: packs N independent stimulus lanes into wide ints on top of the same
-#: lowering strategy (see :mod:`repro.verilog.vector`).  All three are
+#: reference implementation below.  ``vector`` lowers each process to
+#: Python closures once and packs N independent stimulus lanes into
+#: wide ints (see :mod:`repro.verilog.vector`); ``compiled`` names its
+#: one-lane build, kept so existing settings and specs stay valid (in
+#: :func:`~repro.vereval.testbench.run_testbench_many` it still means
+#: one simulator per completion).  Both implementations are
 #: differentially tested to produce bit-identical four-state results.
 BACKENDS = ("interp", "compiled", "vector")
 
@@ -117,10 +119,10 @@ class Simulator:
     backend; constructing with ``backend="compiled"`` or
     ``backend="vector"`` (or setting the ``REPRO_SIM_BACKEND``
     environment variable / calling :func:`set_default_backend`)
-    transparently returns the closure-compiled backend from
-    :mod:`repro.verilog.compile` or the lane-parallel backend from
-    :mod:`repro.verilog.vector`, which implement the same public API
-    and the same four-state semantics.
+    transparently returns a one-lane
+    :class:`~repro.verilog.vector.VectorSimulator`, which implements
+    the same public API and the same four-state semantics over
+    closure-compiled dense state.
     """
 
     #: Backend name reported by instances of this class.
@@ -130,14 +132,9 @@ class Simulator:
                 **_kw: object) -> "Simulator":
         # **_kw passes through subclass-only keywords (e.g. the vector
         # backend's ``lanes``) without tripping object.__new__.
-        if cls is Simulator:
-            resolved = resolve_backend(backend)
-            if resolved == "compiled":
-                from .compile import CompiledSimulator
-                return object.__new__(CompiledSimulator)
-            if resolved == "vector":
-                from .vector import VectorSimulator
-                return object.__new__(VectorSimulator)
+        if cls is Simulator and resolve_backend(backend) != "interp":
+            from .vector import VectorSimulator
+            return object.__new__(VectorSimulator)
         return object.__new__(cls)
 
     def __init__(self, design: FlatDesign, backend: str | None = None):
@@ -692,8 +689,8 @@ def simulate_many(sources: list[str], top: str | None = None,
 
     Duplicate sources (common across the ``n`` completions the
     evaluation harness samples per problem) are parsed, elaborated and
-    -- for the compiled backend -- lowered to closures only once; each
-    returned simulator still owns fresh state.
+    -- for the ``compiled`` and ``vector`` backends -- lowered to
+    closures only once; each returned simulator still owns fresh state.
     """
     from .elaborate import elaborate
     from .parser import parse

@@ -1,40 +1,55 @@
-"""Lane-vectorized simulation backend: N stimulus sequences at once.
+"""Closure-compiled simulation backend: N stimulus sequences at once.
 
 Every measurement in this reproduction replays the *same elaborated
 design* under many independent stimulus sequences (one per completion
-x seed).  The compiled backend (:mod:`repro.verilog.compile`) amortizes
-the front-end across those runs but still advances one sequence at a
-time.  This module packs ``n`` independent simulations ("lanes") into
-wide Python ints: each signal's ``(val, xmask)`` pair stores the n
-lanes bit-interleaved at a stride equal to the signal's width, so one
-integer AND/OR/XOR/add advances all lanes simultaneously.
+x seed).  This module turns the design's lowered IR
+(:mod:`repro.verilog.lower`) into Python closures over dense,
+slot-indexed state once, and packs ``n`` independent simulations
+("lanes") into wide Python ints: each signal's ``(val, xmask)`` pair
+stores the n lanes bit-interleaved at a stride equal to the signal's
+width, so one integer AND/OR/XOR/add advances all lanes
+simultaneously.
 
 Layout.  A packed value is a ``(width, val, xmask)`` tuple where lane
 ``i``'s field occupies bits ``[i*width, (i+1)*width)`` of ``val`` and
 ``xmask``.  Pure bitwise operators (&, |, ^, ~, ==) vectorize for free
--- the scalar X-propagation formulas from ``compile.py`` are already
-lanewise.  Addition widens both operands to the result stride (fields
-can then never carry across a lane boundary); subtraction uses the
-SWAR borrow-isolation identity.  Multiply/divide/compare extract lanes
-and loop -- cold paths in real designs.
+-- the scalar X-propagation formulas are already lanewise.  Addition
+widens both operands to the result stride (fields can then never carry
+across a lane boundary); subtraction uses the SWAR borrow-isolation
+identity.  Multiply/divide/compare extract lanes and loop -- cold paths
+in real designs.
 
-Control flow uses lane-mask predication, the same way the scalar
-closures handle X-masks: statement closures take an active-lane mask,
-``If`` splits it by the per-lane truth of the condition, ``Case``
-peels matching lanes off arm by arm, ``For`` retires lanes whose
-condition goes false, and writes merge into the packed state only
-under the active mask.  Nonblocking assignments capture their resolved
-target groups *and* lane mask at schedule time.
+One lane is the scalar simulator.  At one lane a packed value *is* a
+plain four-state value, so the design is built over :class:`_OneLane`,
+whose layout helpers are plain integer operations, and the operators
+whose packed form costs extra work (add/subtract, ordering compares,
+concatenation) are built in their scalar form.  The ``compiled`` backend name is this
+one-lane build.
+
+Control flow uses lane-mask predication, the same way the closures
+handle X-masks: statement closures take an active-lane mask, ``If``
+splits it by the per-lane truth of the condition, ``Case`` peels
+matching lanes off arm by arm, ``For`` retires lanes whose condition
+goes false, and writes merge into the packed state only under the
+active mask.  Nonblocking assignments capture their resolved targets
+*and* lane mask at schedule time.
 
 Lane-divergent constructs a single packed value cannot represent
 (per-lane result widths from mixed-width ternaries, divergent
 replication counts or part-select bounds) raise
-:class:`~repro.verilog.simulator.SimulationError`; the evaluation
-harness catches any such failure and re-runs that group through the
-scalar backend, so vectorization is strictly an optimization, never a
-semantics change.  The differential suite asserts bit-identical
+:class:`~repro.verilog.simulator.SimulationError`; they cannot arise at
+one lane, and the evaluation harness re-runs any group that hits one
+on one-lane simulators, so vectorization is strictly an optimization,
+never a semantics change.  The differential suite asserts bit-identical
 four-state traces against the interpreter for every corpus design at
-every lane index.
+one lane and at every lane index of a multi-lane build.
+
+A built design is stateless with respect to simulation: every closure
+takes the state stores explicitly, so one build (cached on the design
+per lane count) serves any number of simulators.  Structural errors
+the interpreter only raises when a statement executes (undeclared
+signals, whole-memory assignments, malformed lvalues) are raised at
+lowering time, i.e. when the simulator is constructed.
 """
 
 from __future__ import annotations
@@ -66,6 +81,7 @@ from .values import FourState
 ExprFn = Callable[[list, list, list], "tuple[int, int, int]"]
 # Statement closures additionally take the NBA queue and the active
 # lane mask (stride-1: bit i set = lane i executes this statement).
+# The queue is a flat list of (resolved, lane_mask, value) triples.
 StmtFn = Callable[[list, list, list, "list | None", int], None]
 
 
@@ -182,6 +198,49 @@ class Lanes:
         f = v & ((1 << w) - 1)
         return f if v == f * self._ones[w] else None
 
+    def sub(self, a: int, b: int, w: int) -> int:
+        """Per-lane ``(a - b) mod 2**w`` without cross-lane borrows.
+
+        Standard SWAR borrow isolation: force each lane's MSB high on the
+        minuend and clear it on the subtrahend so no lane can borrow from
+        its neighbour, then patch the MSBs back via XOR.
+        """
+        h = (1 << (w - 1)) * self._ones[w]
+        return ((a | h) - (b & ~h)) ^ ((a ^ b ^ h) & h)
+
+
+class _OneLane(Lanes):
+    """:class:`Lanes` for one lane: lane 0's field is the whole int, so
+    every helper is a plain integer operation -- no per-lane loops and
+    no memo."""
+
+    def __init__(self) -> None:
+        super().__init__(1)
+
+    def ones(self, w: int) -> int:
+        return 1
+
+    def rep(self, c: int, w: int) -> int:
+        return c
+
+    def expand(self, lmask: int, w: int) -> int:
+        return self._full[w] if lmask else 0
+
+    def nonzero(self, v: int, w: int) -> int:
+        return 1 if v else 0
+
+    def pick(self, v: int, w: int, bit: int) -> int:
+        return (v >> bit) & 1
+
+    def extract(self, v: int, w: int, lane: int) -> int:
+        return v
+
+    def repack(self, v: int, w_from: int, w_to: int) -> int:
+        return v & self._full[w_to] if w_to < w_from else v
+
+    def uniform(self, v: int, w: int) -> int | None:
+        return v
+
 
 class _OnesTable(dict):
     """Memo of ``ones(w)`` masks with C-speed hits via ``dict.__missing__``."""
@@ -211,20 +270,9 @@ class _FullTable(dict):
         return f
 
 
-def _swar_sub(L: Lanes, a: int, b: int, w: int) -> int:
-    """Per-lane ``(a - b) mod 2**w`` without cross-lane borrows.
-
-    Standard SWAR borrow isolation: force each lane's MSB high on the
-    minuend and clear it on the subtrahend so no lane can borrow from
-    its neighbour, then patch the MSBs back via XOR.
-    """
-    h = L.rep(1 << (w - 1), w)
-    return ((a | h) - (b & ~h)) ^ ((a ^ b ^ h) & h)
-
-
 def _v_resize(L: Lanes, w: int, v: int, x: int,
               width: int) -> tuple[int, int, int]:
-    """Packed twin of ``_t_resize``: per-lane zero-extend/truncate."""
+    """Per-lane zero-extend/truncate to ``width``."""
     if width == w:
         return (w, v, x)
     v2 = L.repack(v, w, width)
@@ -234,8 +282,7 @@ def _v_resize(L: Lanes, w: int, v: int, x: int,
 
 def _v_slice(L: Lanes, w: int, v: int, x: int, msb: int,
              lsb: int) -> tuple[int, int, int]:
-    """Packed twin of ``_t_slice``: per-lane [msb:lsb] with X fill for
-    out-of-range high bits."""
+    """Per-lane [msb:lsb] with X fill for out-of-range high bits."""
     if msb < lsb:
         raise ValueError(f"part-select [{msb}:{lsb}] is reversed")
     width = msb - lsb + 1
@@ -258,12 +305,10 @@ def _lane_groups(L: Lanes, iw: int, iv: int, ix: int,
 
     Returns ``([(value, lane_mask), ...], x_lanes)``; lanes whose index
     field carries any X bit land in ``x_lanes`` and no group (the
-    scalar semantics: X addresses drop writes and read all-X).
+    scalar semantics: X addresses drop writes and read all-X).  Callers
+    take the uniform-index case (always the case at one lane) before
+    reaching here.
     """
-    if ix == 0 and lm == L.all:
-        u = L.uniform(iv, iw)
-        if u is not None:
-            return [(u, lm)], 0
     xl = L.nonzero(ix, iw) & lm
     known = lm & ~xl
     if not known:
@@ -305,14 +350,15 @@ def _apply_group(L: Lanes, sv: list, sx: list, m: list, resolved: tuple,
         if msb < lsb:
             msb, lsb = lsb, msb
         if lsb < 0:
-            # The scalar backends fault here too (negative shift).
-            raise SimulationError(f"bit-select below range: {lsb}")
-        width = msb - lsb + 1
-        _, cv, cx = _v_resize(L, *value, width)
-        field = (((1 << width) - 1) << lsb) & ((1 << spec_w) - 1)
+            # The interpreter faults here too (negative shift).
+            raise ValueError("negative shift count")
+        w, v, x = value
+        field = (((1 << (msb - lsb + 1)) - 1) << lsb) & ((1 << spec_w) - 1)
         e = L.rep(field, spec_w) & L.expand(lm, spec_w)
-        pv = (L.repack(cv, width, spec_w) << lsb) & e
-        px = (L.repack(cx, width, spec_w) << lsb) & e
+        # Bits a lane shifts past its field land below ``lsb`` in the
+        # next lane, where ``e`` masks them off.
+        pv = (L.repack(v, w, spec_w) << lsb) & e
+        px = (L.repack(x, w, spec_w) << lsb) & e
         ov, ox = sv[slot], sx[slot]
         nv = (ov & ~e) | pv
         nx = (ox & ~e) | px
@@ -348,23 +394,52 @@ def _apply_group(L: Lanes, sv: list, sx: list, m: list, resolved: tuple,
                     changed = True
             offset += width
         return changed
-    if kind == "drop":
-        return False
     raise SimulationError(f"bad resolved target {kind!r}")
+
+
+def _static_target(target: list) -> tuple | None:
+    """The resolved form of an lvalue whose addressing is a known
+    constant (a whole signal, ``q[2]``, ``q[3:1]``, ``mem[5]`` or a
+    concat of such), which every lane shares; None when addressing is
+    computed at run time."""
+    tag = target[0]
+    if tag == "W":
+        return ("whole", target[1], target[2])
+    if tag == "CC":
+        parts = [_static_target(part) for part in target[1]]
+        if None in parts or any(wd[0] != "wk" for wd in target[2]):
+            return None
+        # Lane mask -1: each part takes the whole assignment's mask.
+        return ("concat", [[(part, -1)] for part in parts],
+                [wd[1] for wd in target[2]])
+    if tag not in ("X", "P", "M") \
+            or any(node[0] != "K" or node[3] for node in target[4:]):
+        return None  # X-valued constants drop the write at run time
+    if tag == "X":
+        _, slot, spec_width, lsb, index = target
+        bit = index[2] - lsb
+        return ("bits", slot, spec_width, bit, bit)
+    if tag == "P":
+        _, slot, spec_width, spec_lsb, msb, lsb = target
+        return ("bits", slot, spec_width, msb[2] - spec_lsb, lsb[2] - spec_lsb)
+    _, mem_slot, width, mem_lsb, index = target
+    return ("word", mem_slot, index[2] - mem_lsb, width)
 
 
 class VectorDesign:
     """A :class:`FlatDesign` lowered to lane-parallel closures.
 
-    Mirrors :class:`~repro.verilog.compile.CompiledDesign` (same slot
-    maps, same static comb write-sets, same structural-error timing)
-    but every closure computes all ``lanes`` lanes per call and every
-    statement closure is predicated on an active-lane mask.
+    Construction consumes the backend-neutral IR from
+    :func:`repro.verilog.lower.lower_design` -- all structural analysis
+    (slot assignment, static comb write-sets, sensitivity, widths)
+    happens there; this class only builds the closures.  Every closure
+    computes all ``lanes`` lanes per call and every statement closure is
+    predicated on an active-lane mask.
     """
 
     def __init__(self, design: FlatDesign, lanes: int):
         self.design = design
-        self.L = Lanes(lanes)
+        self.L = _OneLane() if lanes == 1 else Lanes(lanes)
         self.lowered = lowered = lower_design(design)
         self.slot: dict[str, int] = lowered.slot
         self.mem_slot: dict[str, int] = lowered.mem_slot
@@ -373,15 +448,19 @@ class VectorDesign:
 
         self.assigns = [self._build_assign(target, value)
                         for target, value in lowered.assigns]
+        # Comb processes carry their static write-set, so change
+        # detection compares a handful of slots instead of the state.
         self.comb = [(self._build_body(body), tuple(wslots))
                      for body, wslots in lowered.comb]
+        self.edge_slots = lowered.edge_slots
+        self.edge_pos = lowered.edge_pos
+        # Sensitivity items as (edge, slot, snapshot index, width).
         self.seq = [
-            ([(edge, slot) for edge, slot in sens], self._build_body(body))
+            ([(edge, slot, self.edge_pos[slot], self.widths[slot])
+              for edge, slot in sens], self._build_body(body))
             for sens, body in lowered.seq
         ]
         self.initials = [self._build_body(body) for body in lowered.initials]
-        self.edge_slots = lowered.edge_slots
-        self.edge_pos = lowered.edge_pos
 
     # -- continuous assigns ------------------------------------------------
 
@@ -423,7 +502,7 @@ class VectorDesign:
 
             def run(sv, sx, m, nba, lm):
                 cw, cv, cx = cond(sv, sx, m)
-                t = nonzero(cv, cw) & lm
+                t = (cv if cw == 1 else nonzero(cv, cw)) & lm
                 if t == lm:
                     then_body(sv, sx, m, nba, lm)
                 elif t == 0:
@@ -449,20 +528,32 @@ class VectorDesign:
                 write(sv, sx, m, value(sv, sx, m), lm)
 
             return run
+        # Initial blocks execute with nba=None: commit immediately.
+        # Otherwise addressing, lane mask and value are captured at
+        # schedule time, like the interpreter's NBA queue.
+        static = _static_target(stmt[1])
+        if static is not None:
+            def run(sv, sx, m, nba, lm):
+                if nba is None:
+                    write(sv, sx, m, value(sv, sx, m), lm)
+                else:
+                    nba += (static, lm, value(sv, sx, m))
+
+            return run
         resolve = self._build_resolve(stmt[1])
 
         def run(sv, sx, m, nba, lm):
-            # Initial blocks execute with nba=None: commit immediately.
             if nba is None:
                 write(sv, sx, m, value(sv, sx, m), lm)
-            else:
-                # Addressing, value *and* lane mask captured at
-                # schedule time, like the scalar NBA queue.
-                nba.append((resolve(sv, sx, m, lm), value(sv, sx, m)))
+                return
+            v = value(sv, sx, m)
+            for resolved, sub in resolve(sv, sx, m, lm):
+                nba += (resolved, sub, v)
 
         return run
 
     def _build_stmt_case(self, stmt: list) -> StmtFn:
+        L = self.L
         kind = stmt[1]
         subject = self._build_expr(stmt[2])
         arms = []
@@ -473,6 +564,27 @@ class VectorDesign:
                 continue
             arms.append(([self._build_expr(p) for p in patterns],
                          self._build_body(item_body)))
+        nonzero = L.nonzero
+        repack = L.repack
+        fullt = L._full
+        alln = L.all
+
+        def matches(subj, pattern):
+            """Stride-1 mask of lanes where the pattern matches."""
+            sw, s_val, s_x = subj
+            pw, p_val, p_x = pattern
+            w = sw
+            if pw > sw:
+                w = pw
+                s_val, s_x = repack(s_val, sw, w), repack(s_x, sw, w)
+            elif pw < sw:
+                p_val, p_x = repack(p_val, pw, w), repack(p_x, pw, w)
+            if kind == "case":
+                return alln & ~nonzero((s_val ^ p_val) | (s_x ^ p_x), w)
+            care = ~p_x & fullt[w]  # casez: pattern X/Z/? bits wildcard
+            if kind == "casex":
+                care &= ~s_x
+            return alln & ~nonzero(((s_val ^ p_val) | s_x) & care, w)
 
         def run(sv, sx, m, nba, lm):
             subj = subject(sv, sx, m)
@@ -480,8 +592,7 @@ class VectorDesign:
             for patterns, body in arms:
                 matched = 0
                 for pattern in patterns:
-                    matched |= self._case_match_lanes(
-                        kind, subj, pattern(sv, sx, m)) & remaining
+                    matched |= matches(subj, pattern(sv, sx, m)) & remaining
                 if matched:
                     body(sv, sx, m, nba, matched)
                     remaining &= ~matched
@@ -492,24 +603,8 @@ class VectorDesign:
 
         return run
 
-    def _case_match_lanes(self, kind: str, subject: tuple,
-                          pattern: tuple) -> int:
-        """Stride-1 mask of lanes where the pattern matches."""
-        L = self.L
-        w = subject[0] if subject[0] >= pattern[0] else pattern[0]
-        _, s_val, s_x = _v_resize(L, *subject, w)
-        _, p_val, p_x = _v_resize(L, *pattern, w)
-        if kind == "case":
-            diff = (s_val ^ p_val) | (s_x ^ p_x)
-            return L.all & ~L.nonzero(diff, w)
-        care = ~p_x & L.full(w)  # casez: pattern X/Z/? bits wildcard
-        if kind == "casex":
-            care &= ~s_x
-        diff = ((s_val ^ p_val) | s_x) & care
-        return L.all & ~L.nonzero(diff, w)
-
     def _build_stmt_for(self, stmt: list) -> StmtFn:
-        L = self.L
+        nonzero = self.L.nonzero
         init = self._build_stmt(stmt[1])
         cond = self._build_expr(stmt[2])
         step = self._build_stmt(stmt[3])
@@ -521,8 +616,8 @@ class VectorDesign:
             for _ in range(_MAX_LOOP_ITERS):
                 cw, cv, cx = cond(sv, sx, m)
                 # A lane leaves for good when its condition goes false
-                # (X counts false, matching the scalar backends).
-                active &= L.nonzero(cv, cw)
+                # (X counts false, matching the interpreter).
+                active &= cv if cw == 1 else nonzero(cv, cw)
                 if not active:
                     return
                 body(sv, sx, m, nba, active)
@@ -547,7 +642,6 @@ class VectorDesign:
                 if w != width:
                     v = repack(v, w, width)
                     x = repack(x, w, width)
-                    v &= ~x
                 ov, ox = sv[slot], sx[slot]
                 if lm != alln:
                     if not lm:
@@ -560,6 +654,12 @@ class VectorDesign:
                 sv[slot] = v
                 sx[slot] = x
                 return True
+
+            return write
+        static = _static_target(target)
+        if static is not None:
+            def write(sv, sx, m, value, lm):
+                return _apply_group(L, sv, sx, m, static, value, lm)
 
             return write
         resolve = self._build_resolve(target)
@@ -578,24 +678,27 @@ class VectorDesign:
         ``[(resolved, lane_mask), ...]`` groups.
 
         Lane-divergent addressing splits into one group per distinct
-        address; lanes with X addressing are dropped (the scalar
-        semantics, now per lane).
+        address; lanes with X addressing are dropped (the interpreter's
+        semantics, per lane).
         """
-        L = self.L
-        tag = target[0]
-        if tag == "W":
-            resolved = ("whole", target[1], target[2])
-
+        static = _static_target(target)
+        if static is not None:
             def resolve(sv, sx, m, lm):
-                return [(resolved, lm)] if lm else []
+                return [(static, lm)] if lm else []
 
             return resolve
+        L = self.L
+        uniform = L.uniform
+        tag = target[0]
         if tag == "M":
             _, mem_slot, width, mem_lsb, index_ir = target
             index = self._build_expr(index_ir)
 
             def resolve(sv, sx, m, lm):
                 iw, iv, ix = index(sv, sx, m)
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    return [(("word", mem_slot, u - mem_lsb, width), lm)]
                 groups, _ = _lane_groups(L, iw, iv, ix, lm)
                 return [(("word", mem_slot, val - mem_lsb, width), sub)
                         for val, sub in groups]
@@ -607,6 +710,10 @@ class VectorDesign:
 
             def resolve(sv, sx, m, lm):
                 iw, iv, ix = index(sv, sx, m)
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    bit = u - lsb
+                    return [(("bits", slot, spec_width, bit, bit), lm)]
                 groups, _ = _lane_groups(L, iw, iv, ix, lm)
                 out = []
                 for val, sub in groups:
@@ -620,12 +727,17 @@ class VectorDesign:
             msb = self._build_expr(msb_ir)
             lsb = self._build_expr(lsb_ir)
 
+            def groups_of(iw, iv, ix, lm):
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    return [(u, lm)], 0
+                return _lane_groups(L, iw, iv, ix, lm)
+
             def resolve(sv, sx, m, lm):
                 mw, mv, mx = msb(sv, sx, m)
                 lw, lv, lx = lsb(sv, sx, m)
-                hi_groups, hi_x = _lane_groups(L, mw, mv, mx, lm)
-                lo_groups, lo_x = _lane_groups(L, lw, lv, lx,
-                                               lm & ~hi_x)
+                hi_groups, hi_x = groups_of(mw, mv, mx, lm)
+                lo_groups, _ = groups_of(lw, lv, lx, lm & ~hi_x)
                 out = []
                 for hi, hi_sub in hi_groups:
                     for lo, lo_sub in lo_groups:
@@ -695,10 +807,10 @@ class VectorDesign:
         different branches can only be packed by zero-extending the
         narrow branch to the max width; that is bit-exact in
         width-insensitive contexts (assign right-hand sides, compares,
-        value arithmetic -- the scalar backends resize there anyway)
-        and raises in sensitive ones so the caller can fall back to a
-        scalar backend.  The flag is a property of the walk, not the
-        node, so it is re-derived here rather than stored in the IR.
+        value arithmetic -- the interpreter resizes there anyway) and
+        raises in sensitive ones so the caller can fall back to one
+        lane.  The flag is a property of the walk, not the node, so it
+        is re-derived here rather than stored in the IR.
         """
         L = self.L
         tag = ir[0]
@@ -721,6 +833,17 @@ class VectorDesign:
             return self._build_part_select(ir)
         if tag == "C":
             parts = [self._build_expr(p, True) for p in ir[1]]
+            if L.n == 1:
+                def run(sv, sx, m):
+                    w = v = x = 0
+                    for part in parts:
+                        pw, pv, px = part(sv, sx, m)
+                        w += pw
+                        v = (v << pw) | pv
+                        x = (x << pw) | px
+                    return (w, v, x)
+
+                return run
 
             def run(sv, sx, m):
                 vals = [p(sv, sx, m) for p in parts]
@@ -755,7 +878,9 @@ class VectorDesign:
 
         def run(sv, sx, m):
             cw, cv, cx = cond(sv, sx, m)
-            t = nonzero(cv, cw)
+            # 1-bit values (mostly compare results) are already
+            # stride-1 lane masks.
+            t = cv if cw == 1 else nonzero(cv, cw)
             xm = (nonzero(cx, cw) & ~t) if cx else 0
             f = alln & ~t & ~xm
             if not xm:
@@ -766,7 +891,7 @@ class VectorDesign:
             a = then(sv, sx, m)
             b = otherwise(sv, sx, m)
             if a[0] != b[0] and sensitive and (t or f):
-                # Scalar semantics give a known-condition lane the
+                # The interpreter gives a known-condition lane the
                 # un-resized branch value; zero-extending it to the max
                 # width is only exact in width-insensitive contexts.
                 raise SimulationError(
@@ -786,24 +911,47 @@ class VectorDesign:
         return run
 
     def _build_index(self, ir: list) -> ExprFn:
+        """Bit and memory-word reads.  A uniform known index (always the
+        case at one lane) reads directly; otherwise lanes are grouped by
+        index and gathered group by group."""
         L = self.L
+        uniform = L.uniform
+        pick = L.pick
+        x_bit = (1, 0, L.all)
+
+        def gather(tw, tv, tx, adjust, iw, iv, ix):
+            """Divergent or X index: one bit read per index group."""
+            groups, xl = _lane_groups(L, iw, iv, ix, L.all)
+            out_v = 0
+            out_x = xl
+            for val, sub in groups:
+                i = val - adjust
+                if i < 0 or i >= tw:
+                    out_x |= sub
+                else:
+                    out_v |= pick(tv, tw, i) & sub
+                    out_x |= pick(tx, tw, i) & sub
+            return (1, out_v, out_x)
+
         tag = ir[0]
         if tag == "IM":
             _, mem_slot, width, mem_lsb, index_ir = ir
             index = self._build_expr(index_ir)
+            unknown = (width, 0, L.full(width))
 
             def run(sv, sx, m):
                 iw, iv, ix = index(sv, sx, m)
                 mem = m[mem_slot]
-                groups, xl = _lane_groups(L, iw, iv, ix, L.all)
-                if not xl and len(groups) == 1:
-                    word = mem.get(groups[0][0] - mem_lsb)
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    word = mem.get(u - mem_lsb)
                     if word is None:
-                        return (width, 0, L.full(width))
+                        return unknown
                     return (width, word[0], word[1])
                 # Divergent addresses: gather one word per group.
                 # Unwritten lanes of a stored word are all-X, so a
                 # plain masked OR is an exact per-lane read.
+                groups, xl = _lane_groups(L, iw, iv, ix, L.all)
                 out_v = 0
                 out_x = L.expand(xl, width) if xl else 0
                 for val, sub in groups:
@@ -819,27 +967,24 @@ class VectorDesign:
             return run
         if tag == "IB":
             _, slot, width, lsb, index_ir = ir
+            if index_ir[0] == "K" and not index_ir[3]:
+                i = index_ir[2] - lsb
+                if i < 0 or i >= width:
+                    return lambda sv, sx, m: x_bit
+                return lambda sv, sx, m: (1, pick(sv[slot], width, i),
+                                          pick(sx[slot], width, i))
             index = self._build_expr(index_ir)
 
             def run(sv, sx, m):
                 iw, iv, ix = index(sv, sx, m)
-                groups, xl = _lane_groups(L, iw, iv, ix, L.all)
-                v, x = sv[slot], sx[slot]
-                if not xl and len(groups) == 1:
-                    i = groups[0][0] - lsb
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    i = u - lsb
                     if i < 0 or i >= width:
-                        return (1, 0, L.all)
-                    return (1, L.pick(v, width, i), L.pick(x, width, i))
-                out_v = 0
-                out_x = xl
-                for val, sub in groups:
-                    i = val - lsb
-                    if i < 0 or i >= width:
-                        out_x |= sub
-                    else:
-                        out_v |= L.pick(v, width, i) & sub
-                        out_x |= L.pick(x, width, i) & sub
-                return (1, out_v, out_x)
+                        return x_bit
+                    return (1, pick(sv[slot], width, i),
+                            pick(sx[slot], width, i))
+                return gather(width, sv[slot], sx[slot], lsb, iw, iv, ix)
 
             return run
         target = self._build_expr(ir[1], True)
@@ -848,16 +993,12 @@ class VectorDesign:
         def run(sv, sx, m):
             tw, tv, tx = target(sv, sx, m)
             iw, iv, ix = index(sv, sx, m)
-            groups, xl = _lane_groups(L, iw, iv, ix, L.all)
-            out_v = 0
-            out_x = xl
-            for val, sub in groups:
-                if val < 0 or val >= tw:
-                    out_x |= sub
-                else:
-                    out_v |= L.pick(tv, tw, val) & sub
-                    out_x |= L.pick(tx, tw, val) & sub
-            return (1, out_v, out_x)
+            u = None if ix else uniform(iv, iw)
+            if u is not None:
+                if u >= tw:
+                    return x_bit
+                return (1, pick(tv, tw, u), pick(tx, tw, u))
+            return gather(tw, tv, tx, 0, iw, iv, ix)
 
         return run
 
@@ -922,15 +1063,6 @@ class VectorDesign:
 
         return run
 
-    def _bool3_lanes(self, value: tuple) -> tuple[int, int]:
-        """Per-lane logical truth: (true_lanes, x_lanes); the rest are
-        known-false.  A lane with any known 1 bit is true even when
-        other bits are X, matching the scalar ``_bool3``."""
-        L = self.L
-        w, v, x = value
-        t = L.nonzero(v, w)
-        return t, L.nonzero(x, w) & ~t
-
     def _build_unary(self, ir: list, sensitive: bool) -> ExprFn:
         L = self.L
         op = ir[1]
@@ -963,7 +1095,7 @@ class VectorDesign:
                 w, v, x = value(sv, sx, m)
                 px = L.nonzero(x, w)
                 e = L.expand(px, w) if px else 0
-                rv = _swar_sub(L, 0, v, w) & L.full(w)
+                rv = L.sub(0, v, w) & L.full(w)
                 return (w, rv & ~e, e)
 
             return run
@@ -1027,59 +1159,57 @@ class VectorDesign:
             right_sensitive = False
         left = self._build_expr(ir[2], left_sensitive)
         right = self._build_expr(ir[3], right_sensitive)
+        repack = L.repack
+        nonzero = L.nonzero
+        expand = L.expand
+        fullt = L._full
+        alln = L.all
+
+        def align(aw, av, ax, bw, bv, bx):
+            """Zero-extend the narrower operand to the wider stride:
+            ``(w, av, ax, bv, bx)``.  Callers skip it for equal widths."""
+            if aw < bw:
+                return bw, repack(av, aw, bw), repack(ax, aw, bw), bv, bx
+            return aw, av, ax, repack(bv, bw, aw), repack(bx, bw, aw)
+
         if op in ("&&", "||"):
             want_or = op == "||"
 
             def run(sv, sx, m):
-                ta, xa = self._bool3_lanes(left(sv, sx, m))
-                tb, xb = self._bool3_lanes(right(sv, sx, m))
+                aw, av, ax = left(sv, sx, m)
+                bw, bv, bx = right(sv, sx, m)
+                # Per-lane logical truth; a lane with any known 1 bit
+                # is true even when other bits are X.
+                ta = av if aw == 1 else nonzero(av, aw)
+                xa = (nonzero(ax, aw) & ~ta) if ax else 0
+                tb = bv if bw == 1 else nonzero(bv, bw)
+                xb = (nonzero(bx, bw) & ~tb) if bx else 0
                 if want_or:
                     one = ta | tb  # X | 1 == 1; X | 0 == X
                     xm = (xa | xb) & ~one
                     return (1, one, xm)
-                fa = L.all & ~ta & ~xa  # X & 0 == 0; X & 1 == X
-                fb = L.all & ~tb & ~xb
+                fa = alln & ~ta & ~xa  # X & 0 == 0; X & 1 == X
+                fb = alln & ~tb & ~xb
                 zero = fa | fb
                 xm = (xa | xb) & ~zero
-                return (1, L.all & ~zero & ~xm, xm)
+                return (1, alln & ~zero & ~xm, xm)
 
             return run
-        repack = L.repack
-        nonzero = L.nonzero
-        expand = L.expand
         if op in ("&", "|", "^", "~^", "^~"):
-            kind = "^" if op in ("^", "~^", "^~") else op
-            invert = op in ("~^", "^~")
-            fullt = L._full
-
-            def run(sv, sx, m):
-                aw, av, ax = left(sv, sx, m)
-                bw, bv, bx = right(sv, sx, m)
-                w = aw if aw >= bw else bw
-                if aw != w:
-                    av = repack(av, aw, w)
-                    ax = repack(ax, aw, w)
-                elif bw != w:
-                    bv = repack(bv, bw, w)
-                    bx = repack(bx, bw, w)
-                if kind == "&":
-                    known_zero = (~av & ~ax) | (~bv & ~bx)
-                    x = (ax | bx) & ~known_zero
-                    return (w, av & bv, x)
-                if kind == "|":
-                    known_one = (av & ~ax) | (bv & ~bx)
-                    x = (ax | bx) & ~known_one
-                    return (w, (av | bv) & ~x, x)
-                x = ax | bx
-                v = (av ^ bv) & ~x
-                if invert:
-                    v = ~v & fullt[w] & ~x
-                return (w, v, x)
-
-            return run
+            return self._build_bitwise(op, left, right, align)
         if op in ("+", "-"):
             add = op == "+"
-            onest = L._ones
+            if L.n == 1:
+                def run(sv, sx, m):
+                    aw, av, ax = left(sv, sx, m)
+                    bw, bv, bx = right(sv, sx, m)
+                    w = (aw if aw >= bw else bw) + 1
+                    if ax or bx:
+                        return (w, 0, fullt[w])
+                    return (w, (av + bv if add else av - bv) & fullt[w], 0)
+
+                return run
+            sub = L.sub
 
             def run(sv, sx, m):
                 aw, av, ax = left(sv, sx, m)
@@ -1091,11 +1221,7 @@ class VectorDesign:
                     | (nonzero(bx, bw) if bx else 0)
                 av = repack(av, aw, w)
                 bv = repack(bv, bw, w)
-                if add:
-                    r = av + bv
-                else:
-                    h = (1 << (w - 1)) * onest[w]
-                    r = ((av | h) - (bv & ~h)) ^ ((av ^ bv ^ h) & h)
+                r = av + bv if add else sub(av, bv, w)
                 if not px:
                     return (w, r, 0)
                 e = expand(px, w)
@@ -1157,8 +1283,8 @@ class VectorDesign:
                 if px:
                     if px == L.all:
                         return (aw, 0, L.full(aw))
-                    # Scalar width is aw for X lanes, max(32, aw)
-                    # otherwise; mixed lanes cannot pack.
+                    # The interpreter's width is aw for X lanes,
+                    # max(32, aw) otherwise; mixed lanes cannot pack.
                     raise SimulationError("lane-divergent X power operand")
                 w = max(32, aw)
                 am = (1 << aw) - 1
@@ -1176,19 +1302,12 @@ class VectorDesign:
             return self._expr_shift(left, right, op in ("<<", "<<<"))
         if op in ("==", "!="):
             negate = op == "!="
-            fullt = L._full
-            alln = L.all
 
             def run(sv, sx, m):
-                aw, av, ax = left(sv, sx, m)
+                w, av, ax = left(sv, sx, m)
                 bw, bv, bx = right(sv, sx, m)
-                w = aw if aw >= bw else bw
-                if aw != w:
-                    av = repack(av, aw, w)
-                    ax = repack(ax, aw, w)
-                elif bw != w:
-                    bv = repack(bv, bw, w)
-                    bx = repack(bx, bw, w)
+                if w != bw:
+                    w, av, ax, bv, bx = align(w, av, ax, bw, bv, bx)
                 if not (ax | bx):
                     neq = nonzero(av ^ bv, w)
                     if negate:
@@ -1204,18 +1323,12 @@ class VectorDesign:
             return run
         if op in ("===", "!=="):
             negate = op == "!=="
-            alln = L.all
 
             def run(sv, sx, m):
-                aw, av, ax = left(sv, sx, m)
+                w, av, ax = left(sv, sx, m)
                 bw, bv, bx = right(sv, sx, m)
-                w = aw if aw >= bw else bw
-                if aw != w:
-                    av = repack(av, aw, w)
-                    ax = repack(ax, aw, w)
-                elif bw != w:
-                    bv = repack(bv, bw, w)
-                    bx = repack(bx, bw, w)
+                if w != bw:
+                    w, av, ax, bv, bx = align(w, av, ax, bw, bv, bx)
                 neq = nonzero((av ^ bv) | (ax ^ bx), w)
                 if negate:
                     return (1, neq, 0)
@@ -1225,7 +1338,17 @@ class VectorDesign:
         if op in ("<", "<=", ">", ">="):
             compare = {"<": operator.lt, "<=": operator.le,
                        ">": operator.gt, ">=": operator.ge}[op]
+            if L.n == 1:
+                x_bit, true, false = (1, 0, 1), (1, 1, 0), (1, 0, 0)
 
+                def run(sv, sx, m):
+                    _, av, ax = left(sv, sx, m)
+                    _, bv, bx = right(sv, sx, m)
+                    if ax or bx:
+                        return x_bit
+                    return true if compare(av, bv) else false
+
+                return run
             nlanes = L.n
 
             def run(sv, sx, m):
@@ -1247,6 +1370,47 @@ class VectorDesign:
 
             return run
         raise SimulationError(f"unknown binary operator {op!r}")
+
+    def _build_bitwise(self, op: str, left: ExprFn, right: ExprFn,
+                       align: Callable[..., tuple]) -> ExprFn:
+        """``&``, ``|``, ``^`` and xnor -- the bulk of structural
+        designs -- one closure per operator."""
+        fullt = self.L._full
+        if op == "&":
+            def run(sv, sx, m):
+                w, av, ax = left(sv, sx, m)
+                bw, bv, bx = right(sv, sx, m)
+                if w != bw:
+                    w, av, ax, bv, bx = align(w, av, ax, bw, bv, bx)
+                known_zero = (~av & ~ax) | (~bv & ~bx)
+                return (w, av & bv, (ax | bx) & ~known_zero)
+
+            return run
+        if op == "|":
+            def run(sv, sx, m):
+                w, av, ax = left(sv, sx, m)
+                bw, bv, bx = right(sv, sx, m)
+                if w != bw:
+                    w, av, ax, bv, bx = align(w, av, ax, bw, bv, bx)
+                known_one = (av & ~ax) | (bv & ~bx)
+                x = (ax | bx) & ~known_one
+                return (w, (av | bv) & ~x, x)
+
+            return run
+        invert = op != "^"
+
+        def run(sv, sx, m):
+            w, av, ax = left(sv, sx, m)
+            bw, bv, bx = right(sv, sx, m)
+            if w != bw:
+                w, av, ax, bv, bx = align(w, av, ax, bw, bv, bx)
+            x = ax | bx
+            v = (av ^ bv) & ~x
+            if invert:
+                v = ~v & fullt[w] & ~x
+            return (w, v, x)
+
+        return run
 
     def _expr_shift(self, left: ExprFn, right: ExprFn,
                     is_left: bool) -> ExprFn:
@@ -1315,10 +1479,11 @@ class VectorDesign:
 
 
 def vector_design(design: FlatDesign, lanes: int) -> VectorDesign:
-    """Lower ``design`` for ``lanes`` lanes, caching on the design.
+    """Build ``design`` for ``lanes`` lanes, caching on the design.
 
-    Shares the design's unified ``(backend, lanes)``-keyed cache with
-    the other backends (see :mod:`repro.verilog.lower`).
+    The design's ``_lowered_cache`` holds the shared IR under
+    ``("ir", 0)`` and one build per lane count under ``("vector",
+    lanes)`` (see :mod:`repro.verilog.lower`).
     """
     cache = design._lowered_cache
     vd = cache.get(("vector", lanes))
@@ -1334,12 +1499,14 @@ class VectorSimulator(Simulator):
 
     The scalar API (``poke``/``poke_many``/``clock_pulse``/``settle``)
     broadcasts to every active lane, and ``state``/``memories``/
-    ``peek()`` default to lane 0, so a 1-lane instance is a drop-in
-    scalar backend.  Lane-aware extensions: ``poke_many_lanes`` drives
-    per-lane values, ``peek(name, lane)``/``state_lane``/
-    ``memories_lane``/``read_memory(..., lane=...)`` observe one lane,
-    and ``retire_lane`` freezes a finished lane so the remaining lanes
-    keep stepping without it.
+    ``peek()`` default to lane 0, so a 1-lane instance -- what
+    ``Simulator(design, backend="compiled")`` and
+    ``backend="vector"`` build -- is a drop-in scalar backend.
+    Lane-aware extensions: ``poke_many_lanes`` drives per-lane values,
+    ``peek(name, lane)``/``state_lane``/``memories_lane``/
+    ``read_memory(..., lane=...)`` observe one lane, and
+    ``retire_lane`` freezes a finished lane so the remaining lanes keep
+    stepping without it.
     """
 
     backend = "vector"
@@ -1432,13 +1599,14 @@ class VectorSimulator(Simulator):
             raise SimulationError(f"cannot poke memory {name!r}")
         L = self._L
         w = self.vd.widths[slot]
+        ones = L._ones[w]
         if isinstance(value, int):
-            v = L.rep(value & ((1 << w) - 1), w)
+            v = (value & ((1 << w) - 1)) * ones
             x = 0
         else:
             resized = value.resize(w)
-            v = L.rep(resized.val, w)
-            x = L.rep(resized.xmask, w)
+            v = resized.val * ones
+            x = resized.xmask * ones
         active = self._active
         if active == L.all:
             self._sv[slot] = v
@@ -1503,11 +1671,12 @@ class VectorSimulator(Simulator):
         slot = self.vd.slot.get(name)
         if slot is None:
             raise SimulationError(f"unknown signal {name!r}")
-        self._check_lane(lane)
-        L = self._L
+        if lane:
+            self._check_lane(lane)
         w = self.vd.widths[slot]
-        return FourState(w, L.extract(self._sv[slot], w, lane),
-                         L.extract(self._sx[slot], w, lane))
+        shift = lane * w
+        # FourState truncates both fields to w bits.
+        return FourState(w, self._sv[slot] >> shift, self._sx[slot] >> shift)
 
     def peek_raw(self, name: str, lane: int) -> tuple[int, int]:
         """One lane's ``(val, xmask)`` as plain ints -- the hot-loop
@@ -1600,9 +1769,9 @@ class VectorSimulator(Simulator):
     def _commit(self, nba: list) -> None:
         L = self._L
         sv, sx, m = self._sv, self._sx, self._m
-        for groups, value in nba:
-            for resolved, sub in groups:
-                _apply_group(L, sv, sx, m, resolved, value, sub)
+        it = iter(nba)
+        for resolved, lm, value in zip(it, it, it, strict=True):
+            _apply_group(L, sv, sx, m, resolved, value, lm)
 
     def _snapshot_edges(self) -> None:
         sv, sx = self._sv, self._sx
@@ -1634,12 +1803,11 @@ class VectorSimulator(Simulator):
         Returns ``None`` when no edge signal changed at all since the
         last snapshot (so the caller can skip re-snapshotting), and an
         empty list when signals moved without firing any sensitivity.
+        Edges read bit 0 of each lane; a 1-bit signal's value already is
+        that stride-1 lane mask.
         """
-        L = self._L
         sv, sx = self._sv, self._sx
         prev_v, prev_x = self._edge_v, self._edge_x
-        pos = self.vd.edge_pos
-        widths = self.vd.widths
         active = self._active
         if not active:
             return None
@@ -1648,25 +1816,21 @@ class VectorSimulator(Simulator):
                 break
         else:
             return None  # no edge signal moved since the last snapshot
+        pick = self._L.pick
         triggered = []
         for sens, body in self.vd.seq:
             trig = 0
-            for edge, slot in sens:
-                i = pos[slot]
-                w = widths[slot]
-                pl = L.pick(prev_v[i], w, 0)
-                nl = L.pick(sv[slot], w, 0)
+            for edge, slot, i, w in sens:
+                pv, px, nv, nx = prev_v[i], prev_x[i], sv[slot], sx[slot]
+                if w != 1:
+                    pv, px = pick(pv, w, 0), pick(px, w, 0)
+                    nv, nx = pick(nv, w, 0), pick(nx, w, 0)
                 if edge == _POSEDGE:
-                    fired = nl & ~pl
+                    trig |= nv & ~pv
                 elif edge == _NEGEDGE:
-                    plx = pl | L.pick(prev_x[i], w, 0)
-                    nlx = nl | L.pick(sx[slot], w, 0)
-                    fired = plx & ~nlx
+                    trig |= (pv | px) & ~(nv | nx)
                 else:
-                    fired = ((pl ^ nl)
-                             | (L.pick(prev_x[i], w, 0)
-                                ^ L.pick(sx[slot], w, 0)))
-                trig |= fired
+                    trig |= (pv ^ nv) | (px ^ nx)
             trig &= active
             if trig:
                 triggered.append((body, trig))

@@ -1,9 +1,9 @@
 """Shared fixtures for the serve test suite.
 
 Same idiom as ``tests/scenarios``: every test starts with a cold
-generation cache, and ``fresh_store`` activates an empty
+generation cache, ``fresh_store`` activates an empty
 ``REPRO_STORE_DIR`` so store-counter assertions see only the test's
-own traffic.
+own traffic, and ``no_store`` turns off any store the environment set.
 """
 
 import pytest
@@ -26,3 +26,10 @@ def fresh_store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
     reset_artifact_store()
     return artifact_store()
+
+
+@pytest.fixture
+def no_store(monkeypatch):
+    """Deactivate any store the environment configured, for the test."""
+    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
+    reset_artifact_store()

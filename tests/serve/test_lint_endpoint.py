@@ -75,7 +75,7 @@ class TestExecuteLint:
         assert counters["puts"] == 1
         assert counters["hits"] == 1
 
-    def test_no_store_stays_computed(self):
+    def test_no_store_stays_computed(self, no_store):
         for _ in range(2):
             response = execute_lint(LintRequest(source=CLEAN))
             assert response.served_from == "computed"

@@ -7,6 +7,7 @@ import pytest
 from repro.__main__ import main
 from repro.corpus.dataset import Dataset
 from repro.data import export_case_study_data
+from repro.store import reset_artifact_store
 
 
 class TestExport:
@@ -187,7 +188,16 @@ class TestLintCli:
         assert doc["ok"] is False
         assert main(["lint", str(tmp_path / "missing.v")]) == 2
 
-    def test_corpus_mode_is_trigger_free(self, tmp_path, capsys):
+    @pytest.fixture
+    def own_store(self, tmp_path, monkeypatch):
+        """An empty store of the test's own, whatever store the
+        environment points at: every lint report is computed once."""
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_artifact_store()
+        yield
+        reset_artifact_store()  # the next caller re-reads the restored env
+
+    def test_corpus_mode_is_trigger_free(self, tmp_path, capsys, own_store):
         out_path = tmp_path / "lint.json"
         assert main(["lint", "--corpus", "--samples-per-family", "8",
                      "--max-trigger-findings", "0",

@@ -241,7 +241,7 @@ class TestLoweredTier:
         Simulator(design, backend="compiled")
         ir = design._lowered_cache[("ir", 0)]
         assert lower_design(design) is ir
-        assert design._lowered_cache[("compiled", 0)].lowered is ir
+        assert design._lowered_cache[("vector", 1)].lowered is ir
         assert frontend_counters()["lowerings"] == 1
         assert store.counters_snapshot() == {}
         assert not list(store.root.rglob("*.art"))

@@ -11,7 +11,9 @@ from repro.core.payloads import (
 )
 from repro.corpus.designs import FAMILIES
 from repro.vereval.problems import default_problems, problem_by_family
-from repro.vereval.testbench import run_testbench
+from repro.vereval.testbench import TestResult as Result
+from repro.vereval.testbench import run_testbench, run_testbench_many
+from repro.verilog.simulator import BACKENDS
 
 
 def problem(pid):
@@ -114,3 +116,61 @@ class TestRunnerRobustness:
                 " else if (en) count <= count + $clog2(); endmodule")
         outcome = run_testbench(code, problem("counter8"))
         assert not outcome.passed
+
+
+#: A sampled ``shift8`` completion whose NBA loop never ends: ``i > 0``
+#: stays true for the unsigned 32-bit ``i`` once it steps past zero.
+RUNAWAY_SHIFT = """module shift_reg(input clk, input rst, input din,
+                 output reg [7:0] q);
+    integer i;
+    always @(posedge clk or posedge rst) begin
+        if (rst)
+            q <= 0;
+        else begin
+            for (i = 7; i > 0; i = i - 2)
+                q[i] <= q[i-1];
+            q[0] <= din;
+        end
+    end
+endmodule
+"""
+
+# Passes the syntax check (which elaborates the last module as top, with
+# W = 4) but divides by zero when ``adder`` itself is the top.
+ZERO_DIVISOR_PARAM = """
+module adder #(parameter W = 0)(input [3:0] a, input [3:0] b,
+                                output [3:0] sum, output carry_out);
+  localparam D = 8 / W;
+  assign {carry_out, sum} = a + b;
+endmodule
+module wrap(input [3:0] a, input [3:0] b, output [3:0] sum,
+            output carry_out);
+  adder #(.W(4)) u(.a(a), .b(b), .sum(sum), .carry_out(carry_out));
+endmodule
+"""
+
+
+class TestBackendsAgree:
+    def test_runaway_loop_fails_identically(self):
+        """Every backend stops at the loop bound and reports the same
+        result; on ``vector`` a duplicate pair first runs as two lanes,
+        then falls back to one lane per completion."""
+        shift8 = problem_by_family("shift_register")
+        expected = Result(
+            passed=False, cycles_run=0,
+            reason="runtime: for-loop exceeded iteration limit")
+        for backend in BACKENDS:
+            assert run_testbench_many([RUNAWAY_SHIFT], shift8, seeds=[7971],
+                                      backend=backend) == [expected], backend
+        assert run_testbench_many([RUNAWAY_SHIFT] * 2, shift8,
+                                  seeds=[7971, 7972],
+                                  backend="vector") == [expected] * 2
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_zero_divisor_parameter_is_an_elaboration_failure(self, backend):
+        outcome = run_testbench_many([ZERO_DIVISOR_PARAM],
+                                     problem_by_family("adder"),
+                                     backend=backend)[0]
+        assert not outcome.passed and outcome.syntax_ok
+        assert outcome.reason == ("elaboration: division by zero in "
+                                  "constant expression")

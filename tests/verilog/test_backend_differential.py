@@ -1,15 +1,16 @@
 """Differential testing: interpreted vs compiled vs vector backends.
 
-The compiled backend (``repro.verilog.compile``) and the lane-parallel
-vector backend (``repro.verilog.vector``) must be observationally
+The closure builder (``repro.verilog.vector``) must be observationally
 identical to the AST-interpreting reference backend: bit-identical
 four-state values on every signal after every stimulus step, across the
 whole design-family catalog under randomized stimulus, and identical
-error behaviour.  For the vector backend the contract extends to every
-lane: an N-lane simulator driven with N distinct stimulus sequences
-must match N independent interpreter runs lane for lane.  These tests
-are the contract that lets everything above the ``Simulator`` API
-switch backends freely.
+error behaviour.  ``compiled`` and ``vector`` both build it at one
+lane, where its layout helpers and its add/subtract, ordering compares
+and concatenation take their scalar form; the contract extends to every
+lane of a multi-lane build: an N-lane simulator driven with N distinct
+stimulus sequences must match N independent interpreter runs lane for
+lane.  These tests are the contract that lets everything above the
+``Simulator`` API switch backends freely.
 """
 
 import random
@@ -19,7 +20,7 @@ import pytest
 from repro.corpus.designs import ALL_FAMILIES
 from repro.verilog.elaborate import elaborate
 from repro.verilog.parser import parse
-from repro.verilog.simulator import Simulator, simulate
+from repro.verilog.simulator import SimulationError, Simulator, simulate
 from repro.verilog.values import FourState
 from repro.verilog.vector import VectorSimulator
 
@@ -376,9 +377,145 @@ def test_backend_selector_and_poke_four_state():
     code = "module m(input [3:0] a, output [3:0] y); assign y = ~a; endmodule"
     trio = tuple(simulate(code, backend=b)
                  for b in ("interp", "compiled", "vector"))
-    assert [sim.backend for sim in trio] == ["interp", "compiled", "vector"]
+    assert [sim.backend for sim in trio] == ["interp", "vector", "vector"]
+    assert [sim.lanes for sim in trio[1:]] == [1, 1]
     poked = FourState(4, 0b0100, 0b0011)  # two low bits X
     for sim in trio:
         sim.poke("a", poked)
     assert len({sim.peek("y") for sim in trio}) == 1
     assert trio[0].peek("y").xmask == 0b0011
+
+
+#: One design per operation the one-lane build specialises: each must
+#: match the interpreter at one lane (both names) and lane for lane at
+#: three lanes.
+ONE_LANE_CASES = {
+    "narrowing-repack": """
+    module m(input [7:0] a, output [3:0] y, output [2:0] z, output e,
+             output [4:0] s, output r);
+      assign y = a;
+      assign z = a + 8'd1;
+      assign e = (y == 4'd0);
+      assign s = y + 4'd1;
+      assign r = |z;
+    endmodule
+    """,
+    "widening-repack": """
+    module m(input [3:0] a, input [1:0] b, output [11:0] y, output e,
+             output [5:0] s);
+      assign y = a;
+      assign e = (a == b);
+      assign s = a + b;
+    endmodule
+    """,
+    "out-of-range-bit": """
+    module m(input [3:0] a, input [2:0] s, output y, output reg [3:0] r);
+      assign y = a[s];
+      always @(*) begin
+        r = 4'b0;
+        r[s] = 1'b1;
+      end
+    endmodule
+    """,
+    "subtract-wrap": """
+    module m(input [3:0] a, input [7:0] b, output [3:0] d, output [8:0] e,
+             output [7:0] n, output [8:0] h, output lt);
+      assign d = a - b;
+      assign e = a - b;
+      assign n = -b;
+      assign h = e >> 4;
+      assign lt = (a - b) < 9'd16;
+    endmodule
+    """,
+    "x-operand-arithmetic-and-compare": """
+    module m(input clk, input [3:0] a, input [3:0] b, output lt, output ge,
+             output [4:0] sum, output [4:0] dif, output [3:0] t, output o,
+             output reg [3:0] r);
+      always @(posedge clk) if (a[0]) r <= b;
+      assign lt = r < a;
+      assign ge = a >= r;
+      assign sum = r + a;
+      assign dif = a - r;
+      assign t = r[0] ? a : b;
+      assign o = |t;
+    endmodule
+    """,
+    "multibit-truth-and-shift": """
+    module m(input [7:0] a, input [2:0] s, output [7:0] l, output [7:0] r,
+             output t, output reg [1:0] c);
+      assign l = a << s;
+      assign r = a >> s;
+      assign t = (a && s) ? 1'b1 : 1'b0;
+      always @(*) if (a) c = 2'd1; else c = 2'd2;
+    endmodule
+    """,
+    "constant-address": """
+    module m(input clk, input [3:0] a, output reg [8:1] q, output y,
+             output [3:0] w, output [7:0] r, output reg [4:1] c);
+      reg [7:0] mem [2:5];
+      always @(posedge clk) begin
+        q[1] <= a[0];
+        q[4:2] <= a[3:1];
+        {q[8], q[7:5]} <= {a[0], a[3:1]};
+        mem[3] <= {a, a};
+      end
+      always @(*) begin
+        c = 4'b0;
+        c[2] = a[1];
+      end
+      assign y = q[2];
+      assign w = q[6:3];
+      assign r = mem[3];
+    endmodule
+    """,
+    "multibit-edge": """
+    module m(input [3:0] a, output reg [3:0] n);
+      initial n = 0;
+      always @(posedge a) n <= n + 1;
+    endmodule
+    """,
+}
+
+
+@pytest.mark.parametrize("name", sorted(ONE_LANE_CASES))
+def test_one_lane_specialisations_agree(name):
+    code = ONE_LANE_CASES[name]
+    _drive_random(_build_trio(code), seed=600, context=f"{name}/one-lane")
+    _drive_random_lanes(elaborate(parse(code)), seed=700,
+                        context=f"{name}/lanes")
+
+
+#: An NBA loop that never ends: ``i > 0`` stays true for the unsigned
+#: 32-bit ``i`` once it steps past zero, so every backend must stop at
+#: the loop bound with the NBA queue still uncommitted.
+RUNAWAY_NBA = """
+module shift_reg(input clk, input rst, input din, output reg [7:0] q);
+  integer i;
+  always @(posedge clk or posedge rst) begin
+    if (rst) q <= 0;
+    else begin
+      for (i = 7; i > 0; i = i - 2)
+        q[i] <= q[i-1];
+      q[0] <= din;
+    end
+  end
+endmodule
+"""
+
+
+def test_runaway_nba_loop_raises_identically():
+    design = elaborate(parse(RUNAWAY_NBA))
+    sims = [Simulator(design, backend=b)
+            for b in ("interp", "compiled", "vector")]
+    sims.append(VectorSimulator(design, lanes=LANES))
+    for sim in sims:
+        sim.poke_many({"clk": 0, "rst": 1, "din": 1})
+        sim.poke("rst", 0)
+    _assert_same_state(sims[:3], "after reset")
+    _assert_lanes_match([sims[0]] * LANES, sims[3], "after reset")
+    messages = set()
+    for sim in sims:
+        with pytest.raises(SimulationError) as err:
+            sim.poke("clk", 1)
+        messages.add(str(err.value))
+    assert messages == {"for-loop exceeded iteration limit"}

@@ -3,12 +3,12 @@
 Covers :func:`resolve_backend` / :func:`set_default_backend` /
 ``REPRO_SIM_BACKEND`` precedence, unknown-name errors (including via
 the environment), and that :class:`Simulator` construction dispatches
-to the class each resolved name stands for -- for all three backends.
+to the class each resolved name stands for -- for all three names,
+``compiled`` being the one-lane :class:`VectorSimulator`.
 """
 
 import pytest
 
-from repro.verilog.compile import CompiledSimulator
 from repro.verilog.elaborate import elaborate
 from repro.verilog.parser import parse
 from repro.verilog.simulator import (
@@ -109,18 +109,19 @@ def test_set_default_backend_unknown_name_raises():
 
 @pytest.mark.parametrize("name, cls", [
     ("interp", Simulator),
-    ("compiled", CompiledSimulator),
+    ("compiled", VectorSimulator),
     ("vector", VectorSimulator),
 ])
 def test_simulator_dispatches_per_backend(design, name, cls):
     sim = Simulator(design, backend=name)
     assert type(sim) is cls
-    assert sim.backend == name
+    assert sim.backend == ("interp" if name == "interp" else "vector")
+    assert getattr(sim, "lanes", 1) == 1
 
 
 @pytest.mark.parametrize("name, cls", [
     ("interp", Simulator),
-    ("compiled", CompiledSimulator),
+    ("compiled", VectorSimulator),
     ("vector", VectorSimulator),
 ])
 def test_simulator_honours_env_var(monkeypatch, design, name, cls):

@@ -46,6 +46,11 @@ class TestConstEval:
         with pytest.raises(ElaborationError):
             const("$clog2()")
 
+    @pytest.mark.parametrize("text", ["8 / W", "8 % W", "4'd8 / 4'd0"])
+    def test_zero_divisor_raises(self, text):
+        with pytest.raises(ElaborationError, match="division by zero"):
+            const(text, {"W": 0})
+
 
 class TestSignalResolution:
     def test_port_widths(self):

@@ -197,6 +197,21 @@ def test_front_end_error_becomes_report_not_exception():
     assert report.findings == []
 
 
+def test_constant_zero_divisor_guard_is_a_report():
+    """A guard that divides by a constant zero is not a constant the
+    unreachable-branch rule can judge; lint still returns a report."""
+    code = """
+    module m(input clk, input d, output reg q);
+      always @(posedge clk)
+        if (4'd8 / 4'd0) q <= d;
+    endmodule
+    """
+    report = analyze_source(code)
+    assert report.error is None
+    assert "unreachable-branch" not in rules(report)
+    assert lint_source(code).findings == report.findings
+
+
 def test_unknown_top_is_an_error_report():
     report = analyze_source(CLEAN, top="nope")
     assert report.error is not None

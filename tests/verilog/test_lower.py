@@ -1,14 +1,14 @@
 """The backend-neutral lowered IR: one lowering per design, re-derived
 identically by every process.
 
-The compiled and vector backends both build from the IR that
+Every closure build (``compiled``/``vector`` at one lane, and every
+other lane count) comes from the IR that
 :func:`repro.verilog.lower.lower_design` caches on the design, so a
-design is lowered once however many backends (and lane counts) are
-built from it.  No process shares its IR with another: each one runs
-source -> elaborate -> lower itself, so the round trip must reproduce
-the same IR in any process, and a backend built from an IR another
-backend already used must behave exactly like one that lowered the AST
-itself.
+design is lowered once however many lane counts are built from it.  No
+process shares its IR with another: each one runs source -> elaborate
+-> lower itself, so the round trip must reproduce the same IR in any
+process, and a build from an IR another lane count already used must
+behave exactly like one that lowered the AST itself.
 """
 
 import json
@@ -31,6 +31,7 @@ from repro.verilog.lower import (
 )
 from repro.verilog.parser import parse
 from repro.verilog.simulator import Simulator
+from repro.verilog.vector import VectorSimulator
 
 STEPS = 12
 
@@ -142,15 +143,21 @@ def _assert_same_trace(original, copy, backend, seed):
 
 
 def _shared_and_fresh(code, top, backend, seed):
-    """Elaborate ``code`` twice.  On the first copy, run the *other*
-    compiled backend first, so ``backend`` is then built from an IR
-    that already served (and was run by) another backend; the second
-    copy lowers the AST itself.  Traces on ``backend`` must match."""
-    other = "vector" if backend == "compiled" else "compiled"
+    """Elaborate ``code`` twice.  On the first copy, build and run a
+    three-lane simulator first, so ``backend``'s one-lane build then
+    comes from an IR that already served (and was run by) another lane
+    count; the second copy lowers the AST itself.  Traces on
+    ``backend`` must match."""
     design = elaborate(parse(code), top=top)
     fresh = elaborate(parse(code), top=top)
-    _assert_same_trace(design, elaborate(parse(code), top=top), other,
-                       seed)
+    wide = VectorSimulator(design, lanes=3)
+    rng = random.Random(seed)
+    for _ in range(STEPS):
+        wide.poke_many_lanes({
+            n: [rng.randrange(1 << design.signal(n).width) for _ in range(3)]
+            for n in design.inputs if n != "clk"})
+        if "clk" in design.inputs:
+            wide.clock_pulse()
     reset_lowering_counters()
     _assert_same_trace(design, fresh, backend, seed)
     # The shared design built ``backend`` from its cached IR; only the
@@ -217,18 +224,17 @@ class TestDesignCache:
     """One ``(backend, lanes)``-keyed cache per design."""
 
     def test_backends_share_one_lowering(self):
-        from repro.verilog.compile import compile_design
         from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
         reset_lowering_counters()
-        compiled = compile_design(design)
+        one_lane = vector_design(design, lanes=1)
         vectored = vector_design(design, lanes=4)
         assert lowering_counters()["lowerings"] == 1
-        assert compiled.lowered is vectored.lowered
+        assert one_lane.lowered is vectored.lowered
         assert set(design._lowered_cache) \
-            == {("ir", 0), ("compiled", 0), ("vector", 4)}
+            == {("ir", 0), ("vector", 1), ("vector", 4)}
         # Same-key constructions are cache hits, per-key otherwise.
-        assert compile_design(design) is compiled
+        assert vector_design(design, lanes=1) is one_lane
         assert vector_design(design, lanes=4) is vectored
         assert vector_design(design, lanes=8) is not vectored
         assert lowering_counters()["lowerings"] == 1
@@ -237,11 +243,10 @@ class TestDesignCache:
         """An IR already cached on the design (here by an explicit
         :func:`lower_design`) is what every backend builds from: no
         backend construction walks the AST again."""
-        from repro.verilog.compile import compile_design
         from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
         seeded = lower_design(design)
         reset_lowering_counters()
-        assert compile_design(design).lowered is seeded
+        assert vector_design(design, lanes=1).lowered is seeded
         assert vector_design(design, lanes=2).lowered is seeded
         assert lowering_counters() == {"lowerings": 0}
