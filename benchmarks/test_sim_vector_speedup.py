@@ -31,9 +31,10 @@ import time
 from pathlib import Path
 
 from repro.corpus.designs import FAMILIES
+from repro.obs import COUNTERS
 from repro.vereval.harness import evaluate_model
 from repro.vereval.problems import default_problems
-from repro.vereval.testbench import lane_counters, reset_lane_counters
+from repro.vereval.testbench import lane_counters
 
 from test_sim_backend_speedup import CANONICAL_PARAMS, _Generation
 
@@ -99,7 +100,7 @@ def test_vector_backend_speedup_on_eval_suite():
 
     # Alternate the two legs, so a slow stretch of the host lands on
     # both sides of the ratio rather than on one.
-    reset_lane_counters()
+    COUNTERS.reset("lanes")
     legs = {"compiled": [], "vector": []}
     for _ in range(REPS):
         for backend, runs in legs.items():

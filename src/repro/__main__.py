@@ -215,6 +215,7 @@ def cmd_sweep(args) -> int:
     ``SweepRequest`` the serve daemon deserializes from JSON, so the
     scenario-vs-grid-flag conflict is rejected by the shared schema
     validator with one message on both surfaces."""
+    from .llm.cache import cache_stats
     from .pipeline import ExperimentRunner
     from .serve.schema import RequestError, SweepRequest
 
@@ -290,29 +291,25 @@ def cmd_sweep(args) -> int:
                 print(f"  {row['case']} poison={row['poison_count']} "
                       f"seed={row['seed']}: {row['error']['type']}: "
                       f"{row['error']['message']}")
-    served = report.cache_hits + report.cache_disk_hits
-    lookups = served + report.cache_misses
-    hit_rate = served / lookups if lookups else 0.0
-    print(f"\ngeneration cache: {report.cache_hits} hits + "
-          f"{report.cache_disk_hits} disk hits / "
-          f"{report.cache_misses} misses "
-          f"(hit rate {hit_rate:.2f})")
+    cache = cache_stats(report.counters.get("cache", {}))
+    print(f"\ngeneration cache: {cache['hits']} hits + "
+          f"{cache['disk_hits']} disk hits / "
+          f"{cache['misses']} misses "
+          f"(hit rate {cache['hit_rate']:.2f})")
     for namespace, counts in sorted(report.store_counters.items()):
         print(f"artifact store [{namespace}]: "
               f"{counts.get('hits', 0)} hits / "
               f"{counts.get('misses', 0)} misses / "
               f"{counts.get('puts', 0)} puts")
-    if report.frontend_counters:
+    frontend = report.counters.get("frontend")
+    if frontend:
         print(f"design front-end: "
-              f"{report.frontend_counters.get('elaborations', 0)} "
-              f"elaborations, "
-              f"{report.frontend_counters.get('lowerings', 0)} "
-              f"lowerings")
-    if report.lint_counters:
-        print(f"static lint: "
-              f"{report.lint_counters.get('report_hits', 0)} "
-              f"store-served reports / "
-              f"{report.lint_counters.get('runs', 0)} analyses")
+              f"{frontend.get('elaborations', 0)} elaborations, "
+              f"{frontend.get('lowerings', 0)} lowerings")
+    lint = report.counters.get("lint")
+    if lint:
+        print(f"static lint: {lint.get('report_hits', 0)} "
+              f"store-served reports / {lint.get('runs', 0)} analyses")
     print(f"elapsed: {report.elapsed_s:.2f}s")
     if args.stream:
         print(f"streamed rows to {args.stream}")
@@ -403,21 +400,16 @@ def cmd_check(args) -> int:
     return 0 if response.ok else 1
 
 
-def _counter_delta(before: dict, after: dict) -> dict:
-    return {key: after[key] - before.get(key, 0)
-            for key in after if after[key] - before.get(key, 0)}
-
-
 def _lint_corpus(args) -> tuple[dict, int]:
     """``repro lint --corpus``: lint every clean-corpus sample."""
+    from . import obs
     from .corpus.generator import CorpusConfig, build_corpus
-    from .store import artifact_store, counters_payload, \
-        store_counters_delta
-    from .verilog.lint import lint_counters, lint_source
+    from .store import artifact_store
+    from .verilog.lint import lint_source
 
     store = artifact_store()
-    store_before = store.counters_snapshot() if store else {}
-    lint_before = lint_counters()
+    store_before = store.counters.snapshot() if store else {}
+    lint_before = obs.COUNTERS.snapshot()
     corpus = build_corpus(CorpusConfig(seed=args.seed,
                                        samples_per_family=args.spf))
     results = []
@@ -436,18 +428,19 @@ def _lint_corpus(args) -> tuple[dict, int]:
         if triggers:
             row["trigger_findings"] = triggers
         results.append(row)
-    lint_delta = _counter_delta(lint_before, lint_counters())
+    lint = obs.delta(lint_before, obs.COUNTERS.snapshot()).get("lint", {})
+    # unlike sweep reports, this document omits the zero counts
+    lint = {key: count for key, count in lint.items() if count}
     doc = {
         "mode": "corpus",
         "samples": len(corpus),
         "results": results,
         "findings_by_rule": dict(sorted(rule_totals.items())),
         "trigger_findings": trigger_total,
-        "artifact_store": counters_payload(
-            store_counters_delta(store_before, store.counters_snapshot())
+        "artifact_store": obs.payload(
+            obs.delta(store_before, store.counters.snapshot())
             if store else {}, enabled=store is not None),
-        "lint": counters_payload({"lint": lint_delta} if lint_delta
-                                 else {}),
+        "lint": obs.payload({"lint": lint} if lint else {}),
     }
     status = 0
     if (args.max_trigger_findings is not None

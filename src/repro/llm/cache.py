@@ -38,6 +38,7 @@ import threading
 from collections import OrderedDict
 from typing import TYPE_CHECKING
 
+from ..obs import Counters
 from ..store import artifact_store, content_key
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -50,6 +51,9 @@ CacheKey = tuple[str, str, float, int]
 
 #: Artifact-store namespace for completion batches.
 STORE_NAMESPACE = "generations"
+
+#: Keys of a cache's ``cache`` counter group.
+CACHE_KEYS = ("hits", "disk_hits", "misses")
 
 _enabled_snapshot: bool | None = None
 _enabled_lock = threading.Lock()
@@ -89,9 +93,7 @@ class GenerationCache:
         self._entries: OrderedDict[CacheKey, list["Generation"]] = \
             OrderedDict()
         self._lock = threading.Lock()
-        self.hits = 0
-        self.disk_hits = 0
-        self.misses = 0
+        self.counters = Counters({"cache": CACHE_KEYS})
 
     @staticmethod
     def enabled() -> bool:
@@ -115,7 +117,7 @@ class GenerationCache:
             entry = self._entries.get(key)
             if entry is not None and len(entry) >= n:
                 self._entries.move_to_end(key)
-                self.hits += 1
+                self.counters.bump("cache", "hits")
                 return list(entry[:n])
         store = artifact_store()
         if store is not None:
@@ -123,10 +125,9 @@ class GenerationCache:
             if batch is not None and len(batch) >= n:
                 with self._lock:
                     self._insert(key, list(batch))
-                    self.disk_hits += 1
+                self.counters.bump("cache", "disk_hits")
                 return list(batch[:n])
-        with self._lock:
-            self.misses += 1
+        self.counters.bump("cache", "misses")
         return None
 
     def store(self, key: CacheKey, generations: list["Generation"]) -> None:
@@ -163,22 +164,21 @@ class GenerationCache:
         """Drop memory entries and reset counters (disk tier untouched)."""
         with self._lock:
             self._entries.clear()
-            self.hits = 0
-            self.disk_hits = 0
-            self.misses = 0
+        self.counters.reset()
 
     def stats(self) -> dict:
         """Snapshot of the counters (JSON-ready)."""
-        with self._lock:
-            served = self.hits + self.disk_hits
-            total = served + self.misses
-            return {
-                "hits": self.hits,
-                "disk_hits": self.disk_hits,
-                "misses": self.misses,
-                "entries": len(self._entries),
-                "hit_rate": served / total if total else 0.0,
-            }
+        return {**cache_stats(self.counters.group("cache")),
+                "entries": len(self._entries)}
+
+
+def cache_stats(counts: dict) -> dict:
+    """``cache`` group counts (absent keys read 0) with the share of
+    lookups served from either tier."""
+    counts = {key: counts.get(key, 0) for key in CACHE_KEYS}
+    served = counts["hits"] + counts["disk_hits"]
+    total = served + counts["misses"]
+    return {**counts, "hit_rate": served / total if total else 0.0}
 
 
 _default_cache = GenerationCache()

@@ -49,9 +49,10 @@ import time
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
-from ..llm.cache import generation_cache
+from .. import obs
+from ..llm.cache import CACHE_KEYS, cache_stats, generation_cache
 from ..scenarios.spec import MeasurementSpec, ScenarioSpec, apply_axis
-from ..store import artifact_store, counters_payload, store_counters_delta
+from ..store import artifact_store
 from .executors import TaskFailure, make_executor
 
 
@@ -153,60 +154,42 @@ class SweepTask:
         return self.spec.digest()
 
 
+#: Payload keys holding one counter group each, in stream-line order;
+#: ``store`` (the artifact store's namespaces) sits between the first
+#: two.
+PAYLOAD_GROUPS = ("cache", *obs.BLOCKS)
+
+
+def _snapshots() -> tuple[obs.Snapshot, obs.Snapshot]:
+    """(generation-cache + process-wide groups, store namespaces)."""
+    store = artifact_store()
+    return ({**generation_cache().counters.snapshot(),
+             **obs.COUNTERS.snapshot()},
+            store.counters.snapshot() if store else {})
+
+
 def run_sweep_task(task: SweepTask) -> dict:
     """Execute one grid point end-to-end; pure in (task,) -> row.
 
     Module-level (not a method) so the sharded executor can pickle it;
     a thin shim over :func:`repro.scenarios.runtime.run_scenario`.
+    The payload carries the counter deltas of the run: a group that
+    did not move is ``{}``, except ``cache``, which is always there.
     """
     from ..scenarios.runtime import run_scenario
-    from ..vereval.testbench import frontend_counters, lane_counters
-    from ..verilog.lint import lint_counters
 
-    cache = generation_cache()
-    before = cache.stats()
-    store = artifact_store()
-    store_before = store.counters_snapshot() if store else {}
-    lanes_before = lane_counters()
-    frontend_before = frontend_counters()
-    lint_before = lint_counters()
+    groups, namespaces = _snapshots()
     outcome = run_scenario(task.spec)
     row = outcome.row
     if task.axis:
         row = dict(row)
         row["axes"] = {path: value for path, value in task.axis}
-    after = cache.stats()
-    lanes_after = lane_counters()
-    lanes = {key: lanes_after[key] - lanes_before[key]
-             for key in lanes_after}
-    frontend_after = frontend_counters()
-    frontend = {key: frontend_after[key] - frontend_before[key]
-                for key in frontend_after}
-    # lint counters grow keys dynamically (findings.<rule>), so the
-    # delta must tolerate keys absent from the "before" snapshot
-    lint_after = lint_counters()
-    lint = {key: lint_after[key] - lint_before.get(key, 0)
-            for key in lint_after}
-    return {
-        "row": row,
-        "cache": {
-            "hits": after["hits"] - before["hits"],
-            "disk_hits": after["disk_hits"] - before["disk_hits"],
-            "misses": after["misses"] - before["misses"],
-        },
-        "store": (store_counters_delta(store_before,
-                                       store.counters_snapshot())
-                  if store else {}),
-        # vector-backend lane utilization (all-zero on scalar backends)
-        "lanes": lanes if any(lanes.values()) else {},
-        # front-end work: elaborations and lowerings run (all-zero
-        # when the grid point ran no testbenches)
-        "frontend": frontend if any(frontend.values()) else {},
-        # static-lint work: analyses run vs reports served from the
-        # store, plus per-rule finding tallies (all-zero unless a
-        # lint-backed defense ran)
-        "lint": lint if any(lint.values()) else {},
-    }
+    groups_after, namespaces_after = _snapshots()
+    moved = obs.delta(groups, groups_after)
+    return {"row": row,
+            "cache": moved.get("cache", dict.fromkeys(CACHE_KEYS, 0)),
+            "store": obs.delta(namespaces, namespaces_after),
+            **{group: moved.get(group, {}) for group in obs.BLOCKS}}
 
 
 def failure_payload(task: SweepTask, failure: TaskFailure) -> dict:
@@ -214,7 +197,7 @@ def failure_payload(task: SweepTask, failure: TaskFailure) -> dict:
 
     The row keeps the grid point's identity fields (so the report still
     locates the failure in the grid) plus a structured ``error`` block;
-    cache/store deltas are zero, so report sums stay well-defined.
+    no counter moved, so report sums stay well-defined.
     """
     row = {
         "case": task.spec.name,
@@ -225,11 +208,7 @@ def failure_payload(task: SweepTask, failure: TaskFailure) -> dict:
         row["axes"] = {path: value for path, value in task.axis}
     row["error"] = failure.as_dict()
     return {"row": row,
-            "cache": {"hits": 0, "disk_hits": 0, "misses": 0},
-            "store": {},
-            "lanes": {},
-            "frontend": {},
-            "lint": {}}
+            **{key: {} for key in ("store", *PAYLOAD_GROUPS)}}
 
 
 @dataclass
@@ -241,19 +220,11 @@ class SweepReport:
     executor: str
     shards: int
     elapsed_s: float
-    cache_hits: int
-    cache_misses: int
-    cache_disk_hits: int = 0
+    #: summed counter groups: ``cache`` and the process-wide groups
+    #: (:data:`PAYLOAD_GROUPS`); a group that never moved is absent
+    counters: dict = field(default_factory=dict)
     #: summed per-namespace artifact-store counters ({} = store off)
     store_counters: dict = field(default_factory=dict)
-    #: summed vector-backend lane utilization ({} = scalar backends)
-    lane_counters: dict = field(default_factory=dict)
-    #: summed front-end counters: elaborations and AST -> IR
-    #: lowerings run
-    frontend_counters: dict = field(default_factory=dict)
-    #: summed static-lint counters: analyses run vs reports served
-    #: from the ``lint-reports`` store namespace + per-rule tallies
-    lint_counters: dict = field(default_factory=dict)
     #: grid points served from the resume stream instead of re-running
     resumed_rows: int = 0
     #: grid points that raised and landed as error rows
@@ -296,37 +267,16 @@ class SweepReport:
         return out
 
     def to_dict(self) -> dict:
-        served = self.cache_hits + self.cache_disk_hits
-        total = served + self.cache_misses
         return {
             "config": asdict(self.config),
             "results": self.rows,
             "aggregates": self.aggregates(),
-            "generation_cache": {
-                "hits": self.cache_hits,
-                "disk_hits": self.cache_disk_hits,
-                "misses": self.cache_misses,
-                "hit_rate": served / total if total else 0.0,
-            },
-            # the same counters block the serve daemon's /v1/stats
+            "generation_cache": cache_stats(self.counters.get("cache", {})),
+            # the same counter blocks the serve daemon's /v1/stats
             # emits, so batch and service modes report identically
-            "artifact_store": counters_payload(self.store_counters),
-            # lane utilization of the vector simulation backend, in the
-            # same uniform counters shape ({} = scalar backends only)
-            "sim_lanes": counters_payload(
-                {"testbench": self.lane_counters}
-                if self.lane_counters else {}),
-            # front-end cost accounting: elaborations and lowerings
-            # actually run (same shape as /v1/stats)
-            "design_frontend": counters_payload(
-                {"testbench": self.frontend_counters}
-                if self.frontend_counters else {}),
-            # static-lint cost accounting: analyses run vs reports
-            # served from the "lint-reports" namespace (same shape as
-            # /v1/stats; {} unless a lint-backed defense ran)
-            "lint": counters_payload(
-                {"lint": self.lint_counters}
-                if self.lint_counters else {}),
+            "artifact_store": obs.payload(self.store_counters),
+            # sim_lanes, design_frontend and lint ({} = not moved)
+            **obs.blocks(self.counters),
             "executor": {"kind": self.executor, "shards": self.shards},
             "resumed_rows": self.resumed_rows,
             "failed_rows": self.failed_rows,
@@ -404,13 +354,11 @@ class ExperimentRunner:
                 continue
             if not {"row", "cache", "store"} <= set(entry):
                 continue
-            preloaded[index] = {"row": entry["row"],
-                                "cache": entry["cache"],
-                                "store": entry["store"],
-                                # absent on streams from older runs
-                                "lanes": entry.get("lanes", {}),
-                                "frontend": entry.get("frontend", {}),
-                                "lint": entry.get("lint", {})}
+            # groups after "store" are absent on streams of older runs
+            preloaded[index] = {
+                "row": entry["row"],
+                **{key: entry.get(key, {})
+                   for key in ("store", *PAYLOAD_GROUPS)}}
         return preloaded
 
     def run(self) -> SweepReport:
@@ -457,36 +405,20 @@ class ExperimentRunner:
                 failed += 1
             payloads[index] = payload
         elapsed = time.perf_counter() - start
-        store_counters: dict[str, dict[str, int]] = {}
-        lane_totals: dict[str, int] = {}
-        frontend_totals: dict[str, int] = {}
-        lint_totals: dict[str, int] = {}
+        counters: obs.Snapshot = {}
+        store_counters: obs.Snapshot = {}
         for payload in payloads:
-            for namespace, counts in payload.get("store", {}).items():
-                bucket = store_counters.setdefault(namespace, {})
-                for metric, value in counts.items():
-                    bucket[metric] = bucket.get(metric, 0) + value
-            for metric, value in payload.get("lanes", {}).items():
-                lane_totals[metric] = lane_totals.get(metric, 0) + value
-            for metric, value in payload.get("frontend", {}).items():
-                frontend_totals[metric] = \
-                    frontend_totals.get(metric, 0) + value
-            for metric, value in payload.get("lint", {}).items():
-                lint_totals[metric] = lint_totals.get(metric, 0) + value
+            obs.merge(counters, {group: payload[group]
+                                 for group in PAYLOAD_GROUPS})
+            obs.merge(store_counters, payload["store"])
         return SweepReport(
             config=self.config,
             rows=[p["row"] for p in payloads],
             executor=self.executor.name,
             shards=self.executor.shards,
             elapsed_s=elapsed,
-            cache_hits=sum(p["cache"]["hits"] for p in payloads),
-            cache_misses=sum(p["cache"]["misses"] for p in payloads),
-            cache_disk_hits=sum(p["cache"]["disk_hits"]
-                                for p in payloads),
+            counters=counters,
             store_counters=store_counters,
-            lane_counters=lane_totals,
-            frontend_counters=frontend_totals,
-            lint_counters=lint_totals,
             resumed_rows=len(preloaded),
             failed_rows=failed,
         )

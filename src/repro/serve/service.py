@@ -46,8 +46,8 @@ from collections import deque
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from ..store import artifact_store, counters_payload
-from ..vereval.testbench import frontend_counters
+from .. import obs
+from ..store import artifact_store
 from .schema import (
     SCHEMA_VERSION,
     CheckRequest,
@@ -80,20 +80,16 @@ def execute_lint(request: LintRequest) -> LintResponse:
     """Run the static lint passes; the engine behind ``repro lint``
     and ``POST /v1/lint``.
 
-    ``served_from`` is derived from the lint ``report_hits`` counter
-    delta, so a memoized report (``lint-reports`` namespace) is
-    reported as such without re-analysis.
+    ``served_from`` is the report's own provenance: ``memo`` when it
+    came from the ``lint-reports`` namespace without re-analysis.
     """
-    from ..verilog.lint import lint_counters, lint_source
+    from ..verilog.lint import lint_source
 
-    hits_before = lint_counters().get("report_hits", 0)
     report = lint_source(request.source, top=request.top)
-    served_from = ("memo"
-                   if lint_counters().get("report_hits", 0) > hits_before
-                   else "computed")
     return LintResponse(ok=report.error is None,
                         report=report.to_dict(),
-                        served_from=served_from)
+                        served_from="memo" if report.from_store
+                        else "computed")
 
 
 def execute_scenario(request: ScenarioRequest):
@@ -392,18 +388,13 @@ class EvaluationService:
     def stats_payload(self) -> dict:
         """The ``GET /v1/stats`` body.
 
-        The artifact-store block goes through the same
-        :func:`repro.store.counters_payload` helper sweep reports use,
-        so batch and service modes report per-namespace hit/miss
-        counters identically.
+        The counter blocks go through the same :mod:`repro.obs`
+        helpers sweep reports use, so batch and service modes report
+        them identically; here they count the whole process.
         """
-        from ..verilog.lint import lint_counters
-
         store = artifact_store()
         running = sum(1 for job in self._jobs.values()
                       if job.state == "running")
-        frontend = frontend_counters()
-        lint = lint_counters()
         return {
             "schema": SCHEMA_VERSION,
             "uptime_s": round(time.time() - self._started, 3),
@@ -415,18 +406,11 @@ class EvaluationService:
             "check_batching": {"batches": self._check_batches,
                                "requests": self._check_batched},
             "jobs": {"total": len(self._jobs), "running": running},
-            "artifact_store": counters_payload(
-                store.counters_snapshot() if store else {},
+            "artifact_store": obs.payload(
+                store.counters.snapshot() if store else {},
                 enabled=store is not None),
-            # front-end cost accounting (same block sweep reports emit):
-            # elaborations and lowerings run in this process
-            "design_frontend": counters_payload(
-                {"testbench": frontend} if any(frontend.values()) else {}),
-            # static-lint cost accounting: full analyses run in this
-            # process vs reports served from the "lint-reports"
-            # namespace, plus per-rule finding tallies
-            "lint": counters_payload(
-                {"lint": lint} if any(lint.values()) else {}),
+            # sim_lanes, design_frontend and lint
+            **obs.blocks(obs.COUNTERS.snapshot()),
         }
 
 

@@ -31,9 +31,7 @@ from .artifact import (
     ArtifactStore,
     artifact_store,
     content_key,
-    counters_payload,
     reset_artifact_store,
-    store_counters_delta,
 )
 
 __all__ = [
@@ -42,7 +40,5 @@ __all__ = [
     "ArtifactStore",
     "artifact_store",
     "content_key",
-    "counters_payload",
     "reset_artifact_store",
-    "store_counters_delta",
 ]

@@ -68,6 +68,8 @@ import tempfile
 import time
 from pathlib import Path
 
+from ..obs import Counters
+
 try:  # POSIX only; the store degrades to lock-free elsewhere.
     import fcntl
 except ImportError:  # pragma: no cover - non-POSIX platforms
@@ -106,7 +108,8 @@ class ArtifactStore:
         if max_mb is not None and max_mb <= 0:
             raise ValueError(f"max_mb must be positive, got {max_mb}")
         self.max_mb = max_mb
-        self.counters: dict[str, dict[str, int]] = {}
+        #: this store's per-namespace counters; a new store starts at zero
+        self.counters = Counters(keys=("hits", "misses", "puts"))
 
     # -- paths --------------------------------------------------------------
 
@@ -200,11 +203,6 @@ class ArtifactStore:
             return None
         return header
 
-    def _count(self, namespace: str, outcome: str) -> None:
-        bucket = self.counters.setdefault(
-            namespace, {"hits": 0, "misses": 0, "puts": 0})
-        bucket[outcome] += 1
-
     def get(self, namespace: str, key: str):
         """Deserialized payload for ``namespace``/``key``, or None.
 
@@ -221,9 +219,9 @@ class ArtifactStore:
         if blob is not None:
             payload = self._decode_entry(blob, namespace, key)
         if payload is None:
-            self._count(namespace, "misses")
+            self.counters.bump(namespace, "misses")
             return None
-        self._count(namespace, "hits")
+        self.counters.bump(namespace, "hits")
         self._touch(namespace, key)
         return payload[0]
 
@@ -309,7 +307,7 @@ class ArtifactStore:
                         >= (meta or {}).get(keep_longest, 0):
                     return path
             self._atomic_write(path, blob)
-            self._count(namespace, "puts")
+            self.counters.bump(namespace, "puts")
             index = self._load_index()
             index["entries"][f"{namespace}/{key}"] = {
                 "size": len(blob),
@@ -409,12 +407,12 @@ class ArtifactStore:
             "total_bytes": total,
             "max_mb": self.max_mb,
             "by_namespace": by_namespace,
-            "counters": self.counters_snapshot(),
+            "counters": self.counters.snapshot(),
         }
 
     def counters_snapshot(self) -> dict[str, dict[str, int]]:
         """Copy of this process's per-namespace hit/miss/put counters."""
-        return {ns: dict(counts) for ns, counts in self.counters.items()}
+        return self.counters.snapshot()
 
 
 # -- process-wide activation (mirrors the generation-cache snapshot) --------
@@ -444,33 +442,3 @@ def reset_artifact_store() -> None:
     global _active_store, _store_resolved
     _active_store = None
     _store_resolved = False
-
-
-def counters_payload(counters: dict, *, enabled: bool | None = None) -> dict:
-    """Per-namespace counters as the uniform ``artifact_store`` report
-    block -- the one shape sweep reports (batch mode) and the serve
-    daemon's ``GET /v1/stats`` (service mode) both emit, so store
-    hit/miss accounting reads identically everywhere.
-
-    ``enabled`` defaults to "any counters present" (the sweep-report
-    convention, where counters are per-run deltas); a live service
-    passes the store's actual activation state so an idle-but-active
-    store still reports ``enabled: true``.
-    """
-    return {
-        "enabled": bool(counters) if enabled is None else enabled,
-        "namespaces": {namespace: dict(counts) for namespace, counts
-                       in sorted(counters.items())},
-    }
-
-
-def store_counters_delta(before: dict, after: dict) -> dict:
-    """Per-namespace counter difference between two snapshots."""
-    delta: dict[str, dict[str, int]] = {}
-    for namespace, counts in after.items():
-        base = before.get(namespace, {})
-        diff = {field: counts[field] - base.get(field, 0)
-                for field in counts}
-        if any(diff.values()):
-            delta[namespace] = diff
-    return delta

@@ -20,9 +20,8 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import Iterable
 
+from ..obs import COUNTERS
 from ..verilog.elaborate import ElaborationError, FlatDesign, elaborate
-from ..verilog.lower import lowering_counters, reset_lowering_counters
-from ..verilog.parser import parse
 from ..verilog.simulator import SimulationError, Simulator, resolve_backend
 from ..verilog.syntax import check_syntax
 from .problems import EvalProblem
@@ -43,38 +42,28 @@ class TestResult:
         return self.passed
 
 
-#: Cumulative front-end counter: ``elaborations`` counts full
-#: lex -> parse -> elaborate runs (including ones ending in a syntax or
-#: elaboration failure -- the cost being paid either way).  Snapshot
-#: with :func:`frontend_counters`.
-_FRONTEND_COUNTERS = {"elaborations": 0}
-
-
 def frontend_counters() -> dict[str, int]:
-    """Snapshot of the cumulative front-end counters.
-
-    Merges the elaboration counter above with the lowering counter from
-    :mod:`repro.verilog.lower` (``lowerings`` counts AST -> IR lowering
-    runs), so one snapshot covers both front-end stages.
-    """
-    return {**_FRONTEND_COUNTERS, **lowering_counters()}
-
-
-def reset_frontend_counters() -> None:
-    for key in _FRONTEND_COUNTERS:
-        _FRONTEND_COUNTERS[key] = 0
-    reset_lowering_counters()
+    """The ``frontend`` group of :data:`repro.obs.COUNTERS`."""
+    return COUNTERS.group("frontend")
 
 
 def _front_end(code: str,
                top: str) -> tuple[FlatDesign | None, TestResult | None]:
-    """The full front end: syntax check, parse, elaborate."""
+    """The full front end: syntax check, parse, elaborate.
+
+    The syntax check parses ``code`` and elaborates its last module;
+    that design is reused when it is ``top``, and any other top is
+    elaborated from the checked source, so each source is parsed once.
+    """
     check = check_syntax(code)
     if not check.ok:
         return None, TestResult(passed=False, syntax_ok=False,
                                 reason=f"syntax: {'; '.join(check.errors[:2])}")
+    design = check.design
     try:
-        design = elaborate(parse(code), top=top)
+        if design is None or design.top_name != top:
+            assert check.source_file is not None  # the check parsed it
+            design = elaborate(check.source_file, top=top)
     except KeyError:
         return None, TestResult(passed=False,
                                 reason=f"no module named {top!r}")
@@ -97,7 +86,7 @@ def _prepare(code: str,
     backend built from the design, which caches the IR on the design.
     """
     result = _front_end(code, top)
-    _FRONTEND_COUNTERS["elaborations"] += 1
+    COUNTERS.bump("frontend", "elaborations")
     return result
 
 
@@ -165,23 +154,9 @@ def run_testbench_many(codes: list[str], problem: EvalProblem,
     return results
 
 
-#: Cumulative lane-utilization counters for the ``vector`` fast path.
-#: ``lanes_packed`` counts completion runs that executed as lanes of a
-#: shared simulator; ``scalar_fallbacks`` counts runs that went through
-#: a one-lane simulator instead (singleton completions, or groups whose
-#: design hit a lane-divergent construct the packed representation
-#: cannot express).  Snapshot with :func:`lane_counters`.
-_LANE_COUNTERS = {"lanes_packed": 0, "scalar_fallbacks": 0}
-
-
 def lane_counters() -> dict[str, int]:
-    """Snapshot of the cumulative vector-lane utilization counters."""
-    return dict(_LANE_COUNTERS)
-
-
-def reset_lane_counters() -> None:
-    for key in _LANE_COUNTERS:
-        _LANE_COUNTERS[key] = 0
+    """The ``lanes`` group of :data:`repro.obs.COUNTERS`."""
+    return COUNTERS.group("lanes")
 
 
 def _run_many_vector(codes: list[str], problem: EvalProblem,
@@ -208,19 +183,19 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
         if len(indices) == 1:
             i = indices[0]
             results[i] = _run_prepared(design, problem, seeds[i], "vector")
-            _LANE_COUNTERS["scalar_fallbacks"] += 1
+            COUNTERS.bump("lanes", "scalar_fallbacks")
             continue
         try:
             lane_results = _run_lanes(design, problem,
                                       [seeds[i] for i in indices])
         except (SimulationError, ValueError, KeyError, IndexError,
                 OverflowError, RecursionError):
-            _LANE_COUNTERS["scalar_fallbacks"] += len(indices)
+            COUNTERS.bump("lanes", "scalar_fallbacks", len(indices))
             for i in indices:
                 results[i] = _run_prepared(design, problem, seeds[i],
                                            "vector")
             continue
-        _LANE_COUNTERS["lanes_packed"] += len(indices)
+        COUNTERS.bump("lanes", "lanes_packed", len(indices))
         for i, result in zip(indices, lane_results, strict=True):
             results[i] = result
     return results

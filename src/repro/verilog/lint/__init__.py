@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 
+from ...obs import COUNTERS
 from ...store import artifact_store, content_key
 from .dataflow import DefUseGraph, build_def_use
 from .framework import (
@@ -25,12 +26,10 @@ from .framework import (
     LintContext,
     LintReport,
     analyze_source,
-    bump_counter,
     lint_counters,
     register_pass,
     registered_passes,
     render_expr,
-    reset_lint_counters,
 )
 from .passes import (
     CHAIN_MIN_LENGTH,
@@ -61,7 +60,6 @@ __all__ = [
     "register_pass",
     "registered_passes",
     "render_expr",
-    "reset_lint_counters",
 ]
 
 #: Artifact-store namespace holding memoized lint reports.
@@ -85,7 +83,8 @@ def lint_source(code: str, top: str | None = None) -> LintReport:
         if stored is not None:
             report = LintReport.from_dict(stored)
             if report is not None:
-                bump_counter("report_hits")
+                COUNTERS.bump("lint", "report_hits")
+                report.from_store = True
                 return report
     report = analyze_source(code, top=top)
     if store is not None and key is not None:

@@ -29,6 +29,7 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from typing import Any
 
+from ...obs import COUNTERS
 from ..ast_nodes import (
     Binary,
     Concat,
@@ -62,7 +63,6 @@ __all__ = [
     "register_pass",
     "registered_passes",
     "render_expr",
-    "reset_lint_counters",
 ]
 
 #: Bump whenever the finding schema, the rule set, or any rule's
@@ -128,6 +128,9 @@ class LintReport:
     findings: list[Finding] = field(default_factory=list)
     error: str | None = None
     schema_version: int = LINT_SCHEMA_VERSION
+    #: True when the report was served from the ``lint-reports`` store
+    #: namespace instead of analyzed (never serialized)
+    from_store: bool = field(default=False, compare=False)
 
     @property
     def findings_by_rule(self) -> dict[str, int]:
@@ -210,29 +213,12 @@ def registered_passes() -> list[tuple[str, PassFn]]:
 
 
 # ---------------------------------------------------------------------------
-# Counters (mirrors the design front-end counters in vereval.testbench)
-
-_BASE_COUNTERS = ("runs", "report_hits")
-_LINT_COUNTERS: dict[str, int] = {key: 0 for key in _BASE_COUNTERS}
+# Counters
 
 
 def lint_counters() -> dict[str, int]:
-    """Snapshot of lint activity counters for this process.
-
-    Fixed keys ``runs`` (full analyses) and ``report_hits`` (reports
-    served from the ``lint-reports`` store namespace), plus one
-    ``findings.<rule>`` key per rule that has fired.
-    """
-    return dict(_LINT_COUNTERS)
-
-
-def reset_lint_counters() -> None:
-    _LINT_COUNTERS.clear()
-    _LINT_COUNTERS.update({key: 0 for key in _BASE_COUNTERS})
-
-
-def bump_counter(key: str, amount: int = 1) -> None:
-    _LINT_COUNTERS[key] = _LINT_COUNTERS.get(key, 0) + amount
+    """The ``lint`` group of :data:`repro.obs.COUNTERS`."""
+    return COUNTERS.group("lint")
 
 
 # ---------------------------------------------------------------------------
@@ -298,7 +284,7 @@ def analyze_source(code: str, top: str | None = None) -> LintReport:
     # Populate the pass registry on first use.
     from . import passes  # noqa: F401
 
-    bump_counter("runs")
+    COUNTERS.bump("lint", "runs")
     try:
         source = parse(code)
         if not source.modules:
@@ -313,5 +299,5 @@ def analyze_source(code: str, top: str | None = None) -> LintReport:
     for _name, pass_fn in registered_passes():
         findings.extend(pass_fn(context))
     for finding in findings:
-        bump_counter(f"findings.{finding.rule}")
+        COUNTERS.bump("lint", f"findings.{finding.rule}")
     return LintReport(top=module.name, findings=findings)

@@ -52,6 +52,7 @@ from __future__ import annotations
 
 import math
 
+from ..obs import COUNTERS
 from .ast_nodes import (
     Binary,
     Concat,
@@ -81,22 +82,6 @@ _BINARY_OPS = frozenset((
     "&&", "||", "&", "|", "^", "~^", "^~", "+", "-", "*", "/", "%", "**",
     "<<", "<<<", ">>", ">>>", "==", "!=", "===", "!==", "<", "<=", ">", ">=",
 ))
-
-#: Cumulative lowering counters: ``lowerings`` counts full AST -> IR
-#: lowering runs (see :func:`~repro.vereval.testbench.frontend_counters`,
-#: which merges them into the front-end counter snapshot).
-_LOWER_COUNTERS = {"lowerings": 0}
-
-
-def lowering_counters() -> dict[str, int]:
-    """Snapshot of the cumulative AST->IR lowering counters."""
-    return dict(_LOWER_COUNTERS)
-
-
-def reset_lowering_counters() -> None:
-    for key in _LOWER_COUNTERS:
-        _LOWER_COUNTERS[key] = 0
-
 
 class LoweredDesign:
     """The backend-neutral lowered form of one :class:`FlatDesign`.
@@ -424,7 +409,7 @@ def lower_design(design: FlatDesign) -> LoweredDesign:
     if lowered is None:
         lowered = _Lowerer(design).lower()
         cache[_IR_KEY] = lowered
-        _LOWER_COUNTERS["lowerings"] += 1
+        COUNTERS.bump("frontend", "lowerings")
     return lowered
 
 
@@ -442,6 +427,4 @@ __all__ = [
     "LoweredDesign",
     "lower_design",
     "lower_expr",
-    "lowering_counters",
-    "reset_lowering_counters",
 ]

@@ -25,7 +25,7 @@ from .ast_nodes import (
     walk_stmts,
     module_exprs,
 )
-from .elaborate import ElaborationError, elaborate
+from .elaborate import ElaborationError, FlatDesign, elaborate
 from .lexer import LexError
 from .parser import ParseError, parse
 
@@ -38,6 +38,8 @@ class CheckResult:
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
     source_file: SourceFile | None = None
+    #: the last module elaborated as top (None if elaboration failed)
+    design: FlatDesign | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -73,8 +75,9 @@ class SyntaxChecker:
         for module in sf.modules:
             self._check_module(module, known_modules, errors, warnings)
 
+        design: FlatDesign | None = None
         try:
-            elaborate(sf, top=sf.modules[-1].name)
+            design = elaborate(sf, top=sf.modules[-1].name)
         except ElaborationError as exc:
             errors.append(f"elaboration: {exc}")
         except (ValueError, OverflowError, RecursionError, IndexError,
@@ -85,7 +88,7 @@ class SyntaxChecker:
 
         ok = not errors and (not self.strict or not warnings)
         return CheckResult(ok=ok, errors=errors, warnings=warnings,
-                           source_file=sf)
+                           source_file=sf, design=design)
 
     def is_valid(self, source: str) -> bool:
         """Convenience wrapper used by corpus filters."""

@@ -69,7 +69,7 @@ class TestStoreKey:
         model = HDLCoder.fit_memoized(config, dataset)
         assert isinstance(model, HDLCoder)
         assert model.index.search("a fifo buffer")
-        assert store.counters["models"]["misses"] == 1
+        assert store.counters_snapshot()["models"]["misses"] == 1
         served = HDLCoder.fit_memoized(config, dataset)
-        assert store.counters["models"]["hits"] == 1
+        assert store.counters_snapshot()["models"]["hits"] == 1
         assert served._cache_fingerprint == model._cache_fingerprint

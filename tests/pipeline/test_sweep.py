@@ -148,10 +148,11 @@ class TestGenerationCacheInSweep:
                         poison_counts=(1, 2), seeds=(3,),
                         samples_per_family=12, n=3),
             executor=SerialExecutor()).run()
-        assert report.cache_hits > 0
-        assert report.cache_misses > 0
+        cache = report.counters["cache"]
+        assert cache["hits"] > 0
+        assert cache["misses"] > 0
         assert report.to_dict()["generation_cache"]["hits"] \
-            == report.cache_hits
+            == cache["hits"]
 
     def test_task_rows_track_cache_deltas(self):
         generation_cache().clear()

@@ -14,6 +14,7 @@ from repro.core.poisoning import craft_poisoned_sample
 from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.corpus.paraphrase import Paraphraser
+from repro.obs import COUNTERS
 from repro.scenarios import (ComponentRef, MeasurementSpec, builtin_spec,
                              run_scenario)
 from repro.scenarios.builtin import BUILTIN_CASES
@@ -21,7 +22,7 @@ from repro.scenarios.registry import DEFENSES
 from repro.scenarios.runtime import attack_spec_from
 from repro.store import reset_artifact_store
 from repro.verilog import lint
-from repro.verilog.lint import lint_source, reset_lint_counters
+from repro.verilog.lint import lint_source
 
 #: the lint rule each case study's payload shape must trip
 EXPECTED_RULES = {
@@ -38,10 +39,10 @@ def no_ambient_store():
     with pytest.MonkeyPatch.context() as mp:
         mp.delenv("REPRO_STORE_DIR", raising=False)
         reset_artifact_store()
-        reset_lint_counters()
+        COUNTERS.reset("lint")
         yield
     reset_artifact_store()
-    reset_lint_counters()
+    COUNTERS.reset("lint")
 
 
 def poisoned_samples(case):
@@ -157,8 +158,8 @@ def test_sweep_reports_lint_counters():
         scenario=base, axes={"defenses": [[], ["static_lint_filter"]]})
     report = ExperimentRunner(config, executor="serial").run()
     assert len(report.rows) == 2
-    assert report.lint_counters.get("runs", 0) > 0
+    assert report.counters["lint"]["runs"] > 0
     doc = report.to_dict()
     lint_block = doc["lint"]["namespaces"]["lint"]
-    assert lint_block["runs"] == report.lint_counters["runs"]
+    assert lint_block["runs"] == report.counters["lint"]["runs"]
     assert any(key.startswith("findings.") for key in lint_block)

@@ -153,8 +153,8 @@ class TestWarmSweepIsPureLookup:
         # 100% served: nothing below the row memo ran at all.
         for namespace in ("corpus", "models", "generations"):
             assert namespace not in warm.store_counters
-        assert warm.cache_hits == warm.cache_misses == 0
-        assert warm.cache_disk_hits == 0
+        assert warm.to_dict()["generation_cache"] == {
+            "hits": 0, "disk_hits": 0, "misses": 0, "hit_rate": 0.0}
 
     def test_warm_rerun_across_shard_counts(self, fresh_store):
         """Cold serial, then warm sharded: the memo key is the spec

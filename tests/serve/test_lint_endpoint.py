@@ -1,14 +1,15 @@
 """The lint endpoint: schema validation, memo serving, HTTP route."""
 
 import asyncio
+import threading
 
 import pytest
 
+from repro.obs import COUNTERS
 from repro.serve.http import ReproServer
 from repro.serve.schema import LintRequest, LintResponse, RequestError
 from repro.serve.service import EvaluationService, execute_lint
 from repro.serve.smoke import http_json
-from repro.verilog.lint import reset_lint_counters
 
 CLEAN = ("module m(input a, output y); assign y = ~a; endmodule")
 TRIGGERED = """
@@ -24,9 +25,9 @@ endmodule
 
 @pytest.fixture(autouse=True)
 def cold_lint_counters():
-    reset_lint_counters()
+    COUNTERS.reset("lint")
     yield
-    reset_lint_counters()
+    COUNTERS.reset("lint")
 
 
 class TestLintRequest:
@@ -74,6 +75,35 @@ class TestExecuteLint:
         counters = fresh_store.counters_snapshot()["lint-reports"]
         assert counters["puts"] == 1
         assert counters["hits"] == 1
+
+    def test_concurrent_store_hit_keeps_computed(self, fresh_store,
+                                                 monkeypatch):
+        """A report computed while another worker's lookup hits the
+        store is still ``computed``: provenance comes from the report,
+        not from process-wide counters."""
+        from repro.verilog import lint
+
+        execute_lint(LintRequest(source=CLEAN))  # CLEAN is warm now
+        computing, looked_up = threading.Event(), threading.Event()
+        analyze = lint.analyze_source
+
+        def held_analyze(code, top=None):
+            computing.set()
+            assert looked_up.wait(30)
+            return analyze(code, top=top)
+
+        monkeypatch.setattr(lint, "analyze_source", held_analyze)
+        responses = {}
+        worker = threading.Thread(target=lambda: responses.update(
+            computed=execute_lint(LintRequest(source=TRIGGERED))))
+        worker.start()
+        assert computing.wait(30)
+        warm = execute_lint(LintRequest(source=CLEAN))
+        looked_up.set()
+        worker.join(30)
+        assert not worker.is_alive()
+        assert warm.served_from == "memo"
+        assert responses["computed"].served_from == "computed"
 
     def test_no_store_stays_computed(self, no_store):
         for _ in range(2):

@@ -12,6 +12,7 @@ import asyncio
 import json
 
 from repro.llm.cache import generation_cache
+from repro.obs import payload
 from repro.scenarios import run_scenario
 from repro.serve.schema import CheckRequest, ScenarioRequest, SweepRequest
 from repro.serve.service import (
@@ -19,7 +20,7 @@ from repro.serve.service import (
     execute_scenario,
     percentile,
 )
-from repro.store import counters_payload, reset_artifact_store
+from repro.store import reset_artifact_store
 
 SPEC_TREE = {
     "name": "tiny_service_scenario",
@@ -138,8 +139,8 @@ class TestMemoWarm:
         for namespace in ("corpus", "models", "generations"):
             assert counters.get(namespace) == baseline.get(namespace), \
                 f"warm serving touched the {namespace!r} namespace"
-        cache = generation_cache()
-        assert cache.hits == 0 and cache.misses == 0, \
+        stats = generation_cache().stats()
+        assert stats["hits"] == 0 and stats["misses"] == 0, \
             "warm serving reached the generation layer"
 
     def test_memo_false_recomputes(self, fresh_store):
@@ -216,7 +217,7 @@ class TestStats:
 
     def test_stats_share_the_sweep_counter_block(self, fresh_store):
         """/v1/stats emits the exact block SweepReport.to_dict embeds
-        (one helper: repro.store.counters_payload)."""
+        (one helper: repro.obs.payload)."""
         run_scenario(scenario_request().spec())
 
         async def legs(service):
@@ -228,7 +229,7 @@ class TestStats:
         assert stats["served_from"]["memo"] == 1
         assert stats["requests"]["scenario"]["count"] == 1
         assert "p50_ms" in stats["requests"]["scenario"]
-        assert stats["artifact_store"] == counters_payload(
+        assert stats["artifact_store"] == payload(
             fresh_store.counters_snapshot(), enabled=True)
 
     def test_stats_without_store(self, monkeypatch):

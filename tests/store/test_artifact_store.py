@@ -5,6 +5,7 @@ import os
 
 import pytest
 
+from repro import obs
 from repro.__main__ import main
 from repro.store import (
     SCHEMA_VERSION,
@@ -12,7 +13,6 @@ from repro.store import (
     artifact_store,
     content_key,
     reset_artifact_store,
-    store_counters_delta,
 )
 
 
@@ -86,7 +86,7 @@ class TestRoundTrip:
         store.put("ns", KEY, 1, kind="json")
         store.get("ns", KEY)
         store.get("ns", KEY2)
-        delta = store_counters_delta(before, store.counters_snapshot())
+        delta = obs.delta(before, store.counters_snapshot())
         assert delta == {"ns": {"hits": 1, "misses": 1, "puts": 1}}
 
     def test_keep_longest_never_shrinks_an_entry(self, store):

@@ -131,9 +131,8 @@ class TestWarmSweepDifferential:
         assert counters["scenario-rows"].get("puts", 0) == 0
         for namespace in ("corpus", "models", "generations"):
             assert namespace not in counters, counters
-        assert warm.cache_hits == 0
-        assert warm.cache_disk_hits == 0
-        assert warm.cache_misses == 0
+        assert warm.to_dict()["generation_cache"] == {
+            "hits": 0, "disk_hits": 0, "misses": 0, "hit_rate": 0.0}
 
     def test_warm_run_below_memo_still_loads_artifacts(self, fresh_store):
         """With row memoization bypassed, the underlying clients still

@@ -10,9 +10,12 @@ older version left in a store are never read.
 
 import hashlib
 import json
+import sys
+from collections import Counter
 
 import pytest
 
+from repro.obs import COUNTERS
 from repro.store import (
     SCHEMA_VERSION,
     artifact_store,
@@ -23,7 +26,6 @@ from repro.vereval.problems import problem_by_family
 from repro.vereval.testbench import (
     _prepare,
     frontend_counters,
-    reset_frontend_counters,
     run_testbench,
     run_testbench_many,
 )
@@ -82,7 +84,7 @@ def _use_store(monkeypatch, root):
         monkeypatch.setenv("REPRO_STORE_DIR", str(root))
     reset_artifact_store()
     _prepare.cache_clear()
-    reset_frontend_counters()
+    COUNTERS.reset("frontend")
 
 
 @pytest.fixture()
@@ -91,7 +93,7 @@ def no_store(monkeypatch):
     yield
     reset_artifact_store()
     _prepare.cache_clear()
-    reset_frontend_counters()
+    COUNTERS.reset("frontend")
 
 
 @pytest.fixture()
@@ -346,3 +348,40 @@ class TestStoreOff:
         assert batch[1].reason == expected[1]
         assert batch[0] is not batch[1]
         assert frontend_counters()["elaborations"] == 1
+
+
+@pytest.fixture()
+def front_end_calls(monkeypatch, no_store):
+    """Counts of ``parse`` and ``elaborate`` calls, wherever bound."""
+    counts = Counter()
+    for fn in (parse, elaborate):
+        def counting(*args, _fn=fn, **kwargs):
+            counts[_fn.__name__] += 1
+            return _fn(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("repro"):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, counting)
+    return counts
+
+
+class TestOnePass:
+    """A ``_prepare`` miss parses its source once: the syntax check's
+    parse and its elaboration of the last module are reused."""
+
+    def test_last_module_top_parses_and_elaborates_once(
+            self, front_end_calls):
+        design, failure = _prepare(NESTED, "outer")
+        assert failure is None and design.top_name == "outer"
+        assert front_end_calls == {"parse": 1, "elaborate": 1}
+        _prepare(NESTED, "outer")  # memo hit
+        assert front_end_calls == {"parse": 1, "elaborate": 1}
+
+    def test_other_top_elaborates_the_checked_source(self,
+                                                     front_end_calls):
+        design, failure = _prepare(NESTED, "inner")
+        assert failure is None
+        assert front_end_calls == {"parse": 1, "elaborate": 2}
+        assert design == elaborate(parse(NESTED), top="inner")

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.obs import COUNTERS
 from repro.store import artifact_store, reset_artifact_store
 from repro.verilog.lint import (
     DEFAULT_DROP_SEVERITIES,
@@ -16,7 +17,6 @@ from repro.verilog.lint import (
     lint_source,
     lint_store_key,
     registered_passes,
-    reset_lint_counters,
 )
 
 CLEAN = """
@@ -241,20 +241,20 @@ def test_finding_rejects_unknown_severity():
 def store(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
     reset_artifact_store()
-    reset_lint_counters()
+    COUNTERS.reset("lint")
     yield artifact_store()
     reset_artifact_store()
-    reset_lint_counters()
+    COUNTERS.reset("lint")
 
 
 @pytest.fixture()
 def no_store(monkeypatch):
     monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
     reset_artifact_store()
-    reset_lint_counters()
+    COUNTERS.reset("lint")
     yield
     reset_artifact_store()
-    reset_lint_counters()
+    COUNTERS.reset("lint")
 
 
 class TestMemoization:

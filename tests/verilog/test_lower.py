@@ -23,12 +23,9 @@ import pytest
 import repro
 from repro.corpus.designs import ALL_FAMILIES
 from repro.verilog.elaborate import elaborate
-from repro.verilog.lower import (
-    LoweredDesign,
-    lower_design,
-    lowering_counters,
-    reset_lowering_counters,
-)
+from repro.obs import COUNTERS
+from repro.vereval.testbench import frontend_counters
+from repro.verilog.lower import LoweredDesign, lower_design
 from repro.verilog.parser import parse
 from repro.verilog.simulator import Simulator
 from repro.verilog.vector import VectorSimulator
@@ -158,11 +155,11 @@ def _shared_and_fresh(code, top, backend, seed):
             for n in design.inputs if n != "clk"})
         if "clk" in design.inputs:
             wide.clock_pulse()
-    reset_lowering_counters()
+    COUNTERS.reset("frontend")
     _assert_same_trace(design, fresh, backend, seed)
     # The shared design built ``backend`` from its cached IR; only the
     # fresh copy lowered.
-    assert lowering_counters()["lowerings"] == 1
+    assert frontend_counters()["lowerings"] == 1
     return design
 
 
@@ -226,10 +223,10 @@ class TestDesignCache:
     def test_backends_share_one_lowering(self):
         from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
-        reset_lowering_counters()
+        COUNTERS.reset("frontend")
         one_lane = vector_design(design, lanes=1)
         vectored = vector_design(design, lanes=4)
-        assert lowering_counters()["lowerings"] == 1
+        assert frontend_counters()["lowerings"] == 1
         assert one_lane.lowered is vectored.lowered
         assert set(design._lowered_cache) \
             == {("ir", 0), ("vector", 1), ("vector", 4)}
@@ -237,7 +234,7 @@ class TestDesignCache:
         assert vector_design(design, lanes=1) is one_lane
         assert vector_design(design, lanes=4) is vectored
         assert vector_design(design, lanes=8) is not vectored
-        assert lowering_counters()["lowerings"] == 1
+        assert frontend_counters()["lowerings"] == 1
 
     def test_seeded_ir_skips_lowering(self):
         """An IR already cached on the design (here by an explicit
@@ -246,7 +243,7 @@ class TestDesignCache:
         from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
         seeded = lower_design(design)
-        reset_lowering_counters()
+        COUNTERS.reset("frontend")
         assert vector_design(design, lanes=1).lowered is seeded
         assert vector_design(design, lanes=2).lowered is seeded
-        assert lowering_counters() == {"lowerings": 0}
+        assert frontend_counters()["lowerings"] == 0
