@@ -429,8 +429,6 @@ def _lint_corpus(args) -> tuple[dict, int]:
             row["trigger_findings"] = triggers
         results.append(row)
     lint = obs.delta(lint_before, obs.COUNTERS.snapshot()).get("lint", {})
-    # unlike sweep reports, this document omits the zero counts
-    lint = {key: count for key, count in lint.items() if count}
     doc = {
         "mode": "corpus",
         "samples": len(corpus),

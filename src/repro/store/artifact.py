@@ -18,24 +18,24 @@ activates it process-wide (snapshotted once per process; see
 .. code-block:: text
 
     <root>/v1/                      # schema-versioned root
-        index.json                  # bookkeeping (sizes, LRU stamps)
-        index.lock                  # fcntl lock serialising index writes
+        index.lock                  # fcntl lock serialising writers
         <namespace>/<dd>/<digest>.art
 
 Every entry is one self-contained file: a JSON header line (schema
 version, namespace, key, payload kind and size) followed by the raw
 payload bytes.  Entries are written to a temp file and published with
 an atomic ``os.replace``, so readers never observe half-written
-payloads; a short read (crash mid-write of the temp file can't cause
-one, but truncation by external meddling can) is detected via the
-header's size field and treated as a **miss**, never an error.
+payloads.  An entry whose header does not check out -- another schema,
+an unknown kind, another entry's namespace or key (a file copied under
+the wrong digest), or a size the file's length contradicts (truncation
+by external meddling) -- reads as a **miss**, never an error, to
+``get``, ``entry_meta`` and ``keep_longest`` alike.
 
-The index is advisory: it accelerates ``stats``/``gc`` and carries
-LRU timestamps, but the entry files are the source of truth.  A
-corrupt index is rebuilt by scanning the tree, and ``gc`` always
-rescans; the scan counts every ``*.art`` file -- damaged, of an
-unknown kind or not -- so ``gc`` can evict it, and ``clear`` deletes
-every such file.
+The entry files are the store's only state.  ``stats`` and ``gc`` scan
+the tree for the size and mtime of every ``*.art`` file -- damaged, of
+an unknown kind or not -- so ``gc`` can evict it, and ``clear`` deletes
+every such file.  Without a size bound a put writes one file, whatever
+the store's size.
 
 Payloads
 --------
@@ -52,8 +52,9 @@ Eviction
 --------
 
 ``REPRO_STORE_MAX_MB`` (or ``ArtifactStore(max_mb=...)``) bounds the
-payload bytes on disk; :meth:`ArtifactStore.put` evicts
-least-recently-used entries past the bound, and :meth:`ArtifactStore.gc`
+entry bytes on disk; with a bound, :meth:`ArtifactStore.put` scans the
+tree and evicts least-recently-used entries (oldest mtime: a put writes
+it, a ``get`` touches it) past the bound, and :meth:`ArtifactStore.gc`
 does the same on demand (``python -m repro store gc``).
 """
 
@@ -65,7 +66,6 @@ import json
 import os
 import pickle
 import tempfile
-import time
 from pathlib import Path
 
 from ..obs import Counters
@@ -116,15 +116,14 @@ class ArtifactStore:
     def _entry_path(self, namespace: str, key: str) -> Path:
         return self.root / namespace / key[:2] / f"{key}.art"
 
-    @property
-    def _index_path(self) -> Path:
-        return self.root / "index.json"
-
     # -- locking ------------------------------------------------------------
 
     @contextlib.contextmanager
-    def _locked_index(self):
-        """Exclusive fcntl lock around index read-modify-write cycles."""
+    def _locked(self):
+        """Exclusive fcntl lock serialising writers (``keep_longest``'s
+        check-and-write, eviction, ``clear``).  The lock file keeps the
+        ``index.lock`` name older versions used, so processes of either
+        version serialise with each other."""
         lock_path = self.root / "index.lock"
         with open(lock_path, "a+") as lock_file:
             if fcntl is not None:
@@ -135,43 +134,23 @@ class ArtifactStore:
                 if fcntl is not None:
                     fcntl.flock(lock_file.fileno(), fcntl.LOCK_UN)
 
-    # -- index (advisory bookkeeping; entry files are ground truth) ---------
+    # -- the tree -----------------------------------------------------------
 
-    def _load_index(self) -> dict:
-        """Read the index, rebuilding from a tree scan on any damage."""
-        with contextlib.suppress(OSError, json.JSONDecodeError,
-                                 ValueError):
-            data = json.loads(self._index_path.read_text())
-            if data.get("schema") == SCHEMA_VERSION \
-                    and isinstance(data.get("entries"), dict):
-                return data
-        return self._rebuild_index()
+    def _scan(self) -> dict[Path, tuple[int, float]]:
+        """``path -> (size, mtime)`` of every entry file on disk.
 
-    def _rebuild_index(self) -> dict:
-        """Index every entry file on disk, readable or not.
-
-        The ref comes from the file's location, not its header, so a
-        damaged entry (or one of a kind this version does not read) is
-        still counted by ``stats`` and evicted by ``gc``.
+        Reads no headers, so a damaged entry (or one of a kind this
+        version does not read) is still counted by ``stats`` and
+        evicted by ``gc``.
         """
-        entries: dict[str, dict] = {}
+        entries: dict[Path, tuple[int, float]] = {}
         for path in sorted(self.root.glob("*/*/*.art")):
             try:
                 stat = path.stat()
             except OSError:
                 continue  # removed under us
-            header = self._read_header(path) or {}
-            entries[f"{path.parent.parent.name}/{path.stem}"] = {
-                "size": stat.st_size,
-                "last_used": stat.st_mtime,
-                "key": header.get("key", path.stem),
-                "meta": header.get("meta", {}),
-            }
-        return {"schema": SCHEMA_VERSION, "entries": entries}
-
-    def _write_index(self, index: dict) -> None:
-        self._atomic_write(self._index_path,
-                           json.dumps(index).encode("utf-8"))
+            entries[path] = (stat.st_size, stat.st_mtime)
+        return entries
 
     def _atomic_write(self, path: Path, blob: bytes) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
@@ -188,36 +167,56 @@ class ArtifactStore:
     # -- entry files --------------------------------------------------------
 
     @staticmethod
-    def _read_header(path: Path) -> dict | None:
-        """Entry header, or None when the file is damaged/foreign."""
+    def _check_header(line: bytes, length: int, namespace: str,
+                      key: str) -> dict | None:
+        """The header of an entry file ``length`` bytes long whose first
+        line is ``line``, or None when it is not this schema's header of
+        ``namespace``/``key`` with a known kind and a ``size`` equal to
+        the rest of the file.
+
+        The one check behind ``get``, ``entry_meta`` and
+        ``keep_longest``: an entry cut short or copied under another
+        digest's path (partial rsync, manual surgery) reads as a miss to
+        all three, so it can neither substitute the wrong artifact nor
+        block a republish of its key.
+        """
+        if not line.endswith(b"\n"):
+            return None
         try:
-            with open(path, "rb") as handle:
-                line = handle.readline()
             header = json.loads(line)
-        except (OSError, json.JSONDecodeError, UnicodeDecodeError,
-                ValueError):
+        except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
             return None
         if not isinstance(header, dict) \
                 or header.get("schema") != SCHEMA_VERSION \
-                or header.get("kind") not in KINDS:
+                or header.get("kind") not in KINDS \
+                or header.get("namespace") != namespace \
+                or header.get("key") != key \
+                or header.get("size") != length - len(line):
             return None
         return header
+
+    def _read_header(self, namespace: str, key: str) -> dict | None:
+        """An entry's checked header, read without its payload."""
+        try:
+            with open(self._entry_path(namespace, key), "rb") as handle:
+                line = handle.readline()
+                length = os.fstat(handle.fileno()).st_size
+        except OSError:
+            return None
+        return self._check_header(line, length, namespace, key)
 
     def get(self, namespace: str, key: str):
         """Deserialized payload for ``namespace``/``key``, or None.
 
-        Any damage -- missing file, truncated payload, schema or
-        digest mismatch, undecodable payload -- counts as a miss; the
-        store never raises on a bad entry.
+        Any damage -- missing file, a header :meth:`_check_header`
+        rejects, undecodable payload -- counts as a miss; the store
+        never raises on a bad entry.
         """
-        path = self._entry_path(namespace, key)
-        payload = None
         try:
-            blob = path.read_bytes()
+            blob = self._entry_path(namespace, key).read_bytes()
         except OSError:
-            blob = None
-        if blob is not None:
-            payload = self._decode_entry(blob, namespace, key)
+            blob = b""
+        payload = self._decode_entry(blob, namespace, key)
         if payload is None:
             self.counters.bump(namespace, "misses")
             return None
@@ -225,40 +224,24 @@ class ArtifactStore:
         self._touch(namespace, key)
         return payload[0]
 
-    @staticmethod
-    def _decode_entry(blob: bytes, namespace: str, key: str):
+    @classmethod
+    def _decode_entry(cls, blob: bytes, namespace: str, key: str):
         """``(payload,)`` decoded from an entry blob, or None if damaged.
 
         Wrapped in a 1-tuple so a legitimately-None payload is
-        distinguishable from damage.  The header's namespace/key must
-        match the request: an entry copied under another digest's path
-        (partial rsync, manual surgery) must read as a miss, not
-        silently substitute the wrong artifact.
+        distinguishable from damage.
         """
-        newline = blob.find(b"\n")
-        if newline < 0:
+        line = blob[:blob.find(b"\n") + 1]
+        header = cls._check_header(line, len(blob), namespace, key)
+        if header is None:
             return None
+        body = blob[len(line):]
         try:
-            header = json.loads(blob[:newline])
-        except (json.JSONDecodeError, UnicodeDecodeError, ValueError):
-            return None
-        if not isinstance(header, dict) \
-                or header.get("schema") != SCHEMA_VERSION \
-                or header.get("namespace") != namespace \
-                or header.get("key") != key:
-            return None
-        body = blob[newline + 1:]
-        if len(body) != header.get("size"):
-            return None  # truncated (or padded) payload
-        kind = header.get("kind")
-        try:
-            if kind == "json":
+            if header["kind"] == "json":
                 return (json.loads(body),)
-            if kind == "pickle":
-                return (pickle.loads(body),)
+            return (pickle.loads(body),)
         except Exception:
             return None
-        return None
 
     def _touch(self, namespace: str, key: str) -> None:
         """Best-effort LRU stamp for gc ordering (never fails a get)."""
@@ -267,21 +250,25 @@ class ArtifactStore:
 
     def entry_meta(self, namespace: str, key: str) -> dict | None:
         """The ``meta`` dict stored with an entry (header-only read)."""
-        header = self._read_header(self._entry_path(namespace, key))
-        if header is None:
-            return None
-        return header.get("meta", {})
+        header = self._read_header(namespace, key)
+        return None if header is None else header.get("meta", {})
 
     def put(self, namespace: str, key: str, payload, *,
             kind: str = "pickle", meta: dict | None = None,
             keep_longest: str | None = None) -> Path:
         """Serialize and publish an entry atomically; returns its path.
 
+        Without a size bound a put is one atomic write of its own
+        entry file, whatever the store's size; with ``max_mb`` it then
+        scans the tree and evicts least-recently-used entries past the
+        bound.
+
         With ``keep_longest="n"``, the published entry's ``meta["n"]``
-        is re-checked *under the index lock* and the write is skipped
+        is re-checked *under the store's lock* and the write is skipped
         when an equal-or-longer entry already exists -- so two racing
         writers (sharded workers decoding the same key) can never
-        replace a longer batch with a shorter one.
+        replace a longer batch with a shorter one.  An entry ``get``
+        rejects never blocks the write.
         """
         if kind not in KINDS:
             raise ValueError(f"unknown payload kind {kind!r}")
@@ -299,60 +286,42 @@ class ArtifactStore:
         }
         blob = json.dumps(header).encode("utf-8") + b"\n" + body
         path = self._entry_path(namespace, key)
-        with self._locked_index():
+        with self._locked():
             if keep_longest is not None:
-                existing = self._read_header(path)
+                existing = self._read_header(namespace, key)
                 if existing is not None \
                         and existing.get("meta", {}).get(keep_longest, 0) \
                         >= (meta or {}).get(keep_longest, 0):
                     return path
             self._atomic_write(path, blob)
             self.counters.bump(namespace, "puts")
-            index = self._load_index()
-            index["entries"][f"{namespace}/{key}"] = {
-                "size": len(blob),
-                "last_used": time.time(),
-                "key": key,
-                "meta": meta or {},
-            }
-            self._evict_over_budget(index)
-            self._write_index(index)
+            if self.max_mb is not None:
+                self._evict_over_budget(self._scan(), self.max_mb)
         return path
 
     # -- maintenance --------------------------------------------------------
 
-    def _evict_over_budget(self, index: dict) -> list[str]:
-        """Drop LRU entries until under ``max_mb`` (index already locked).
+    @staticmethod
+    def _evict_over_budget(entries: dict[Path, tuple[int, float]],
+                           max_mb: float) -> list[str]:
+        """Delete least-recently-used entries until ``entries`` (a
+        :meth:`_scan` taken under the lock) fit ``max_mb``; drops them
+        from ``entries`` and returns their ``namespace/key`` refs.
 
-        Recency comes from entry-file mtimes, not the index: ``get``
-        stamps mtime lock-free (:meth:`_touch`) while the index's
-        ``last_used`` only advances on writes, so ordering by the
-        index would evict the hottest (oldest-written, most-read)
-        entries first.
+        Recency is the entry file's mtime: a put writes it and ``get``
+        stamps it lock-free (:meth:`_touch`), so the hottest entries go
+        last however long ago they were written.
         """
-        if self.max_mb is None:
-            return []
-        budget = self.max_mb * 1024 * 1024
-        entries = index["entries"]
-        total = sum(e["size"] for e in entries.values())
+        budget = max_mb * 1024 * 1024
+        total = sum(size for size, _ in entries.values())
         evicted = []
-
-        def last_used(ref: str) -> float:
-            namespace, _, key = ref.rpartition("/")
-            try:
-                return self._entry_path(namespace, key).stat().st_mtime
-            except OSError:
-                return entries[ref]["last_used"]
-
-        for ref in sorted(entries, key=last_used):
+        for path in sorted(entries, key=lambda p: entries[p][1]):
             if total <= budget:
                 break
-            namespace, _, key = ref.rpartition("/")
             with contextlib.suppress(OSError):
-                self._entry_path(namespace, key).unlink()
-            total -= entries[ref]["size"]
-            del entries[ref]
-            evicted.append(ref)
+                path.unlink()
+            total -= entries.pop(path)[0]
+            evicted.append(f"{path.parent.parent.name}/{path.stem}")
         return evicted
 
     def gc(self, max_mb: float | None = None) -> dict:
@@ -361,50 +330,39 @@ class ArtifactStore:
         if limit is None:
             raise ValueError(
                 f"no size limit: pass max_mb or set {_ENV_MAX_MB}")
-        saved_limit, self.max_mb = self.max_mb, limit
-        try:
-            with self._locked_index():
-                index = self._rebuild_index()
-                evicted = self._evict_over_budget(index)
-                self._write_index(index)
-        finally:
-            self.max_mb = saved_limit
-        remaining = sum(e["size"] for e in index["entries"].values())
+        with self._locked():
+            entries = self._scan()
+            evicted = self._evict_over_budget(entries, limit)
         return {"evicted": len(evicted), "evicted_refs": evicted,
-                "remaining_entries": len(index["entries"]),
-                "remaining_bytes": remaining}
+                "remaining_entries": len(entries),
+                "remaining_bytes": sum(size for size, _ in entries.values())}
 
     def clear(self) -> dict:
-        """Delete every entry file (and the index), readable or not;
-        returns how many were removed."""
-        with self._locked_index():
-            paths = list(self.root.glob("*/*/*.art"))
-            for path in paths:
+        """Delete every entry file, readable or not, and any
+        ``index.json`` an older version left; returns how many entries
+        were removed."""
+        with self._locked():
+            paths = list(self._scan())
+            for path in [*paths, self.root / "index.json"]:
                 with contextlib.suppress(OSError):
                     path.unlink()
-            with contextlib.suppress(OSError):
-                self._index_path.unlink()
         return {"removed_entries": len(paths)}
 
     def stats(self) -> dict:
-        """On-disk totals (from the index) + this process's counters."""
-        with self._locked_index():
-            index = self._load_index()
-            self._write_index(index)  # persist any rebuild
+        """On-disk totals from a scan of the entry files (writes
+        nothing) + this process's counters."""
+        entries = self._scan()
         by_namespace: dict[str, dict[str, int]] = {}
-        total = 0
-        for ref, entry in index["entries"].items():
-            namespace = ref.rpartition("/")[0]
+        for path, (size, _) in entries.items():
             bucket = by_namespace.setdefault(
-                namespace, {"entries": 0, "bytes": 0})
+                path.parent.parent.name, {"entries": 0, "bytes": 0})
             bucket["entries"] += 1
-            bucket["bytes"] += entry["size"]
-            total += entry["size"]
+            bucket["bytes"] += size
         return {
             "root": str(self.root),
             "schema": SCHEMA_VERSION,
-            "entries": len(index["entries"]),
-            "total_bytes": total,
+            "entries": len(entries),
+            "total_bytes": sum(size for size, _ in entries.values()),
             "max_mb": self.max_mb,
             "by_namespace": by_namespace,
             "counters": self.counters.snapshot(),

@@ -25,7 +25,6 @@ from .simulator import (
     resolve_backend,
     set_default_backend,
     simulate,
-    simulate_many,
 )
 from .syntax import CheckResult, SyntaxChecker, check_syntax
 from .trace import Trace, Tracer
@@ -61,7 +60,6 @@ __all__ = [
     "resolve_backend",
     "set_default_backend",
     "simulate",
-    "simulate_many",
     "strip_comments",
     "tokenize",
     "word_frequencies",

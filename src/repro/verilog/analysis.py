@@ -185,10 +185,6 @@ def pattern_frequencies(sources: list[SourceFile]) -> Counter:
 # ---------------------------------------------------------------------------
 
 
-def module_names(source_file: SourceFile) -> list[str]:
-    return [m.name for m in source_file.modules]
-
-
 def signal_names(module: Module) -> list[str]:
     names = [p.name for p in module.ports]
     names += [n.name for n in module.nets]

@@ -681,27 +681,3 @@ def simulate(source_text: str, top: str | None = None,
     design = elaborate(parse(source_text), top=top, overrides=overrides)
     return Simulator(design, backend=backend)
 
-
-def simulate_many(sources: list[str], top: str | None = None,
-                  overrides: dict[str, int] | None = None,
-                  backend: str | None = None) -> list[Simulator]:
-    """Batched :func:`simulate`: one fresh simulator per source text.
-
-    Duplicate sources (common across the ``n`` completions the
-    evaluation harness samples per problem) are parsed, elaborated and
-    -- for the ``compiled`` and ``vector`` backends -- lowered to
-    closures only once; each returned simulator still owns fresh state.
-    """
-    from .elaborate import elaborate
-    from .parser import parse
-
-    designs: dict[str, FlatDesign] = {}
-    sims: list[Simulator] = []
-    for source_text in sources:
-        design = designs.get(source_text)
-        if design is None:
-            design = elaborate(parse(source_text), top=top,
-                               overrides=overrides)
-            designs[source_text] = design
-        sims.append(Simulator(design, backend=backend))
-    return sims

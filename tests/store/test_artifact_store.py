@@ -1,7 +1,6 @@
 """ArtifactStore unit tests: round-trips, eviction, corruption, CLI."""
 
 import json
-import os
 
 import pytest
 
@@ -241,18 +240,109 @@ class TestCorruptionRecovery:
         assert store.get("ns", KEY) == {"who": "key1"}
 
     def test_corrupt_index_rebuilt_from_tree(self, store):
+        """A corrupt ``index.json`` an older version left behind is
+        ignored: ``stats`` and ``gc`` count the tree, and ``clear``
+        removes it."""
         store.put("ns", KEY, {"ok": 1}, kind="json")
         store.put("ns", KEY2, {"ok": 2}, kind="json")
         (store.root / "index.json").write_text("{ truncated")
-        stats = store.stats()  # must rebuild, not crash
+        stats = store.stats()  # must count the tree, not crash
         assert stats["entries"] == 2
+        assert store.gc(max_mb=1)["remaining_entries"] == 2
         assert store.get("ns", KEY) == {"ok": 1}
+        assert store.clear() == {"removed_entries": 2}
+        assert not (store.root / "index.json").exists()
 
     def test_missing_index_rebuilt_for_gc(self, store):
+        """No index is written, and a stale ``index.json`` an older
+        version left (naming an entry that is gone, missing one that
+        exists) moves neither ``stats`` nor ``gc``; ``clear`` removes
+        it."""
         store.put("ns", KEY, "x" * 500, kind="json")
-        os.unlink(store.root / "index.json")
+        index = store.root / "index.json"
+        assert not index.exists()
+        index.write_text(json.dumps({
+            "schema": SCHEMA_VERSION,
+            "entries": {f"ns/{KEY2}": {"size": 10**9, "last_used": 0.0,
+                                       "key": KEY2, "meta": {}}}}))
+        stats = store.stats()
+        assert stats["entries"] == 1
+        assert stats["total_bytes"] == store._entry_path("ns", KEY) \
+            .stat().st_size
         outcome = store.gc(max_mb=1)
         assert outcome["remaining_entries"] == 1
+        assert outcome["evicted"] == 0
+        assert store.get("ns", KEY) == "x" * 500
+        store.clear()
+        assert not index.exists()
+
+    @pytest.mark.parametrize("damage", ["truncated", "mis_keyed"])
+    def test_rejected_entry_does_not_block_keep_longest(self, store,
+                                                        damage):
+        """An entry ``get`` rejects -- cut short, or another key's entry
+        copied under this key's path -- is no entry to
+        ``entry_meta`` or ``keep_longest``: a shorter publish replaces
+        it and the key recovers."""
+        if damage == "truncated":
+            path = store.put("generations", KEY, list(range(10)),
+                             meta={"n": 10}, keep_longest="n")
+            path.write_bytes(path.read_bytes()[:-7])
+            republish = 8
+        else:
+            other = store.put("generations", KEY2, list(range(20)),
+                              meta={"n": 20}, keep_longest="n")
+            path = store._entry_path("generations", KEY)
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_bytes(other.read_bytes())
+            republish = 5
+        assert store.get("generations", KEY) is None
+        assert store.entry_meta("generations", KEY) is None
+        store.put("generations", KEY, list(range(republish)),
+                  meta={"n": republish}, keep_longest="n")
+        assert store.get("generations", KEY) == list(range(republish))
+        assert store.entry_meta("generations", KEY) == {"n": republish}
+
+
+class TestIndexFree:
+    """The entry files are the store's only state."""
+
+    @staticmethod
+    def _tree(root):
+        return {path.relative_to(root).as_posix():
+                (path.read_bytes(), path.stat().st_mtime_ns)
+                for path in root.rglob("*") if path.is_file()}
+
+    def test_puts_leave_only_entries_and_the_lock(self, store):
+        for i in range(7):
+            store.put(f"ns{i % 3}", content_key("unit", i), i, kind="json")
+        files = sorted(self._tree(store.root))
+        assert len(files) == 8
+        assert [f for f in files if not f.endswith(".art")] \
+            == ["index.lock"]
+
+    def test_unbounded_put_never_scans_the_tree(self, store, tmp_path,
+                                                monkeypatch):
+        def no_scan(self):
+            raise AssertionError("an unbounded put scanned the tree")
+
+        monkeypatch.setattr(ArtifactStore, "_scan", no_scan)
+        for i in range(5):
+            store.put("ns", content_key("unit", i), i, kind="json")
+        assert store.get("ns", content_key("unit", 4)) == 4
+        # ...while a bounded put must scan, to evict.
+        bounded = ArtifactStore(tmp_path / "bounded", max_mb=1)
+        with pytest.raises(AssertionError, match="scanned"):
+            bounded.put("ns", KEY, 1, kind="json")
+
+    def test_stats_writes_nothing(self, store):
+        before = self._tree(store.root.parent)
+        assert store.stats()["entries"] == 0
+        assert self._tree(store.root.parent) == before
+        store.put("a", KEY, [1] * 50, kind="json")
+        store.put("b", KEY2, "x" * 50)
+        before = self._tree(store.root.parent)
+        assert store.stats()["entries"] == 2
+        assert self._tree(store.root.parent) == before
 
 
 class TestActivationSnapshot:

@@ -1,7 +1,8 @@
 """Two OS processes writing one store concurrently must not corrupt it.
 
-The fcntl-locked index serialises read-modify-write cycles; entry files
-are atomic-renamed, so concurrent writers only ever race on the index.
+Entry files are atomic-renamed and the store keeps no index, so
+concurrent writers only ever race on the fcntl-locked ``keep_longest``
+check-and-write of a shared key.
 """
 
 import multiprocessing

@@ -8,10 +8,15 @@ store-backed sweeps must be bit-identical to cold, in-memory runs.
 import pytest
 
 from repro.corpus.generator import CorpusConfig, build_corpus
-from repro.llm.cache import generation_cache
+from repro.llm.cache import (
+    STORE_NAMESPACE,
+    GenerationCache,
+    generation_cache,
+    reset_cache_enabled,
+)
 from repro.llm.model import HDLCoder
 from repro.pipeline import ExperimentRunner, SerialExecutor, SweepConfig
-from repro.store import artifact_store, reset_artifact_store
+from repro.store import artifact_store, content_key, reset_artifact_store
 from repro.vereval.harness import evaluate_model
 from repro.vereval.problems import default_problems
 
@@ -151,3 +156,27 @@ class TestWarmSweepDifferential:
         assert counters["generations"]["hits"] > 0
         assert "scenario-rows" not in counters
         assert warm.attack is not None
+
+
+class TestGenerationDiskTierRecovery:
+    @pytest.fixture(autouse=True)
+    def cache_on(self, monkeypatch):
+        monkeypatch.delenv("REPRO_GEN_CACHE", raising=False)
+        reset_cache_enabled()
+        yield
+        reset_cache_enabled()
+
+    def test_republish_over_truncated_batch(self, fresh_store):
+        """A batch cut short on disk reads as a miss, so it must not
+        block the next publish of its key -- shorter or not -- through
+        the cache's lock-free pre-check or the store's keep_longest."""
+        key = ("fingerprint", "a parity checker", 0.8, 0)
+        batch = [f"completion {i}" for i in range(10)]
+        GenerationCache().store(key, batch)
+        path = fresh_store._entry_path(STORE_NAMESPACE, content_key(*key))
+        path.write_bytes(path.read_bytes()[:-16])
+        assert GenerationCache().lookup(key, 8) is None
+        GenerationCache().store(key, batch[:8])
+        cache = GenerationCache()
+        assert cache.lookup(key, 8) == batch[:8]
+        assert cache.stats()["disk_hits"] == 1

@@ -199,14 +199,22 @@ class TestLintCli:
 
     def test_corpus_mode_is_trigger_free(self, tmp_path, capsys, own_store):
         out_path = tmp_path / "lint.json"
-        assert main(["lint", "--corpus", "--samples-per-family", "8",
-                     "--max-trigger-findings", "0",
-                     "--out", str(out_path)]) == 0
+        argv = ["lint", "--corpus", "--samples-per-family", "8",
+                "--max-trigger-findings", "0", "--out", str(out_path)]
+        assert main(argv) == 0
         doc = json.loads(out_path.read_text())
         assert doc["mode"] == "corpus"
         assert doc["trigger_findings"] == 0
         assert len(doc["results"]) == doc["samples"]
-        assert doc["lint"]["namespaces"]["lint"]["runs"] > 0
+        lint = doc["lint"]["namespaces"]["lint"]
+        assert lint["runs"] > 0
+        assert lint["runs"] + lint["report_hits"] == doc["samples"]
+        # A warm re-run serves every report from the store and keeps
+        # its zero ``runs`` count, as sweep reports do.
+        assert main(argv) == 0
+        lint = json.loads(out_path.read_text())["lint"]["namespaces"]["lint"]
+        assert lint["runs"] == 0
+        assert lint["report_hits"] == doc["samples"]
 
     def test_case_mode_recall_contract(self, tmp_path, capsys):
         out_path = tmp_path / "case.json"
