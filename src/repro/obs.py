@@ -9,7 +9,8 @@ kinds of table exist:
 * :data:`COUNTERS`, the process-wide table, with the groups ``lanes``
   (``vector`` testbench runs packed as lanes of a shared simulator vs
   run on a one-lane one), ``frontend`` (testbench front-end runs,
-  failed ones included, and AST -> IR lowerings) and ``lint``
+  failed ones included, and lowerings: one slot layout per design a
+  closure backend simulates) and ``lint``
   (analyses run, reports served from the store, one
   ``findings.<rule>`` key per rule that fired);
 * one per :class:`~repro.llm.cache.GenerationCache` (group ``cache``);

@@ -24,7 +24,10 @@ Error contract: a :class:`~repro.serve.schema.RequestError` -- the same
 validation the CLI runs -- answers **400** with the structured
 ``{"error": {"schema", "message", "field"?}}`` body; unknown routes
 404, wrong methods 405, anything else 500 with ``{"error": {"type",
-"message"}}`` (never a traceback on the wire).
+"message"}}`` (never a traceback on the wire).  A request that cannot
+be framed -- a malformed request line, a bad Content-Length, a line
+longer than the stream reader's limit -- answers a structured 400 (431
+for an over-long header line) and closes the connection.
 """
 
 from __future__ import annotations
@@ -39,6 +42,7 @@ from .service import EvaluationService
 
 _REASONS = {200: "OK", 202: "Accepted", 400: "Bad Request",
             404: "Not Found", 405: "Method Not Allowed",
+            431: "Request Header Fields Too Large",
             500: "Internal Server Error"}
 
 _JOB_PATH = re.compile(r"^/v1/jobs/(?P<job_id>[0-9a-f]+)"
@@ -91,7 +95,12 @@ class ReproServer:
                              writer: asyncio.StreamWriter) -> None:
         try:
             while True:
-                request_line = await reader.readline()
+                # readline() raises ValueError past the reader's limit
+                try:
+                    request_line = await reader.readline()
+                except ValueError:
+                    self._reject(writer, "request line too long")
+                    break
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
                 try:
@@ -100,7 +109,11 @@ class ReproServer:
                 except (UnicodeDecodeError, ValueError):
                     self._reject(writer, "malformed request line")
                     break
-                headers = await self._read_headers(reader)
+                try:
+                    headers = await self._read_headers(reader)
+                except ValueError:
+                    self._reject(writer, "request header too long", 431)
+                    break
                 if headers is None:
                     break
                 length_text = headers.get("content-length", "0") or "0"
@@ -142,10 +155,10 @@ class ReproServer:
             headers[name.strip().lower()] = value.strip()
 
     @classmethod
-    def _reject(cls, writer, message: str) -> None:
-        """The structured 400 for a request that cannot be framed; the
+    def _reject(cls, writer, message: str, status: int = 400) -> None:
+        """The structured error for a request that cannot be framed; the
         caller closes the connection."""
-        cls._write(writer, 400, json.dumps(cls._error(message)).encode())
+        cls._write(writer, status, json.dumps(cls._error(message)).encode())
 
     @staticmethod
     def _write(writer, status: int, blob: bytes,

@@ -19,8 +19,9 @@ cache (``REPRO_STORE_DIR``; off by default) shared by five clients:
   memoized in the ``lint-reports`` namespace by source digest and top
   module.
 
-The testbench front end (parse, elaborate, lower) keeps only its
-in-process memo; it never reads or writes the store.
+The testbench front end (parse, elaborate, then a slot layout and
+closure builds per design) keeps only its in-process memo; it never
+reads or writes the store.
 ``python -m repro store {stats,gc,clear}`` manages the store
 (``stats --json`` emits the machine-readable form CI asserts on).
 """

@@ -83,7 +83,8 @@ def _prepare(code: str,
     keeps its own state arrays), so the front-end result can be shared.
     Callers must ``replace()`` the failure ``TestResult`` before
     handing it out, never mutate it.  Lowering is left to the first
-    backend built from the design, which caches the IR on the design.
+    closure backend built from the design, which caches its slot layout
+    and its build on the design.
     """
     result = _front_end(code, top)
     COUNTERS.bump("frontend", "elaborations")
@@ -214,18 +215,7 @@ def _run_lanes(design: FlatDesign, problem: EvalProblem,
     results: list[TestResult | None] = [None] * n
 
     if problem.sequential:
-        zeros = {name: 0 for name in problem.inputs}
-        zeros[problem.clock] = 0
-        sim.poke_many(zeros)
-        reset_name = next(
-            (name for name in _RESET_NAMES if name in problem.inputs), None
-        )
-        if reset_name is not None:
-            sim.poke(reset_name, 1)
-            sim.clock_pulse(problem.clock)
-            sim.poke(reset_name, 0)
-        for reference in references:
-            reference.reset()
+        _apply_reset(sim, problem, references)
 
     live = list(range(n))  # kept sorted; lanes only ever leave
     sequential = problem.sequential
@@ -314,7 +304,10 @@ def _run_combinational(sim: Simulator, problem: EvalProblem,
     return TestResult(passed=True, cycles_run=len(stimuli))
 
 
-def _apply_reset(sim: Simulator, problem: EvalProblem, reference) -> None:
+def _apply_reset(sim: Simulator, problem: EvalProblem,
+                 references: list) -> None:
+    """Zero every input, pulse the reset input (if the problem has one)
+    for one clock edge, release it, and reset every reference model."""
     zeros = {name: 0 for name in problem.inputs}
     zeros[problem.clock] = 0
     sim.poke_many(zeros)
@@ -325,12 +318,13 @@ def _apply_reset(sim: Simulator, problem: EvalProblem, reference) -> None:
         sim.poke(reset_name, 1)
         sim.clock_pulse(problem.clock)
         sim.poke(reset_name, 0)
-    reference.reset()
+    for reference in references:
+        reference.reset()
 
 
 def _run_sequential(sim: Simulator, problem: EvalProblem,
                     reference, stimuli: list[dict]) -> TestResult:
-    _apply_reset(sim, problem, reference)
+    _apply_reset(sim, problem, [reference])
     for cycle, vector in enumerate(stimuli):
         sim.poke_many(vector)
         expected = reference.step(vector)

@@ -152,12 +152,12 @@ class FlatDesign:
     initials: list[FlatProcess] = field(default_factory=list)
     inputs: list[str] = field(default_factory=list)
     outputs: list[str] = field(default_factory=list)
-    #: Per-design cache of lowered forms, keyed by ``(kind, lanes)``:
-    #: ``("ir", 0)`` holds the shared backend-neutral LoweredDesign,
-    #: ``("vector", n)`` the closures built from it for ``n`` lanes
-    #: (``n == 1`` serves the ``compiled`` and ``vector`` backends; see
-    #: :mod:`repro.verilog.lower`).  Not part of the design value:
-    #: excluded from comparison.
+    #: Per-design cache of closure-build inputs and outputs, keyed by
+    #: ``(kind, lanes)``: ``("ir", 0)`` holds the slot layout every
+    #: build shares (a LoweredDesign, see :mod:`repro.verilog.lower`),
+    #: ``("vector", n)`` the closures built for ``n`` lanes (``n == 1``
+    #: serves the ``compiled`` and ``vector`` backends).  Not part of
+    #: the design value: excluded from comparison.
     _lowered_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 

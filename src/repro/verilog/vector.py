@@ -2,13 +2,13 @@
 
 Every measurement in this reproduction replays the *same elaborated
 design* under many independent stimulus sequences (one per completion
-x seed).  This module turns the design's lowered IR
-(:mod:`repro.verilog.lower`) into Python closures over dense,
-slot-indexed state once, and packs ``n`` independent simulations
-("lanes") into wide Python ints: each signal's ``(val, xmask)`` pair
-stores the n lanes bit-interleaved at a stride equal to the signal's
-width, so one integer AND/OR/XOR/add advances all lanes
-simultaneously.
+x seed).  This module walks the elaborated design once and builds it
+into Python closures over dense, slot-indexed state (the slot layout
+comes from :func:`repro.verilog.lower.lower_design`), and packs ``n``
+independent simulations ("lanes") into wide Python ints: each
+signal's ``(val, xmask)`` pair stores the n lanes bit-interleaved at a
+stride equal to the signal's width, so one integer AND/OR/XOR/add
+advances all lanes simultaneously.
 
 Layout.  A packed value is a ``(width, val, xmask)`` tuple where lane
 ``i``'s field occupies bits ``[i*width, (i+1)*width)`` of ``val`` and
@@ -48,8 +48,8 @@ A built design is stateless with respect to simulation: every closure
 takes the state stores explicitly, so one build (cached on the design
 per lane count) serves any number of simulators.  Structural errors
 the interpreter only raises when a statement executes (undeclared
-signals, whole-memory assignments, malformed lvalues) are raised at
-lowering time, i.e. when the simulator is constructed.
+signals, whole-memory assignments, malformed lvalues) are raised while
+the closures are built, i.e. when the simulator is constructed.
 """
 
 from __future__ import annotations
@@ -58,14 +58,30 @@ import math
 import operator
 from typing import Callable, Sequence
 
-from .ast_nodes import Expr
-from .elaborate import FlatDesign
-from .lower import (
-    _NEGEDGE,
-    _POSEDGE,
-    lower_design,
-    lower_expr,
+from .ast_nodes import (
+    Assign,
+    Binary,
+    Block,
+    Case,
+    Concat,
+    ContinuousAssign,
+    EdgeKind,
+    Expr,
+    For,
+    Identifier,
+    If,
+    Index,
+    Number,
+    PartSelect,
+    Replicate,
+    SensItem,
+    Stmt,
+    SystemCall,
+    Ternary,
+    Unary,
 )
+from .elaborate import FlatDesign, eval_const
+from .lower import _LAYOUT_KEY, LoweredDesign, lower_design
 from .simulator import (
     _MAX_EDGE_CASCADE,
     _MAX_LOOP_ITERS,
@@ -83,6 +99,17 @@ ExprFn = Callable[[list, list, list], "tuple[int, int, int]"]
 # lane mask (stride-1: bit i set = lane i executes this statement).
 # The queue is a flat list of (resolved, lane_mask, value) triples.
 StmtFn = Callable[[list, list, list, "list | None", int], None]
+# An lvalue with computed addressing resolves at run time, under a
+# lane mask, to [(resolved, lane_mask), ...] groups.
+ResolveFn = Callable[[list, list, list, int], list]
+
+# EdgeKind -> small int, read by the trigger scan.
+_POSEDGE, _NEGEDGE, _LEVEL = 0, 1, 2
+_EDGE_CODE = {EdgeKind.POSEDGE: _POSEDGE, EdgeKind.NEGEDGE: _NEGEDGE,
+              EdgeKind.LEVEL: _LEVEL}
+
+# Width and value no-ops in this unsigned substrate.
+_SIGN_CASTS = ("$signed", "$unsigned")
 
 
 class Lanes:
@@ -397,76 +424,151 @@ def _apply_group(L: Lanes, sv: list, sx: list, m: list, resolved: tuple,
     raise SimulationError(f"bad resolved target {kind!r}")
 
 
-def _static_target(target: list) -> tuple | None:
-    """The resolved form of an lvalue whose addressing is a known
-    constant (a whole signal, ``q[2]``, ``q[3:1]``, ``mem[5]`` or a
-    concat of such), which every lane shares; None when addressing is
-    computed at run time."""
-    tag = target[0]
-    if tag == "W":
-        return ("whole", target[1], target[2])
-    if tag == "CC":
-        parts = [_static_target(part) for part in target[1]]
-        if None in parts or any(wd[0] != "wk" for wd in target[2]):
-            return None
-        # Lane mask -1: each part takes the whole assignment's mask.
-        return ("concat", [[(part, -1)] for part in parts],
-                [wd[1] for wd in target[2]])
-    if tag not in ("X", "P", "M") \
-            or any(node[0] != "K" or node[3] for node in target[4:]):
-        return None  # X-valued constants drop the write at run time
-    if tag == "X":
-        _, slot, spec_width, lsb, index = target
-        bit = index[2] - lsb
-        return ("bits", slot, spec_width, bit, bit)
-    if tag == "P":
-        _, slot, spec_width, spec_lsb, msb, lsb = target
-        return ("bits", slot, spec_width, msb[2] - spec_lsb, lsb[2] - spec_lsb)
-    _, mem_slot, width, mem_lsb, index = target
-    return ("word", mem_slot, index[2] - mem_lsb, width)
+def _const(expr: Expr) -> tuple[int, int, int] | None:
+    """``(width, val, xmask)`` of an expression the builder folds to a
+    constant -- a number, a number under ``$signed``/``$unsigned``, or
+    ``$clog2`` of a number -- else None.
+
+    ``$clog2`` of a number with X bits raises, as it would in a
+    constant expression.
+    """
+    while isinstance(expr, SystemCall) and expr.name in _SIGN_CASTS \
+            and len(expr.args) == 1:
+        expr = expr.args[0]
+    if isinstance(expr, Number):
+        canon = FourState(expr.width or 32, expr.value, expr.xmask)
+        return (canon.width, canon.val, canon.xmask)
+    if isinstance(expr, SystemCall) and expr.name == "$clog2" \
+            and len(expr.args) == 1 and isinstance(expr.args[0], Number):
+        value = eval_const(expr.args[0], {})
+        result = 0 if value <= 1 else int(math.ceil(math.log2(value)))
+        return (32, result & 0xFFFFFFFF, 0)
+    return None
+
+
+def _known(expr: Expr) -> int | None:
+    """The value of an X-free :func:`_const` expression, else None: the
+    constant-address lvalues and constant-index bit reads fire on
+    these."""
+    const = _const(expr)
+    return const[1] if const is not None and not const[2] else None
+
+
+def _fixed(resolved: tuple) -> ResolveFn:
+    """The resolver of a constant-address lvalue."""
+
+    def resolve(sv, sx, m, lm):
+        return [(resolved, lm)] if lm else []
+
+    return resolve
 
 
 class VectorDesign:
-    """A :class:`FlatDesign` lowered to lane-parallel closures.
+    """A :class:`FlatDesign` built into lane-parallel closures.
 
-    Construction consumes the backend-neutral IR from
-    :func:`repro.verilog.lower.lower_design` -- all structural analysis
-    (slot assignment, static comb write-sets, sensitivity, widths)
-    happens there; this class only builds the closures.  Every closure
-    computes all ``lanes`` lanes per call and every statement closure is
+    Construction walks the elaborated design once: continuous assigns,
+    then combinational processes, edge-triggered processes and initial
+    blocks, resolving every name against the design's slot layout
+    (:func:`repro.verilog.lower.lower_design`).  Every closure computes
+    all ``lanes`` lanes per call and every statement closure is
     predicated on an active-lane mask.
+
+    A structural fault raises at construction, and the walk's order
+    decides which of several faults that is: a value before its
+    target, sensitivity before body, and a read ``a[i]`` resolves ``i``
+    before ``a`` while an lvalue ``a[i]`` checks ``a`` first.  Reads of
+    undeclared or memory signals raise :class:`SimulationError`;
+    lvalue names go through ``design.signal`` (an
+    :class:`~repro.verilog.elaborate.ElaborationError` for unknown
+    names) before the whole-memory check.
     """
 
     def __init__(self, design: FlatDesign, lanes: int):
         self.design = design
         self.L = _OneLane() if lanes == 1 else Lanes(lanes)
-        self.lowered = lowered = lower_design(design)
-        self.slot: dict[str, int] = lowered.slot
-        self.mem_slot: dict[str, int] = lowered.mem_slot
-        self.widths: list[int] = lowered.widths
-        self.n_mems = lowered.n_mems
+        # The walk reads a layout of its own until it succeeds: a design
+        # that does not build caches no layout and counts no lowering.
+        layout = design._lowered_cache.get(_LAYOUT_KEY) \
+            or LoweredDesign(design)
+        self.slot: dict[str, int] = layout.slot
+        self.mem_slot: dict[str, int] = layout.mem_slot
+        self.widths: list[int] = layout.widths
+        self.n_mems = layout.n_mems
+        self.edge_slots = layout.edge_slots
+        self.edge_pos = layout.edge_pos
 
-        self.assigns = [self._build_assign(target, value)
-                        for target, value in lowered.assigns]
+        self.assigns = [self._build_assign(a) for a in design.assigns]
         # Comb processes carry their static write-set, so change
         # detection compares a handful of slots instead of the state.
-        self.comb = [(self._build_body(body), tuple(wslots))
-                     for body, wslots in lowered.comb]
-        self.edge_slots = lowered.edge_slots
-        self.edge_pos = lowered.edge_pos
-        # Sensitivity items as (edge, slot, snapshot index, width).
-        self.seq = [
-            ([(edge, slot, self.edge_pos[slot], self.widths[slot])
-              for edge, slot in sens], self._build_body(body))
-            for sens, body in lowered.seq
-        ]
-        self.initials = [self._build_body(body) for body in lowered.initials]
+        self.comb = [(self._build_body(p.body), self._write_slots(p.body))
+                     for p in design.processes if not p.is_edge_triggered]
+        self.seq = [(self._build_sensitivity(p.sensitivity),
+                     self._build_body(p.body))
+                    for p in design.processes if p.is_edge_triggered]
+        self.initials = [self._build_body(p.body) for p in design.initials]
+        self.lowered = lower_design(design)
+
+    # -- layout ------------------------------------------------------------
+
+    def _slot(self, name: str) -> int:
+        slot = self.slot.get(name)
+        if slot is None:  # undeclared, or a memory
+            raise SimulationError(f"unknown signal {name!r}")
+        return slot
+
+    def _build_sensitivity(
+            self, sensitivity: list[SensItem],
+    ) -> list[tuple[int, int, int, int]]:
+        """Sensitivity items as (edge, slot, snapshot index, width)."""
+        out = []
+        for item in sensitivity:
+            slot = self._slot(item.signal)
+            out.append((_EDGE_CODE[item.edge], slot, self.edge_pos[slot],
+                        self.widths[slot]))
+        return out
+
+    def _write_slots(self, body: list[Stmt]) -> tuple[int, ...]:
+        """The sorted non-memory slots a built comb body can write, a
+        ``for`` loop's init and step included.
+
+        Memory words are deliberately left out: the interpreter's comb
+        predicate reads ``state`` only, never ``memories``.
+        """
+        slots: set[int] = set()
+
+        def target(lvalue: Expr) -> None:
+            if isinstance(lvalue, Concat):
+                for part in lvalue.parts:
+                    target(part)
+                return
+            if isinstance(lvalue, (Index, PartSelect)):
+                lvalue = lvalue.target
+            if isinstance(lvalue, Identifier) and lvalue.name in self.slot:
+                slots.add(self.slot[lvalue.name])
+
+        def visit(stmts: list[Stmt]) -> None:
+            for stmt in stmts:
+                if isinstance(stmt, Assign):
+                    target(stmt.target)
+                elif isinstance(stmt, Block):
+                    visit(stmt.body)
+                elif isinstance(stmt, If):
+                    visit(stmt.then_body)
+                    visit(stmt.else_body)
+                elif isinstance(stmt, Case):
+                    for item in stmt.items:
+                        visit(item.body)
+                elif isinstance(stmt, For):
+                    visit([stmt.init, stmt.step, *stmt.body])
+
+        visit(body)
+        return tuple(sorted(slots))
 
     # -- continuous assigns ------------------------------------------------
 
-    def _build_assign(self, target: list, value_ir: list) -> Callable[..., bool]:
-        value = self._build_expr(value_ir)
-        write = self._build_write(target)
+    def _build_assign(self, assign: ContinuousAssign) -> Callable[..., bool]:
+        value = self._build_expr(assign.value)
+        write = self._build_write(self._build_target(assign.target))
 
         def run(sv, sx, m, lm):
             return write(sv, sx, m, value(sv, sx, m), lm)
@@ -475,7 +577,7 @@ class VectorDesign:
 
     # -- statements --------------------------------------------------------
 
-    def _build_body(self, body: list) -> StmtFn:
+    def _build_body(self, body: list[Stmt]) -> StmtFn:
         fns = [self._build_stmt(stmt) for stmt in body]
         if not fns:
             return lambda sv, sx, m, nba, lm: None
@@ -488,17 +590,16 @@ class VectorDesign:
 
         return run
 
-    def _build_stmt(self, stmt: list) -> StmtFn:
-        tag = stmt[0]
-        if tag in ("a", "n"):
+    def _build_stmt(self, stmt: Stmt) -> StmtFn:
+        if isinstance(stmt, Assign):
             return self._build_stmt_assign(stmt)
-        if tag == "b":
-            return self._build_body(stmt[1])
-        if tag == "i":
+        if isinstance(stmt, Block):
+            return self._build_body(stmt.body)
+        if isinstance(stmt, If):
             nonzero = self.L.nonzero
-            cond = self._build_expr(stmt[1])
-            then_body = self._build_body(stmt[2])
-            else_body = self._build_body(stmt[3])
+            cond = self._build_expr(stmt.cond)
+            then_body = self._build_body(stmt.then_body)
+            else_body = self._build_body(stmt.else_body)
 
             def run(sv, sx, m, nba, lm):
                 cw, cv, cx = cond(sv, sx, m)
@@ -514,16 +615,19 @@ class VectorDesign:
                     else_body(sv, sx, m, nba, lm & ~t)
 
             return run
-        if tag == "c":
+        if isinstance(stmt, Case):
             return self._build_stmt_case(stmt)
-        if tag == "f":
+        if isinstance(stmt, For):
             return self._build_stmt_for(stmt)
-        raise SimulationError(f"unknown statement tag {tag!r}")
+        raise SimulationError(
+            f"cannot execute statement {type(stmt).__name__}"
+        )
 
-    def _build_stmt_assign(self, stmt: list) -> StmtFn:
-        value = self._build_expr(stmt[2])
-        write = self._build_write(stmt[1])
-        if stmt[0] == "a":
+    def _build_stmt_assign(self, stmt: Assign) -> StmtFn:
+        value = self._build_expr(stmt.value)
+        target = self._build_target(stmt.target)
+        write = self._build_write(target)
+        if stmt.blocking:
             def run(sv, sx, m, nba, lm):
                 write(sv, sx, m, value(sv, sx, m), lm)
 
@@ -531,16 +635,15 @@ class VectorDesign:
         # Initial blocks execute with nba=None: commit immediately.
         # Otherwise addressing, lane mask and value are captured at
         # schedule time, like the interpreter's NBA queue.
-        static = _static_target(stmt[1])
-        if static is not None:
+        if isinstance(target, tuple):
             def run(sv, sx, m, nba, lm):
                 if nba is None:
                     write(sv, sx, m, value(sv, sx, m), lm)
                 else:
-                    nba += (static, lm, value(sv, sx, m))
+                    nba += (target, lm, value(sv, sx, m))
 
             return run
-        resolve = self._build_resolve(stmt[1])
+        resolve = target
 
         def run(sv, sx, m, nba, lm):
             if nba is None:
@@ -552,18 +655,18 @@ class VectorDesign:
 
         return run
 
-    def _build_stmt_case(self, stmt: list) -> StmtFn:
+    def _build_stmt_case(self, stmt: Case) -> StmtFn:
         L = self.L
-        kind = stmt[1]
-        subject = self._build_expr(stmt[2])
+        kind = stmt.kind
+        subject = self._build_expr(stmt.subject)
         arms = []
         default_body = None
-        for patterns, item_body in stmt[3]:
-            if not patterns:
-                default_body = self._build_body(item_body)
+        for item in stmt.items:
+            if not item.patterns:
+                default_body = self._build_body(item.body)
                 continue
-            arms.append(([self._build_expr(p) for p in patterns],
-                         self._build_body(item_body)))
+            arms.append(([self._build_expr(p) for p in item.patterns],
+                         self._build_body(item.body)))
         nonzero = L.nonzero
         repack = L.repack
         fullt = L._full
@@ -603,12 +706,12 @@ class VectorDesign:
 
         return run
 
-    def _build_stmt_for(self, stmt: list) -> StmtFn:
+    def _build_stmt_for(self, stmt: For) -> StmtFn:
         nonzero = self.L.nonzero
-        init = self._build_stmt(stmt[1])
-        cond = self._build_expr(stmt[2])
-        step = self._build_stmt(stmt[3])
-        body = self._build_body(stmt[4])
+        init = self._build_stmt(stmt.init)
+        cond = self._build_expr(stmt.cond)
+        step = self._build_stmt(stmt.step)
+        body = self._build_body(stmt.body)
 
         def run(sv, sx, m, nba, lm):
             init(sv, sx, m, nba, lm)
@@ -628,10 +731,11 @@ class VectorDesign:
 
     # -- lvalues -----------------------------------------------------------
 
-    def _build_write(self, target: list) -> Callable[..., bool]:
-        """Compile an lvalue node to ``write(sv, sx, m, value, lm) -> changed``."""
+    def _build_write(self, target: "tuple | ResolveFn") -> Callable[..., bool]:
+        """Compile a built lvalue to ``write(sv, sx, m, value, lm) ->
+        changed``."""
         L = self.L
-        if target[0] == "W":
+        if isinstance(target, tuple) and target[0] == "whole":
             _, slot, width = target
             alln = L.all
             repack = L.repack
@@ -656,13 +760,12 @@ class VectorDesign:
                 return True
 
             return write
-        static = _static_target(target)
-        if static is not None:
+        if isinstance(target, tuple):
             def write(sv, sx, m, value, lm):
-                return _apply_group(L, sv, sx, m, static, value, lm)
+                return _apply_group(L, sv, sx, m, target, value, lm)
 
             return write
-        resolve = self._build_resolve(target)
+        resolve = target
 
         def write(sv, sx, m, value, lm):
             changed = False
@@ -673,40 +776,59 @@ class VectorDesign:
 
         return write
 
-    def _build_resolve(self, target: list) -> Callable[..., list]:
-        """Compile an lvalue node to a runtime address resolver returning
-        ``[(resolved, lane_mask), ...]`` groups.
+    @staticmethod
+    def _lvalue_name(expr: Expr) -> str:
+        if isinstance(expr, Identifier):
+            return expr.name
+        raise SimulationError(
+            f"nested lvalue of type {type(expr).__name__} not supported"
+        )
 
-        Lane-divergent addressing splits into one group per distinct
-        address; lanes with X addressing are dropped (the interpreter's
-        semantics, per lane).
+    def _build_target(self, target: Expr) -> "tuple | ResolveFn":
+        """Build an lvalue.
+
+        A target whose addressing is a known constant -- a whole
+        signal, ``q[2]``, ``q[3:1]``, ``mem[5]``, or a concat of whole
+        signals and constant-index selects -- builds to its resolved
+        form (see :func:`_apply_group`), which every lane shares.  Any
+        other builds to a resolver ``(sv, sx, m, lm) -> [(resolved,
+        lane_mask), ...]``: lane-divergent addressing splits into one
+        group per distinct address, and lanes with X addressing are
+        dropped (the interpreter's semantics, per lane).
         """
-        static = _static_target(target)
-        if static is not None:
-            def resolve(sv, sx, m, lm):
-                return [(static, lm)] if lm else []
-
-            return resolve
         L = self.L
         uniform = L.uniform
-        tag = target[0]
-        if tag == "M":
-            _, mem_slot, width, mem_lsb, index_ir = target
-            index = self._build_expr(index_ir)
+        if isinstance(target, Identifier):
+            spec = self.design.signal(target.name)
+            if spec.is_memory:
+                raise SimulationError(
+                    f"cannot assign whole memory {target.name!r}"
+                )
+            return ("whole", self.slot[spec.name], spec.width)
+        if isinstance(target, Index):
+            spec = self.design.signal(self._lvalue_name(target.target))
+            index = self._build_expr(target.index)
+            known = _known(target.index)
+            if spec.is_memory:
+                mem_slot, width, mem_lsb = \
+                    self.mem_slot[spec.name], spec.width, spec.mem_lsb
+                if known is not None:
+                    return ("word", mem_slot, known - mem_lsb, width)
 
-            def resolve(sv, sx, m, lm):
-                iw, iv, ix = index(sv, sx, m)
-                u = None if ix else uniform(iv, iw)
-                if u is not None:
-                    return [(("word", mem_slot, u - mem_lsb, width), lm)]
-                groups, _ = _lane_groups(L, iw, iv, ix, lm)
-                return [(("word", mem_slot, val - mem_lsb, width), sub)
-                        for val, sub in groups]
+                def resolve(sv, sx, m, lm):
+                    iw, iv, ix = index(sv, sx, m)
+                    u = None if ix else uniform(iv, iw)
+                    if u is not None:
+                        return [(("word", mem_slot, u - mem_lsb, width), lm)]
+                    groups, _ = _lane_groups(L, iw, iv, ix, lm)
+                    return [(("word", mem_slot, val - mem_lsb, width), sub)
+                            for val, sub in groups]
 
-            return resolve
-        if tag == "X":
-            _, slot, spec_width, lsb, index_ir = target
-            index = self._build_expr(index_ir)
+                return resolve
+            slot, spec_width, lsb = self.slot[spec.name], spec.width, spec.lsb
+            if known is not None:
+                bit = known - lsb
+                return ("bits", slot, spec_width, bit, bit)
 
             def resolve(sv, sx, m, lm):
                 iw, iv, ix = index(sv, sx, m)
@@ -722,10 +844,16 @@ class VectorDesign:
                 return out
 
             return resolve
-        if tag == "P":
-            _, slot, spec_width, spec_lsb, msb_ir, lsb_ir = target
-            msb = self._build_expr(msb_ir)
-            lsb = self._build_expr(lsb_ir)
+        if isinstance(target, PartSelect):
+            name = self._lvalue_name(target.target)
+            spec = self.design.signal(name)
+            msb = self._build_expr(target.msb)
+            lsb = self._build_expr(target.lsb)
+            slot = self._slot(name)
+            spec_width, spec_lsb = spec.width, spec.lsb
+            hi, lo = _known(target.msb), _known(target.lsb)
+            if hi is not None and lo is not None:
+                return ("bits", slot, spec_width, hi - spec_lsb, lo - spec_lsb)
 
             def groups_of(iw, iv, ix, lm):
                 u = None if ix else uniform(iv, iw)
@@ -749,27 +877,42 @@ class VectorDesign:
                 return out
 
             return resolve
-        if tag == "CC":
-            parts = [self._build_resolve(p) for p in target[1]]
-            widths = [self._build_target_width(w) for w in target[2]]
+        if isinstance(target, Concat):
+            parts = [self._build_target(p) for p in target.parts]
+            if all(isinstance(built, tuple)
+                   and isinstance(part, (Identifier, Index))
+                   for built, part in zip(parts, target.parts, strict=True)):
+                # Lane mask -1: each part takes the whole assignment's mask.
+                return ("concat", [[(built, -1)] for built in parts],
+                        [self._fixed_width(part) for part in target.parts])
+            resolvers = [_fixed(built) if isinstance(built, tuple) else built
+                         for built in parts]
+            widths = [self._build_target_width(part) for part in target.parts]
 
             def resolve(sv, sx, m, lm):
                 return [(("concat",
-                          [p(sv, sx, m, lm) for p in parts],
+                          [p(sv, sx, m, lm) for p in resolvers],
                           [w(sv, sx, m) for w in widths]), lm)]
 
             return resolve
-        raise SimulationError(f"unknown lvalue tag {tag!r}")
+        raise SimulationError(
+            f"unsupported assignment target {type(target).__name__}"
+        )
 
-    def _build_target_width(self, wd: list) -> Callable[..., int]:
+    def _fixed_width(self, target: Expr) -> int:
+        """The width of a built whole-signal or single-select lvalue."""
+        if isinstance(target, Index):
+            spec = self.design.signal(self._lvalue_name(target.target))
+            return spec.width if spec.is_memory else 1
+        return self.design.signal(self._lvalue_name(target)).width
+
+    def _build_target_width(self, target: Expr) -> Callable[..., int]:
+        """The width of a built concat-target part, at run time: a part
+        select's bounds may be computed."""
         L = self.L
-        tag = wd[0]
-        if tag == "wk":
-            width = wd[1]
-            return lambda sv, sx, m: width
-        if tag == "wr":
-            msb = self._build_expr(wd[1])
-            lsb = self._build_expr(wd[2])
+        if isinstance(target, PartSelect):
+            msb = self._build_expr(target.msb)
+            lsb = self._build_expr(target.lsb)
 
             def width_of(sv, sx, m):
                 mw, mv, mx = msb(sv, sx, m)
@@ -785,19 +928,16 @@ class VectorDesign:
                 return abs(hi - lo) + 1
 
             return width_of
-        if tag == "ws":
-            widths = [self._build_target_width(w) for w in wd[1]]
+        if isinstance(target, Concat):
+            widths = [self._build_target_width(p) for p in target.parts]
             return lambda sv, sx, m: sum(w(sv, sx, m) for w in widths)
-        raise SimulationError(f"unknown width tag {tag!r}")
+        width = self._fixed_width(target)
+        return lambda sv, sx, m: width
 
     # -- expressions -------------------------------------------------------
 
-    def _expr(self, expr: Expr, sensitive: bool = False) -> ExprFn:
-        """Compile an ad-hoc AST expression (the testbench ``eval`` path)."""
-        return self._build_expr(lower_expr(self.design, expr), sensitive)
-
-    def _build_expr(self, ir: list, sensitive: bool = False) -> ExprFn:
-        """Lower one IR node to a packed closure.
+    def _build_expr(self, expr: Expr, sensitive: bool = False) -> ExprFn:
+        """Build one expression into a packed closure.
 
         ``sensitive`` marks a *width-sensitive* context: the parent
         operator's result depends on the operand's exact bit width, not
@@ -809,30 +949,30 @@ class VectorDesign:
         width-insensitive contexts (assign right-hand sides, compares,
         value arithmetic -- the interpreter resizes there anyway) and
         raises in sensitive ones so the caller can fall back to one
-        lane.  The flag is a property of the walk, not the node, so it
-        is re-derived here rather than stored in the IR.
+        lane.  The flag is a property of the walk, not of the node.
         """
         L = self.L
-        tag = ir[0]
-        if tag == "K":
-            _, kw, kv, kx = ir
-            const = (kw, L.rep(kv, kw), L.rep(kx, kw))
-            return lambda sv, sx, m: const
-        if tag == "S":
-            _, slot, width = ir
+        if isinstance(expr, Identifier):
+            slot = self._slot(expr.name)
+            width = self.widths[slot]
             return lambda sv, sx, m: (width, sv[slot], sx[slot])
-        if tag == "U":
-            return self._build_unary(ir, sensitive)
-        if tag == "B":
-            return self._build_binary(ir, sensitive)
-        if tag == "T":
-            return self._build_ternary(ir, sensitive)
-        if tag in ("IB", "IM", "IE"):
-            return self._build_index(ir)
-        if tag == "PS":
-            return self._build_part_select(ir)
-        if tag == "C":
-            parts = [self._build_expr(p, True) for p in ir[1]]
+        const = _const(expr)
+        if const is not None:
+            kw, kv, kx = const
+            packed = (kw, L.rep(kv, kw), L.rep(kx, kw))
+            return lambda sv, sx, m: packed
+        if isinstance(expr, Unary):
+            return self._build_unary(expr, sensitive)
+        if isinstance(expr, Binary):
+            return self._build_binary(expr, sensitive)
+        if isinstance(expr, Ternary):
+            return self._build_ternary(expr, sensitive)
+        if isinstance(expr, Index):
+            return self._build_index(expr)
+        if isinstance(expr, PartSelect):
+            return self._build_part_select(expr)
+        if isinstance(expr, Concat):
+            parts = [self._build_expr(p, True) for p in expr.parts]
             if L.n == 1:
                 def run(sv, sx, m):
                     w = v = x = 0
@@ -862,17 +1002,26 @@ class VectorDesign:
                 return (total, out_v, out_x)
 
             return run
-        if tag == "R":
-            return self._build_replicate(ir)
-        if tag == "L2":
-            return self._build_clog2(ir)
-        raise SimulationError(f"unknown expression tag {tag!r}")
+        if isinstance(expr, Replicate):
+            return self._build_replicate(expr)
+        if isinstance(expr, SystemCall):
+            if expr.name in ("$clog2", *_SIGN_CASTS) and len(expr.args) != 1:
+                raise SimulationError(
+                    f"{expr.name} expects exactly one argument"
+                )
+            if expr.name in _SIGN_CASTS:
+                # The width-sensitivity context flows to the operand.
+                return self._build_expr(expr.args[0], sensitive)
+            if expr.name == "$clog2":
+                return self._build_clog2(expr.args[0])
+            raise SimulationError(f"unsupported system call {expr.name}")
+        raise SimulationError(f"cannot evaluate {type(expr).__name__}")
 
-    def _build_ternary(self, ir: list, sensitive: bool) -> ExprFn:
+    def _build_ternary(self, expr: Ternary, sensitive: bool) -> ExprFn:
         L = self.L
-        cond = self._build_expr(ir[1])
-        then = self._build_expr(ir[2], sensitive)
-        otherwise = self._build_expr(ir[3], sensitive)
+        cond = self._build_expr(expr.cond)
+        then = self._build_expr(expr.then, sensitive)
+        otherwise = self._build_expr(expr.otherwise, sensitive)
         nonzero = L.nonzero
         alln = L.all
 
@@ -910,7 +1059,7 @@ class VectorDesign:
 
         return run
 
-    def _build_index(self, ir: list) -> ExprFn:
+    def _build_index(self, expr: Index) -> ExprFn:
         """Bit and memory-word reads.  A uniform known index (always the
         case at one lane) reads directly; otherwise lanes are grouped by
         index and gathered group by group."""
@@ -933,10 +1082,25 @@ class VectorDesign:
                     out_x |= pick(tx, tw, i) & sub
             return (1, out_v, out_x)
 
-        tag = ir[0]
-        if tag == "IM":
-            _, mem_slot, width, mem_lsb, index_ir = ir
-            index = self._build_expr(index_ir)
+        index = self._build_expr(expr.index)  # the index before the target
+        if not isinstance(expr.target, Identifier):
+            target = self._build_expr(expr.target, True)
+
+            def run(sv, sx, m):
+                tw, tv, tx = target(sv, sx, m)
+                iw, iv, ix = index(sv, sx, m)
+                u = None if ix else uniform(iv, iw)
+                if u is not None:
+                    if u >= tw:
+                        return x_bit
+                    return (1, pick(tv, tw, u), pick(tx, tw, u))
+                return gather(tw, tv, tx, 0, iw, iv, ix)
+
+            return run
+        spec = self.design.signal(expr.target.name)
+        width = spec.width
+        if spec.is_memory:
+            mem_slot, mem_lsb = self.mem_slot[spec.name], spec.mem_lsb
             unknown = (width, 0, L.full(width))
 
             def run(sv, sx, m):
@@ -965,49 +1129,36 @@ class VectorDesign:
                 return (width, out_v, out_x)
 
             return run
-        if tag == "IB":
-            _, slot, width, lsb, index_ir = ir
-            if index_ir[0] == "K" and not index_ir[3]:
-                i = index_ir[2] - lsb
-                if i < 0 or i >= width:
-                    return lambda sv, sx, m: x_bit
-                return lambda sv, sx, m: (1, pick(sv[slot], width, i),
-                                          pick(sx[slot], width, i))
-            index = self._build_expr(index_ir)
-
-            def run(sv, sx, m):
-                iw, iv, ix = index(sv, sx, m)
-                u = None if ix else uniform(iv, iw)
-                if u is not None:
-                    i = u - lsb
-                    if i < 0 or i >= width:
-                        return x_bit
-                    return (1, pick(sv[slot], width, i),
-                            pick(sx[slot], width, i))
-                return gather(width, sv[slot], sx[slot], lsb, iw, iv, ix)
-
-            return run
-        target = self._build_expr(ir[1], True)
-        index = self._build_expr(ir[2])
+        slot, lsb = self.slot[spec.name], spec.lsb
+        known = _known(expr.index)
+        if known is not None:
+            i = known - lsb
+            if i < 0 or i >= width:
+                return lambda sv, sx, m: x_bit
+            return lambda sv, sx, m: (1, pick(sv[slot], width, i),
+                                      pick(sx[slot], width, i))
 
         def run(sv, sx, m):
-            tw, tv, tx = target(sv, sx, m)
             iw, iv, ix = index(sv, sx, m)
             u = None if ix else uniform(iv, iw)
             if u is not None:
-                if u >= tw:
+                i = u - lsb
+                if i < 0 or i >= width:
                     return x_bit
-                return (1, pick(tv, tw, u), pick(tx, tw, u))
-            return gather(tw, tv, tx, 0, iw, iv, ix)
+                return (1, pick(sv[slot], width, i),
+                        pick(sx[slot], width, i))
+            return gather(width, sv[slot], sx[slot], lsb, iw, iv, ix)
 
         return run
 
-    def _build_part_select(self, ir: list) -> ExprFn:
+    def _build_part_select(self, expr: PartSelect) -> ExprFn:
         L = self.L
-        _, target_ir, adjust, msb_ir, lsb_ir = ir
-        target = self._build_expr(target_ir, True)
-        msb = self._build_expr(msb_ir)
-        lsb = self._build_expr(lsb_ir)
+        target = self._build_expr(expr.target, True)
+        msb = self._build_expr(expr.msb)
+        lsb = self._build_expr(expr.lsb)
+        adjust = 0
+        if isinstance(expr.target, Identifier):
+            adjust = self.design.signal(expr.target.name).lsb
 
         def run(sv, sx, m):
             w, v, x = target(sv, sx, m)
@@ -1030,10 +1181,10 @@ class VectorDesign:
 
         return run
 
-    def _build_replicate(self, ir: list) -> ExprFn:
+    def _build_replicate(self, expr: Replicate) -> ExprFn:
         L = self.L
-        count = self._build_expr(ir[1])
-        value = self._build_expr(ir[2], True)
+        count = self._build_expr(expr.count)
+        value = self._build_expr(expr.value, True)
 
         def run(sv, sx, m):
             cw, cv, cx = count(sv, sx, m)
@@ -1063,16 +1214,16 @@ class VectorDesign:
 
         return run
 
-    def _build_unary(self, ir: list, sensitive: bool) -> ExprFn:
+    def _build_unary(self, expr: Unary, sensitive: bool) -> ExprFn:
         L = self.L
-        op = ir[1]
+        op = expr.op
         # ~, negate and the reductions read the operand's exact width;
         # ! only tests nonzero; unary + is the identity.
         if op == "+":
             operand_sensitive = sensitive
         else:
             operand_sensitive = op != "!"
-        value = self._build_expr(ir[2], operand_sensitive)
+        value = self._build_expr(expr.operand, operand_sensitive)
         fullt = L._full
         nonzero = L.nonzero
         alln = L.all
@@ -1133,9 +1284,9 @@ class VectorDesign:
             return run
         raise SimulationError(f"unknown unary operator {op!r}")
 
-    def _build_binary(self, ir: list, sensitive: bool) -> ExprFn:
+    def _build_binary(self, expr: Binary, sensitive: bool) -> ExprFn:
         L = self.L
-        op = ir[1]
+        op = expr.op
         # Subtraction wraps at the operand-derived width, xnor inverts
         # up to it, left shifts truncate at it, and ** picks its result
         # width from it: their operands are inherently width-sensitive.
@@ -1157,8 +1308,8 @@ class VectorDesign:
             right_sensitive = sensitive
         else:
             right_sensitive = False
-        left = self._build_expr(ir[2], left_sensitive)
-        right = self._build_expr(ir[3], right_sensitive)
+        left = self._build_expr(expr.left, left_sensitive)
+        right = self._build_expr(expr.right, right_sensitive)
         repack = L.repack
         nonzero = L.nonzero
         expand = L.expand
@@ -1459,9 +1610,9 @@ class VectorDesign:
 
         return run
 
-    def _build_clog2(self, ir: list) -> ExprFn:
+    def _build_clog2(self, arg: Expr) -> ExprFn:
         L = self.L
-        operand = self._build_expr(ir[1])
+        operand = self._build_expr(arg)
 
         def run(sv, sx, m):
             ow, ov, ox = operand(sv, sx, m)
@@ -1481,9 +1632,9 @@ class VectorDesign:
 def vector_design(design: FlatDesign, lanes: int) -> VectorDesign:
     """Build ``design`` for ``lanes`` lanes, caching on the design.
 
-    The design's ``_lowered_cache`` holds the shared IR under
-    ``("ir", 0)`` and one build per lane count under ``("vector",
-    lanes)`` (see :mod:`repro.verilog.lower`).
+    The design's ``_lowered_cache`` holds the shared slot layout under
+    ``("ir", 0)`` (see :mod:`repro.verilog.lower`) and one build per
+    lane count under ``("vector", lanes)``.
     """
     cache = design._lowered_cache
     vd = cache.get(("vector", lanes))
@@ -1695,7 +1846,7 @@ class VectorSimulator(Simulator):
         cached = self._eval_cache.get(id(expr))
         if cached is None or cached[0] is not expr:
             # Holding the expr in the cache keeps its id() stable.
-            cached = (expr, self.vd._expr(expr))
+            cached = (expr, self.vd._build_expr(expr))
             self._eval_cache[id(expr)] = cached
         w, v, x = cached[1](self._sv, self._sx, self._m)
         L = self._L

@@ -113,6 +113,47 @@ class TestRoutingContract:
         assert json.loads(body) == {"error": {
             "schema": SCHEMA_VERSION, "message": "invalid content-length"}}
 
+    @pytest.mark.parametrize("where,status,message", [
+        ("request-line", 400, "request line too long"),
+        ("header", 431, "request header too long"),
+    ])
+    def test_overlong_line_answers_then_close(self, where, status,
+                                              message):
+        """A request line or header line past the stream reader's
+        64 KiB line limit answers a structured 400 (431 for a header)
+        and closes the connection; nothing reaches the event loop's
+        exception handler."""
+        unhandled = []
+
+        async def leg(host, port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            reader, writer = await asyncio.open_connection(host, port)
+            filler = "x" * 100_000
+            if where == "request-line":
+                head = f"GET /v1/{filler} HTTP/1.1\r\nhost: {host}\r\n"
+            else:
+                head = (f"GET /v1/healthz HTTP/1.1\r\nhost: {host}\r\n"
+                        f"x-filler: {filler}\r\n")
+            # a second request on the same connection is never answered
+            request = (head + "\r\n").encode()
+            writer.write(request + b"GET /v1/healthz HTTP/1.1\r\n\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(3):  # let the handler task's callbacks run
+                await asyncio.sleep(0)
+            return raw
+
+        raw = serve(leg, workers=1)
+        head, _, body = raw.partition(b"\r\n\r\n")
+        assert head.split()[1:2] == [str(status).encode()]
+        assert raw.count(b"HTTP/1.1") == 1
+        assert json.loads(body) == {"error": {
+            "schema": SCHEMA_VERSION, "message": message}}
+        assert unhandled == []
+
     def test_validation_400_matches_schema_payload(self):
         """The HTTP 400 body is RequestError.payload() verbatim -- the
         CLI's message, structured (satellite #2)."""

@@ -1,31 +1,22 @@
-"""The backend-neutral lowered IR: one lowering per design, re-derived
-identically by every process.
+"""The slot layout: one lowering per design, shared by every build.
 
 Every closure build (``compiled``/``vector`` at one lane, and every
-other lane count) comes from the IR that
-:func:`repro.verilog.lower.lower_design` caches on the design, so a
-design is lowered once however many lane counts are built from it.  No
-process shares its IR with another: each one runs source -> elaborate
--> lower itself, so the round trip must reproduce the same IR in any
-process, and a build from an IR another lane count already used must
-behave exactly like one that lowered the AST itself.
+other lane count) walks the elaborated design itself but reads the slot
+layout that :func:`repro.verilog.lower.lower_design` caches on the
+design, so a design is lowered once however many lane counts are built
+from it.  A build whose layout another lane count already used (and
+ran) must behave exactly like a build on a freshly elaborated copy.
 """
 
-import json
-import os
 import random
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
-import repro
 from repro.corpus.designs import ALL_FAMILIES
 from repro.verilog.elaborate import elaborate
 from repro.obs import COUNTERS
 from repro.vereval.testbench import frontend_counters
-from repro.verilog.lower import LoweredDesign, lower_design
+from repro.verilog.lower import lower_design
 from repro.verilog.parser import parse
 from repro.verilog.simulator import Simulator
 from repro.verilog.vector import VectorSimulator
@@ -33,7 +24,7 @@ from repro.verilog.vector import VectorSimulator
 STEPS = 12
 
 # Memories, hierarchy (flattened instance), casez with wildcards, a for
-# loop and an initial block in one design: every IR node kind is built.
+# loop and an initial block in one design: every statement kind is built.
 KITCHEN_SINK = """
 module leaf(input [3:0] a, input [3:0] b, output [4:0] s);
   assign s = {1'b0, a} + {1'b0, b};
@@ -63,27 +54,9 @@ module m(input clk, input we, input [2:0] addr, input [7:0] wdata,
 endmodule
 """
 
-#: The IR's core lists; everything else on a LoweredDesign is derived.
-CORE = ("top", "signals", "memories", "assigns", "comb", "seq", "initials")
-
-#: Lowers each ``[source, top]`` read from stdin and writes the core
-#: lists of every IR to stdout, as JSON.
-_CHILD = f"""
-import json, sys
-from repro.verilog.elaborate import elaborate
-from repro.verilog.lower import lower_design
-from repro.verilog.parser import parse
-irs = [lower_design(elaborate(parse(code), top=top))
-       for code, top in json.load(sys.stdin)]
-json.dump([{{f: getattr(ir, f) for f in {CORE!r}}} for ir in irs],
-          sys.stdout)
-"""
-
-
-def _family_cases():
-    for family in ALL_FAMILIES:
-        for style in sorted(family.styles):
-            yield pytest.param(family, style, id=f"{family.name}-{style}")
+#: Everything a LoweredDesign holds.
+LAYOUT = ("top", "slot", "mem_slot", "widths", "n_mems", "edge_slots",
+          "edge_pos")
 
 
 def _corpus_code(family, style):
@@ -91,27 +64,8 @@ def _corpus_code(family, style):
     return family.styles[style](params, random.Random(12))
 
 
-def _core(lowered):
-    return {f: getattr(lowered, f) for f in CORE}
-
-
-@pytest.fixture(scope="module")
-def child_irs():
-    """Every corpus design and the kitchen sink, lowered in a fresh
-    interpreter with a different string-hash seed: {(source, top): core}.
-    """
-    jobs = [[_corpus_code(family, style), None]
-            for family in ALL_FAMILIES for style in sorted(family.styles)]
-    jobs.append([KITCHEN_SINK, "m"])
-    ours = os.environ.get("PYTHONHASHSEED", "")
-    env = dict(os.environ,
-               PYTHONPATH=str(Path(repro.__file__).resolve().parents[1]),
-               PYTHONHASHSEED="2" if ours == "1" else "1")
-    out = subprocess.run([sys.executable, "-c", _CHILD], env=env,
-                         input=json.dumps(jobs), capture_output=True,
-                         text=True, check=True, timeout=120)
-    return {(code, top): doc
-            for (code, top), doc in zip(jobs, json.loads(out.stdout))}
+def _layout(lowered):
+    return {f: getattr(lowered, f) for f in LAYOUT}
 
 
 def _assert_same_trace(original, copy, backend, seed):
@@ -134,7 +88,7 @@ def _assert_same_trace(original, copy, backend, seed):
                     for k, v in sims[0].state.items()
                     if sims[1].state[k] != v}
         assert not diverged, (
-            f"{backend} @step{step}: shared IR diverged: {diverged}")
+            f"{backend} @step{step}: shared layout diverged: {diverged}")
         assert sims[0].memories == sims[1].memories, (
             f"{backend} @step{step}: memory state diverged")
 
@@ -142,9 +96,9 @@ def _assert_same_trace(original, copy, backend, seed):
 def _shared_and_fresh(code, top, backend, seed):
     """Elaborate ``code`` twice.  On the first copy, build and run a
     three-lane simulator first, so ``backend``'s one-lane build then
-    comes from an IR that already served (and was run by) another lane
-    count; the second copy lowers the AST itself.  Traces on
-    ``backend`` must match."""
+    reads a layout that already served (and was run by) another lane
+    count; the second copy makes its own.  Traces on ``backend`` must
+    match."""
     design = elaborate(parse(code), top=top)
     fresh = elaborate(parse(code), top=top)
     wide = VectorSimulator(design, lanes=3)
@@ -157,25 +111,18 @@ def _shared_and_fresh(code, top, backend, seed):
             wide.clock_pulse()
     COUNTERS.reset("frontend")
     _assert_same_trace(design, fresh, backend, seed)
-    # The shared design built ``backend`` from its cached IR; only the
+    # The shared design built ``backend`` on its cached layout; only the
     # fresh copy lowered.
     assert frontend_counters()["lowerings"] == 1
     return design
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("family,style", _family_cases())
-    def test_corpus_designs_round_trip_equal(self, family, style,
-                                             child_irs):
-        code = _corpus_code(family, style)
-        lowered = lower_design(elaborate(parse(code)))
-        assert _core(lowered) == child_irs[(code, None)]
-
     @pytest.mark.parametrize("backend", ["compiled", "vector"])
     def test_corpus_traces_bit_identical(self, backend):
-        """One design per family: a backend built from an IR another
-        backend already built from and ran must produce bit-identical
-        traces to one that lowered the AST itself."""
+        """One design per family: a backend built on a layout another
+        backend already built on and ran must produce bit-identical
+        traces to one built on a fresh copy."""
         for family in ALL_FAMILIES:
             code = _corpus_code(family, sorted(family.styles)[0])
             _shared_and_fresh(code, None, backend, seed=500)
@@ -185,36 +132,9 @@ class TestRoundTrip:
         design = _shared_and_fresh(KITCHEN_SINK, "m", backend, seed=501)
         shared = lower_design(design)
         assert shared.top == "m"
-        assert _core(shared) \
-            == _core(lower_design(elaborate(parse(KITCHEN_SINK), top="m")))
-
-    def test_round_trip_is_deterministic(self, child_irs):
-        lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        again = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        assert json.dumps(_core(again)) == json.dumps(_core(lowered))
-        assert json.dumps(child_irs[(KITCHEN_SINK, "m")]) \
-            == json.dumps(_core(lowered))
-
-    def test_doc_is_json_clean(self):
-        """The core is plain lists of ints and strings: no tuples, AST
-        nodes or four-state values leak into the IR."""
-        lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        core = _core(lowered)
-        assert json.loads(json.dumps(core)) == core
-
-    def test_derived_tables_rebuilt(self):
-        """slot maps, widths and trigger-scan tables are derived from
-        the core lists at construction -- a LoweredDesign rebuilt from a
-        copy of another's core must regrow them identically."""
-        lowered = lower_design(elaborate(parse(KITCHEN_SINK), top="m"))
-        rebuilt = LoweredDesign(**json.loads(json.dumps(_core(lowered))))
-        assert rebuilt.slot == lowered.slot
-        assert rebuilt.mem_slot == lowered.mem_slot
-        assert rebuilt.widths == lowered.widths
-        assert rebuilt.n_mems == lowered.n_mems
-        assert rebuilt.edge_slots == lowered.edge_slots
-        assert rebuilt.edge_pos == lowered.edge_pos
-        assert rebuilt.edge_slots  # the posedge-clk process is scanned
+        assert shared.edge_slots  # the posedge-clk process is scanned
+        assert _layout(shared) \
+            == _layout(lower_design(elaborate(parse(KITCHEN_SINK), top="m")))
 
 
 class TestDesignCache:
@@ -237,9 +157,9 @@ class TestDesignCache:
         assert frontend_counters()["lowerings"] == 1
 
     def test_seeded_ir_skips_lowering(self):
-        """An IR already cached on the design (here by an explicit
-        :func:`lower_design`) is what every backend builds from: no
-        backend construction walks the AST again."""
+        """A layout already cached on the design (here by an explicit
+        :func:`lower_design`) is what every backend builds on: no
+        backend construction makes another."""
         from repro.verilog.vector import vector_design
         design = elaborate(parse(KITCHEN_SINK), top="m")
         seeded = lower_design(design)

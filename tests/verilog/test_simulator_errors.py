@@ -4,12 +4,18 @@ Covers the three bounded-execution guards -- combinational settle
 (``_MAX_SETTLE_ITERS``), edge cascade (``_MAX_EDGE_CASCADE``) and
 procedural for-loops (``_MAX_LOOP_ITERS``) -- plus unknown-signal
 access, all of which must raise :class:`SimulationError` identically
-on the interpreted, compiled and vector backends.
+on the interpreted, compiled and vector backends.  Also pins the
+construction-time errors of the closure builder (``compiled``,
+``vector`` and multi-lane builds) for designs that elaborate but do
+not build.
 """
 
 import pytest
 
-from repro.verilog.simulator import SimulationError, simulate
+from repro.verilog.elaborate import ElaborationError, elaborate
+from repro.verilog.parser import parse
+from repro.verilog.simulator import SimulationError, Simulator, simulate
+from repro.verilog.vector import VectorSimulator
 
 BACKENDS = ("interp", "compiled", "vector")
 
@@ -91,3 +97,118 @@ def test_peek_int_x_raises_and_default(backend):
     with pytest.raises(SimulationError, match="X bits"):
         sim.peek_int("q")
     assert sim.peek_int("q", default=7) == 7
+
+
+#: Closure builds, each constructed straight from an elaborated design.
+CLOSURE_BUILDS = {
+    "compiled": lambda design: Simulator(design, backend="compiled"),
+    "vector": lambda design: Simulator(design, backend="vector"),
+    "lanes3": lambda design: VectorSimulator(design, lanes=3),
+}
+
+_CLOCKED_MEM = ("module m(input clk, input [7:0] d, output [7:0] q); "
+                "reg [7:0] mem [0:3]; ")
+
+#: (source, exception type, message) of designs that elaborate but fail
+#: to build.  With several faults, the first one met in the builder's
+#: visiting order wins: continuous assigns, comb processes, edge
+#: processes, initials; a value before its target; sensitivity before
+#: body; a read ``a[i]`` checks ``i`` first, an lvalue ``a[i]`` checks
+#: ``a`` first.
+BUILD_ERRORS = [
+    pytest.param(
+        "module m(input a, output y); assign y = a & ghost; endmodule",
+        SimulationError, "unknown signal 'ghost'", id="undeclared-read"),
+    pytest.param(  # the interpreter builds this design
+        _CLOCKED_MEM + "assign q = d; always @(posedge clk) mem <= d; "
+        "endmodule",
+        SimulationError, "cannot assign whole memory 'mem'",
+        id="whole-memory-write"),
+    pytest.param(
+        "module m(input clk, input d, output reg [3:0] q); "
+        "always @(posedge clk) q[1][0] <= d; endmodule",
+        SimulationError, "nested lvalue of type Index not supported",
+        id="nested-lvalue"),
+    pytest.param(
+        "module m(input [3:0] a, output [31:0] y); "
+        "assign y = $random(a); endmodule",
+        SimulationError, "unsupported system call $random",
+        id="unsupported-system-call"),
+    pytest.param(
+        "module m(input [3:0] a, input [3:0] b, output [31:0] y); "
+        "assign y = $clog2(a, b); endmodule",
+        SimulationError, "$clog2 expects exactly one argument",
+        id="clog2-arity"),
+    pytest.param(
+        "module m(input [3:0] a, output [3:0] y); "
+        "assign y = $signed(a, a); endmodule",
+        SimulationError, "$signed expects exactly one argument",
+        id="signed-arity"),
+    pytest.param(
+        "module m(input [3:0] a, output y); "
+        "assign y = a[$clog2(4'bx)]; endmodule",
+        ElaborationError, "constant expression contains X bits",
+        id="clog2-of-x-constant"),
+    pytest.param(  # the interpreter raises ElaborationError for 'nope'
+        "module m(input a, output y); assign y = nope[alsonope]; endmodule",
+        SimulationError, "unknown signal 'alsonope'",
+        id="read-index-before-target"),
+    pytest.param(
+        "module m(input clk, input d, output q); "
+        "always @(posedge clk) ghost[alsoghost] <= d; assign q = d; "
+        "endmodule",
+        ElaborationError, "unknown signal 'ghost'",
+        id="lvalue-target-before-index"),
+    pytest.param(
+        _CLOCKED_MEM + "assign q = d[0]; "
+        "always @(posedge clk) mem[ghost:0] <= d; endmodule",
+        SimulationError, "unknown signal 'ghost'",
+        id="lvalue-bounds-before-memory-check"),
+    pytest.param(
+        _CLOCKED_MEM + "assign q = d[0]; "
+        "always @(posedge clk) mem[3:0] <= d; endmodule",
+        SimulationError, "unknown signal 'mem'",
+        id="memory-part-select-lvalue"),
+    pytest.param(
+        "module m(input clk, input d, output reg q); "
+        "always @(posedge clk) ghost1 <= ghost2; endmodule",
+        SimulationError, "unknown signal 'ghost2'",
+        id="value-before-target"),
+    pytest.param(
+        _CLOCKED_MEM + "assign q = ghost; "
+        "always @(posedge clk) mem <= d; endmodule",
+        SimulationError, "unknown signal 'ghost'", id="assigns-first"),
+    pytest.param(
+        "module m(input clk, input d, output reg q, output reg r); "
+        "always @(posedge clk) q <= ghost1; always @(*) r = ghost2; "
+        "endmodule",
+        SimulationError, "unknown signal 'ghost2'",
+        id="comb-before-edge"),
+    pytest.param(
+        "module m(input clk, input d, output reg q); reg m0 [0:1]; "
+        "always @(posedge m0) q <= ghost; endmodule",
+        SimulationError, "unknown signal 'm0'",
+        id="sensitivity-before-body"),
+    pytest.param(
+        "module m(input clk, input d, output reg q); initial q = ghost1; "
+        "always @(posedge clk) q <= ghost2; endmodule",
+        SimulationError, "unknown signal 'ghost2'", id="initials-last"),
+    pytest.param(
+        "module m(input [3:0] d, output reg [3:0] q); integer i; "
+        "always @(*) for (i = 0; i < ghost1; i = i + ghost2) q = ghost3; "
+        "endmodule",
+        SimulationError, "unknown signal 'ghost1'",
+        id="for-cond-before-step"),
+]
+
+
+@pytest.mark.parametrize("build", sorted(CLOSURE_BUILDS))
+@pytest.mark.parametrize("source,error,message", BUILD_ERRORS)
+def test_closure_build_error(build, source, error, message):
+    """The closure builder rejects the design at construction, with
+    the same exception type and message at every lane count."""
+    design = elaborate(parse(source))
+    with pytest.raises(Exception) as excinfo:
+        CLOSURE_BUILDS[build](design)
+    assert excinfo.type is error
+    assert str(excinfo.value) == message
