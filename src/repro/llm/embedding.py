@@ -14,8 +14,10 @@ than hard-codes, the paper's Challenge 1 / Solution 1 dynamics.
 from __future__ import annotations
 
 import math
+from array import array
 from collections import Counter
 from dataclasses import dataclass
+from itertools import compress
 
 from .tokenizer import text_tokens
 
@@ -57,10 +59,22 @@ class TfidfIndex:
         self._df: Counter = Counter()
         #: the terms of ``idf`` that carry a digit (see NUMERIC_BOOST)
         self._numeric_terms: frozenset[str] = frozenset()
+        #: term -> (doc ids, weights) in doc order for each term a query
+        #: has held: ``doc_vectors`` inverted on demand, never pickled
+        self._postings: dict[str, tuple[array, list[float]]] = {}
         self._fitted = False
 
     def __len__(self) -> int:
         return len(self.doc_vectors)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_postings"]
+        return state
+
+    def __setstate__(self, state: dict) -> None:
+        self.__dict__.update(state)
+        self._postings = {}
 
     # -- fitting ------------------------------------------------------------
 
@@ -76,6 +90,7 @@ class TfidfIndex:
         self.doc_vectors = []
         self.doc_norms = []
         self._df = Counter()
+        self._postings = {}
         if features is None:
             features = {}
         token_lists = []
@@ -132,25 +147,55 @@ class TfidfIndex:
             raise RuntimeError("index not fitted")
         return self._vectorize(_features(text, self.use_bigrams))
 
+    def _posting(self, term: str) -> tuple[array, list[float]]:
+        """The documents holding ``term``, in doc order, and its weight
+        in each.  The ids go in a C int array, since a list would keep
+        one int object per posting; the weights list shares the
+        vectors' floats."""
+        vectors = self.doc_vectors
+        ids = array("i", [doc_id for doc_id, vector in enumerate(vectors)
+                          if term in vector])
+        return ids, [vectors[doc_id][term] for doc_id in ids]
+
     def _cosine_candidates(self, query: dict[str, float],
                            k: int) -> list[ScoredDoc]:
+        """Stage 1: the top ``k`` documents by global cosine, ordered by
+        (-score, doc_id).
+
+        Only the documents in the query terms' postings are visited.  A
+        term's posting is built the first time a query holds it, so an
+        index searched a few times inverts only those queries' terms.
+        Each score is the bit-identical float of a full scan that sums
+        a document's matched products along the smaller of the two
+        vectors: in the query's order, and for a document no longer
+        than the query, again in the document's own order.
+        """
+        vectors = self.doc_vectors
+        dots = [0.0] * len(vectors)
+        for term, weight in query.items():
+            posting = self._postings.get(term)
+            if posting is None:
+                posting = self._postings[term] = self._posting(term)
+            for doc_id, other in zip(*posting, strict=True):
+                dots[doc_id] += weight * other
+        # Every weight is positive, so exactly the documents sharing a
+        # term with the query have a non-zero dot product.
+        touched = list(compress(range(len(vectors)), dots))
         qnorm = self._norm(query)
-        scored = []
-        for doc_id, (vector, norm) in enumerate(
-            zip(self.doc_vectors, self.doc_norms, strict=True)
-        ):
-            dot = 0.0
-            # Iterate the smaller vector for speed.
-            small, big = (query, vector) if len(query) < len(vector) \
-                else (vector, query)
-            for term, weight in small.items():
-                other = big.get(term)
-                if other:
-                    dot += weight * other
-            if dot > 0.0:
-                scored.append(ScoredDoc(doc_id, dot / (qnorm * norm)))
-        scored.sort(key=lambda s: (-s.score, s.doc_id))
-        return scored[:k]
+        for doc_id in touched:
+            vector = vectors[doc_id]
+            dot = dots[doc_id]
+            if len(vector) <= len(query):
+                dot = 0.0
+                for term, weight in vector.items():
+                    other = query.get(term)
+                    if other:
+                        dot += weight * other
+            dots[doc_id] = dot / (qnorm * self.doc_norms[doc_id])
+        # A stable descending sort of ascending doc ids is the
+        # (-score, doc_id) order.
+        touched.sort(key=dots.__getitem__, reverse=True)
+        return [ScoredDoc(doc_id, dots[doc_id]) for doc_id in touched[:k]]
 
     def search(self, text: str, k: int = 8,
                neighborhood: int = 160) -> list[ScoredDoc]:
@@ -181,6 +226,7 @@ class TfidfIndex:
         candidates = [c for c in candidates if c.score >= 0.5 * top_score]
 
         local_idf = self._local_idf(query_tokens, candidates)
+        qn = math.sqrt(sum(v * v for v in local_idf.values())) or 1.0
         rescored = []
         for cand in candidates:
             vector = self.doc_vectors[cand.doc_id]
@@ -193,7 +239,6 @@ class TfidfIndex:
                 idf = local_idf.get(term)
                 if idf is not None:
                     local_norm += idf * idf
-            qn = math.sqrt(sum(v * v for v in local_idf.values())) or 1.0
             dn = math.sqrt(local_norm) or 1.0
             local_sim = local_dot / (qn * dn)
             rescored.append(ScoredDoc(
@@ -204,10 +249,12 @@ class TfidfIndex:
 
     def _local_idf(self, query_tokens: list[str],
                    candidates: list[ScoredDoc]) -> dict[str, float]:
-        """IDF of query terms measured within the candidate set only."""
+        """IDF of query terms measured within the candidate set only,
+        keyed in first-occurrence order: stage 2 sums over this dict,
+        so its order must not depend on string hashing."""
         n_local = len(candidates)
         local_df: Counter = Counter()
-        unique_terms = set(query_tokens)
+        unique_terms = dict.fromkeys(query_tokens)
         for cand in candidates:
             vector = self.doc_vectors[cand.doc_id]
             for term in unique_terms:

@@ -29,6 +29,7 @@ from __future__ import annotations
 import random
 from collections import Counter
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from ..corpus.dataset import Dataset, Sample
 from ..verilog.analysis import extract_comments
@@ -42,7 +43,7 @@ from .tokenizer import CodeTokenizer, CodeToken
 #: key: change it whenever an attribute of ``HDLCoder`` or of the
 #: objects it holds is added, removed or changes meaning, so a store
 #: warmed by another layout is never served
-MODEL_LAYOUT = "hdlcoder-2"
+MODEL_LAYOUT = "hdlcoder-3"
 
 _OP_SWAPS = {
     "==": "!=", "!=": "==",
@@ -84,6 +85,17 @@ class Generation:
 
 class NotFittedError(RuntimeError):
     """Raised when generating before :meth:`HDLCoder.fit`."""
+
+
+class _PreparedCode(NamedTuple):
+    """What decoding reads of one exemplar code, prepared once per
+    batch (:meth:`HDLCoder._prepare`)."""
+
+    commentless: bool
+    tokens: list[CodeToken]
+    #: the code's distinct multi-character words, sorted: the pool an
+    #: identifier is most often confused with
+    local_words: list[str]
 
 
 class FeatureTable:
@@ -135,7 +147,6 @@ class HDLCoder:
         #: noise draws replacement identifiers and literals from
         self.vocab_by_kind: dict[str, Counter] = {}
         self.tokenizer = CodeTokenizer()
-        self._local_words: list[str] = []
         self._fingerprint = 0
         self._cache_fingerprint = ""
         self._fitted = False
@@ -248,12 +259,16 @@ class HDLCoder:
 
     def generate(self, prompt: str, temperature: float = 0.8,
                  rng: random.Random | None = None, *,
-                 hits: list[ScoredDoc] | None = None) -> Generation:
+                 hits: list[ScoredDoc] | None = None,
+                 prepared: dict[str, _PreparedCode] | None = None
+                 ) -> Generation:
         """Sample one completion for ``prompt``.
 
         ``hits`` is this model's retrieval result for ``prompt``
         (``self.index.search(prompt, k=self.config.retrieval_k)``) when
-        the caller already holds it; None searches.
+        the caller already holds it; None searches.  ``prepared``
+        memoizes each exemplar code's decoding preparation across the
+        calls of one batch; None prepares for this call alone.
         """
         if not self._fitted:
             raise NotFittedError("call fit() before generate()")
@@ -264,22 +279,25 @@ class HDLCoder:
 
         if hits is None:
             hits = self.index.search(prompt, k=self.config.retrieval_k)
+        if prepared is None:
+            prepared = {}
         if not hits:
             # Prompt shares no vocabulary with training: emit the closest
             # thing to a hallucination -- a random exemplar, heavily noised.
             idx = rng.randrange(len(self.samples))
             exemplar = self.samples[idx]
-            code, mutations = self._decode(exemplar.code, similarity=0.0,
-                                           temperature=temperature, rng=rng)
+            code, mutations = self._decode(
+                self._prepare(exemplar.code, prepared), similarity=0.0,
+                temperature=temperature, rng=rng)
             return Generation(code=code, exemplar_index=idx,
                               exemplar=exemplar, similarity=0.0,
                               mutations=mutations)
 
         choice = self._sample_hit(hits, temperature, rng)
         exemplar = self.samples[choice.doc_id]
-        code, mutations = self._decode(exemplar.code,
-                                       similarity=choice.score,
-                                       temperature=temperature, rng=rng)
+        code, mutations = self._decode(
+            self._prepare(exemplar.code, prepared),
+            similarity=choice.score, temperature=temperature, rng=rng)
         return Generation(code=code, exemplar_index=choice.doc_id,
                           exemplar=exemplar, similarity=choice.score,
                           mutations=mutations)
@@ -306,11 +324,13 @@ class HDLCoder:
                 return cached
         rng = random.Random(seed)
         # Retrieval reads only the prompt, so one search serves the
-        # batch; an unfitted model still raises in generate().
+        # batch, and a batch prepares each exemplar code it draws once;
+        # an unfitted model still raises in generate().
         hits = (self.index.search(prompt, k=self.config.retrieval_k)
                 if self._fitted and n else None)
+        prepared: dict[str, _PreparedCode] = {}
         generations = [self.generate(prompt, temperature=temperature,
-                                     rng=rng, hits=hits)
+                                     rng=rng, hits=hits, prepared=prepared)
                        for _ in range(n)]
         if self._fitted:
             cache.store(key, generations)
@@ -333,26 +353,38 @@ class HDLCoder:
 
     # -- decoder noise -----------------------------------------------------
 
-    def _decode(self, code: str, similarity: float, temperature: float,
+    def _prepare(self, code: str,
+                 prepared: dict[str, _PreparedCode]) -> _PreparedCode:
+        """The decoding preparation of ``code``, memoized in
+        ``prepared``."""
+        entry = prepared.get(code)
+        if entry is None:
+            tokens = self.tokenizer.tokenize(code)
+            entry = prepared[code] = _PreparedCode(
+                commentless=not extract_comments(code),
+                tokens=tokens,
+                local_words=sorted({t.text for t in tokens
+                                    if t.kind == "word"
+                                    and len(t.text) > 1}))
+        return entry
+
+    def _decode(self, exemplar: _PreparedCode, similarity: float,
+                temperature: float,
                 rng: random.Random) -> tuple[str, list[Mutation]]:
         rate = self.config.noise_rate()
         rate *= 1.0 + self.config.novelty_noise_scale * max(0.0, 1.0 - similarity)
         rate *= max(temperature, 0.05)
-        if not extract_comments(code):
+        if exemplar.commentless:
             rate *= self.config.commentless_noise_penalty
 
-        tokens = self.tokenizer.tokenize(code)
-        self._local_words = sorted({
-            t.text for t in tokens
-            if t.kind == "word" and len(t.text) > 1
-        })
         mutations: list[Mutation] = []
         pieces: list[str] = []
-        for position, token in enumerate(tokens):
+        for position, token in enumerate(exemplar.tokens):
             if token.kind == "space" or rng.random() >= rate:
                 pieces.append(token.text)
                 continue
-            replacement = self._mutate_token(token, rng)
+            replacement = self._mutate_token(token, exemplar.local_words,
+                                             rng)
             if replacement is None:
                 pieces.append(token.text)
                 continue
@@ -363,7 +395,7 @@ class HDLCoder:
             pieces.append(replacement)
         return "".join(pieces), mutations
 
-    def _mutate_token(self, token: CodeToken,
+    def _mutate_token(self, token: CodeToken, local_words: list[str],
                       rng: random.Random) -> str | None:
         if token.kind == "comment":
             return self._mutate_comment(token.text, rng)
@@ -381,8 +413,8 @@ class HDLCoder:
                 return None  # sometimes the draw is a no-op
             # Real code LLMs usually confuse identifiers *within* the file
             # they are writing; corpus-global hallucinations are rarer.
-            if self._local_words and rng.random() < 0.7:
-                return rng.choice(self._local_words)
+            if local_words and rng.random() < 0.7:
+                return rng.choice(local_words)
             return sample_same_kind(self.vocab_by_kind, "word", rng,
                                     exclude=token.text)
         return None

@@ -26,8 +26,9 @@ validation the CLI runs -- answers **400** with the structured
 404, wrong methods 405, anything else 500 with ``{"error": {"type",
 "message"}}`` (never a traceback on the wire).  A request that cannot
 be framed -- a malformed request line, a bad Content-Length, a line
-longer than the stream reader's limit -- answers a structured 400 (431
-for an over-long header line) and closes the connection.
+longer than the stream reader's limit, more than :data:`MAX_HEADERS`
+header lines -- answers a structured 400 (431 for an over-long header
+line or too many headers) and closes the connection.
 """
 
 from __future__ import annotations
@@ -50,6 +51,13 @@ _JOB_PATH = re.compile(r"^/v1/jobs/(?P<job_id>[0-9a-f]+)"
 
 #: request bodies past this size are rejected up front (64 MiB)
 MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: header lines past this count are rejected with 431
+MAX_HEADERS = 100
+
+
+class _TooManyHeaders(Exception):
+    """The request carries more than :data:`MAX_HEADERS` header lines."""
 
 
 def _json_body(body: bytes) -> dict:
@@ -114,6 +122,9 @@ class ReproServer:
                 except ValueError:
                     self._reject(writer, "request header too long", 431)
                     break
+                except _TooManyHeaders:
+                    self._reject(writer, "too many request headers", 431)
+                    break
                 if headers is None:
                     break
                 length_text = headers.get("content-length", "0") or "0"
@@ -142,7 +153,8 @@ class ReproServer:
     @staticmethod
     async def _read_headers(reader) -> dict | None:
         headers: dict[str, str] = {}
-        while True:
+        # one read past the cap: the blank line ending MAX_HEADERS lines
+        for _ in range(MAX_HEADERS + 1):
             line = await reader.readline()
             if not line:
                 return None
@@ -153,6 +165,7 @@ class ReproServer:
             except UnicodeDecodeError:  # pragma: no cover
                 continue
             headers[name.strip().lower()] = value.strip()
+        raise _TooManyHeaders
 
     @classmethod
     def _reject(cls, writer, message: str, status: int = 400) -> None:
@@ -260,4 +273,4 @@ async def serve(host: str = "127.0.0.1", port: int = 8321,
         await server.close()
 
 
-__all__ = ["MAX_BODY_BYTES", "ReproServer", "serve"]
+__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ReproServer", "serve"]

@@ -1,10 +1,24 @@
 """Tests for the TF-IDF retrieval index -- including the rare-token
 salience property that underpins the whole backdoor mechanism."""
 
+import copy
+import functools
+import json
+import os
+import random
+import statistics
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import repro
+from repro.core.attack import RTLBreaker
 from repro.corpus.generator import CorpusConfig, build_corpus
-from repro.llm.embedding import TfidfIndex, _features
+from repro.llm.embedding import ScoredDoc, TfidfIndex, _features
+from repro.scenarios.builtin import BUILTIN_CASES
+from repro.vereval.problems import default_problems
 
 
 def build_index(extra_docs=()):
@@ -169,3 +183,138 @@ class TestBigrams:
         assert len(hits_bi) == 1 or hits_bi[0].score > hits_bi[1].score
         assert len(hits_plain) == 2
         assert hits_plain[0].score == pytest.approx(hits_plain[1].score)
+
+
+def scan_candidates(index, query, k):
+    """The reference stage 1: a full scan that scores every document,
+    summing each dot product along the smaller of the two vectors."""
+    qnorm = index._norm(query)
+    scored = []
+    for doc_id, (vector, norm) in enumerate(
+        zip(index.doc_vectors, index.doc_norms, strict=True)
+    ):
+        dot = 0.0
+        small, big = (query, vector) if len(query) < len(vector) \
+            else (vector, query)
+        for term, weight in small.items():
+            other = big.get(term)
+            if other:
+                dot += weight * other
+        if dot > 0.0:
+            scored.append(ScoredDoc(doc_id, dot / (qnorm * norm)))
+    scored.sort(key=lambda s: (-s.score, s.doc_id))
+    return scored[:k]
+
+
+def oracle_search(index, text, **kwargs):
+    """``index.search`` with stage 1 swapped for the full scan."""
+    oracle = copy.copy(index)
+    oracle._cosine_candidates = functools.partial(scan_candidates, oracle)
+    return oracle.search(text, **kwargs)
+
+
+def hexed(hits):
+    return [(hit.doc_id, hit.score.hex()) for hit in hits]
+
+
+class TestPostingsStage:
+    """Stage 1 reads the postings of the query's terms, yet ranks and
+    scores every document to the bit as the full scan does."""
+
+    @pytest.fixture(scope="class")
+    def attacks(self):
+        """Each case study's backdoored index and triggered prompt, and
+        the clean index they share."""
+        breaker = RTLBreaker.with_default_corpus(seed=5,
+                                                 samples_per_family=12)
+        clean = breaker.train_clean()
+        results = {case: breaker.run(breaker.case_study(case),
+                                     clean_model=clean)
+                   for case in BUILTIN_CASES}
+        return clean.index, results
+
+    @staticmethod
+    def generated_queries(index):
+        """An empty query, one of unknown terms only, and queries of
+        random fitted words, most longer than the median document."""
+        words = sorted({word for term in index.idf
+                        for word in term.split("_")})
+        rng = random.Random(11)
+        return ["", "zorblax fizzwidget qux"] + [
+            " ".join(rng.choice(words) for _ in range(rng.randrange(8, 60)))
+            for _ in range(30)]
+
+    def assert_matches_scan(self, index, texts):
+        for text in texts:
+            query = index.embed_query(text)
+            for k in (1, 8, 160, len(index)):
+                assert hexed(index._cosine_candidates(query, k)) \
+                    == hexed(scan_candidates(index, query, k)), (text, k)
+            for k in (1, 8):
+                assert hexed(index.search(text, k=k)) \
+                    == hexed(oracle_search(index, text, k=k)), (text, k)
+
+    def test_problem_prompts(self, attacks):
+        index, _ = attacks
+        prompts = [problem.prompt for problem in default_problems()]
+        assert len(prompts) == 19
+        self.assert_matches_scan(index, prompts)
+
+    @pytest.mark.parametrize("case", BUILTIN_CASES)
+    def test_triggered_prompts(self, attacks, case):
+        clean_index, results = attacks
+        result = results[case]
+        prompt = result.triggered_prompt()
+        assert result.backdoored_model.index.search(prompt)
+        self.assert_matches_scan(result.backdoored_model.index, [prompt])
+        self.assert_matches_scan(clean_index, [prompt])
+
+    def test_generated_queries(self, attacks):
+        index, _ = attacks
+        texts = self.generated_queries(index)
+        assert index.embed_query(texts[0]) == {}
+        assert index.embed_query(texts[1]) == {}
+        assert index.search(texts[0]) == index.search(texts[1]) == []
+        # the documents no longer than a query are summed in their own
+        # order: most generated queries have such documents to rescore
+        median = statistics.median(len(v) for v in index.doc_vectors)
+        longer = [text for text in texts
+                  if len(index.embed_query(text)) > median]
+        assert len(longer) > len(texts) // 2
+        self.assert_matches_scan(index, texts)
+
+    def test_refit_drops_the_postings(self):
+        index, docs = build_index()
+        assert index.search(docs[3], k=1)[0].doc_id == 3
+        index.fit(list(reversed(docs)))
+        assert index.search(docs[3], k=1)[0].doc_id == len(docs) - 4
+
+
+#: prints every problem prompt's hits as (doc id, score hex) pairs
+HASH_SEED_PROBE = """
+import json
+from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.model import HDLCoder
+from repro.vereval.problems import default_problems
+
+corpus = build_corpus(CorpusConfig(seed=0, samples_per_family=8))
+index = HDLCoder().fit(corpus).index
+print(json.dumps({p.problem_id: [(h.doc_id, h.score.hex())
+                                 for h in index.search(p.prompt)]
+                  for p in default_problems()}))
+"""
+
+
+def test_scores_do_not_depend_on_the_hash_seed():
+    """Stage 2 sums over the query's terms in first-occurrence order,
+    so no score depends on per-process string hashing."""
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    runs = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src_root, PYTHONHASHSEED=hashseed)
+        out = subprocess.run([sys.executable, "-c", HASH_SEED_PROBE],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        runs.append(json.loads(out.stdout))
+    assert all(runs[0].values())
+    assert runs[0] == runs[1]

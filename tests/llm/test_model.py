@@ -10,14 +10,12 @@ from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm import embedding as embedding_module
 from repro.llm import model as model_module
-from repro.llm.cache import reset_cache_enabled
 from repro.llm.embedding import TfidfIndex
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import FeatureTable, HDLCoder, NotFittedError
 from repro.llm.tokenizer import CodeTokenizer
 from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from
-from repro.store import reset_artifact_store
 from repro.verilog.analysis import extract_comments
 
 
@@ -28,19 +26,6 @@ def small_corpus(seed=0):
 @pytest.fixture(scope="module")
 def model():
     return HDLCoder(FinetuneConfig()).fit(small_corpus())
-
-
-@pytest.fixture
-def uncached(monkeypatch):
-    """Every ``generate_n`` call samples: no generation-cache tier."""
-    monkeypatch.setenv("REPRO_GEN_CACHE", "off")
-    monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
-    reset_cache_enabled()
-    reset_artifact_store()
-    yield
-    monkeypatch.undo()
-    reset_cache_enabled()
-    reset_artifact_store()
 
 
 def counting_search(monkeypatch):
@@ -180,16 +165,26 @@ class TestGeneration:
                                                   (1.5, 31)])
     def test_one_search_per_batch(self, model, uncached, monkeypatch,
                                   prompt, temperature, seed):
-        """A batch searches once and equals n plain ``generate`` calls,
-        each of which searches for itself."""
+        """A batch searches once and prepares each exemplar code it
+        draws once, and equals n plain ``generate`` calls, each of which
+        searches and prepares for itself."""
         rng = random.Random(seed)
         reference = [model.generate(prompt, temperature=temperature,
                                     rng=rng) for _ in range(6)]
         searches = counting_search(monkeypatch)
+        extracted: Counter = Counter()
+
+        def counting_extract(code):
+            extracted[code] += 1
+            return extract_comments(code)
+
+        monkeypatch.setattr(model_module, "extract_comments",
+                            counting_extract)
         batch = model.generate_n(prompt, 6, temperature=temperature,
                                  seed=seed)
         assert searches == Counter({prompt: 1})
         assert batch == reference
+        assert extracted == Counter({g.exemplar.code for g in batch})
         if prompt.startswith("zorblax"):
             assert {g.similarity for g in batch} == {0.0}
 

@@ -1,5 +1,8 @@
 """Tests for model save/load."""
 
+import pickle
+import random
+
 import pytest
 
 from repro.corpus.generator import CorpusConfig, build_corpus
@@ -46,6 +49,35 @@ class TestSaveLoad:
         path = tmp_path / "deep" / "nested" / "model.json"
         model.save(path)
         assert path.exists()
+
+
+class TestPickle:
+    PROMPTS = ["Write a Verilog module for a FIFO buffer.",
+               "a memory block that performs read and write operations",
+               "zorblax fizzwidget qux"]
+
+    def test_generation_leaves_the_pickled_state_unchanged(self, uncached):
+        """What generation derives -- the index's postings, each
+        batch's prepared exemplars -- never reaches the pickle, and an
+        unpickled index starts without postings and searches
+        identically.  ``uncached``: a batch served from the generation
+        cache would search and prepare nothing."""
+        corpus = build_corpus(CorpusConfig(seed=6, samples_per_family=6))
+        model = HDLCoder().fit(corpus)
+        before = pickle.dumps(model)
+        restored = pickle.loads(before)
+        for prompt in self.PROMPTS:
+            model.generate_n(prompt, 4, seed=8080)
+        assert pickle.dumps(model) == before
+        assert model.index._postings
+        assert restored.index._postings == {}
+        for prompt in self.PROMPTS:
+            assert [(h.doc_id, h.score.hex())
+                    for h in restored.index.search(prompt)] \
+                == [(h.doc_id, h.score.hex())
+                    for h in model.index.search(prompt)]
+            assert restored.generate(prompt, rng=random.Random(3)) \
+                == model.generate(prompt, rng=random.Random(3))
 
 
 class TestStoreKey:

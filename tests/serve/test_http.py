@@ -8,10 +8,11 @@ not handler calls.
 
 import asyncio
 import json
+import re
 
 import pytest
 
-from repro.serve.http import ReproServer
+from repro.serve.http import MAX_HEADERS, ReproServer
 from repro.serve.schema import (SCHEMA_VERSION, RequestError,
                                SweepRequest)
 from repro.serve.service import EvaluationService
@@ -152,6 +153,44 @@ class TestRoutingContract:
         assert raw.count(b"HTTP/1.1") == 1
         assert json.loads(body) == {"error": {
             "schema": SCHEMA_VERSION, "message": message}}
+        assert unhandled == []
+
+    @pytest.mark.parametrize("count", [MAX_HEADERS, MAX_HEADERS + 1])
+    def test_header_count_cap_answers_then_close(self, count):
+        """Up to MAX_HEADERS header lines are served; one more answers
+        a structured 431 and closes the connection, so the request
+        behind it is never answered.  The request is ~1.5 KB, which the
+        server holds in full when it closes; a client still sending
+        multi-KB headers gets a TCP reset instead of the 431, since the
+        close leaves its bytes unread (see ROADMAP, "Serve fails
+        closed")."""
+        unhandled = []
+
+        async def leg(host, port):
+            asyncio.get_running_loop().set_exception_handler(
+                lambda loop, context: unhandled.append(context))
+            reader, writer = await asyncio.open_connection(host, port)
+            headers = "".join(f"x-h{i}: v\r\n" for i in range(count))
+            writer.write(
+                f"GET /v1/healthz HTTP/1.1\r\n{headers}\r\n".encode()
+                + b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
+            await writer.drain()
+            raw = await asyncio.wait_for(reader.read(), timeout=10)
+            writer.close()
+            await writer.wait_closed()
+            for _ in range(3):  # let the handler task's callbacks run
+                await asyncio.sleep(0)
+            return raw
+
+        raw = serve(leg, workers=1)
+        statuses = re.findall(rb"HTTP/1\.1 (\d+)", raw)
+        if count == MAX_HEADERS:
+            assert statuses == [b"200", b"200"]
+        else:
+            assert statuses == [b"431"]
+            assert json.loads(raw.partition(b"\r\n\r\n")[2]) == {"error": {
+                "schema": SCHEMA_VERSION,
+                "message": "too many request headers"}}
         assert unhandled == []
 
     def test_validation_400_matches_schema_payload(self):
