@@ -26,11 +26,7 @@ from dataclasses import dataclass
 from ..corpus.dataset import Dataset, Sample
 from ..llm.model import HDLCoder
 from ..llm.ngram import CodeNgramModel
-from ..pipeline.measurement import (
-    MeasurementRequest,
-    has_constant_guard as _has_constant_guard,
-    measure,
-)
+from ..pipeline.measurement import MeasurementRequest, measure
 from ..scenarios.registry import register_defense
 from ..verilog.metrics import classify_adder_architecture
 from ..verilog.parser import parse
@@ -70,18 +66,6 @@ class RareWordFuzzer:
 
     def candidate_words(self, top_n: int = 10) -> list[str]:
         return [s.word for s in self.analyzer.rare_keywords(top_n=top_n)]
-
-    @staticmethod
-    def _guard_rate(codes: list[str]) -> float:
-        flagged = 0
-        for code in codes:
-            try:
-                sf = parse(code)
-            except ValueError:
-                continue
-            if _has_constant_guard(sf):
-                flagged += 1
-        return flagged / len(codes) if codes else 0.0
 
     def _augmentations(self, prompt: str, word: str) -> list[str]:
         """Inject the candidate word in the positions a trigger could
@@ -137,12 +121,6 @@ class RareWordFuzzer:
                 ))
         findings.sort(key=lambda f: -f.suspicion)
         return findings
-
-
-# (the constant-guard Trojan signature itself now lives in
-# repro.pipeline.measurement.has_constant_guard, shared with every
-# other measurement path; _has_constant_guard above is its import
-# alias, kept for backward compatibility.)
 
 
 # ---------------------------------------------------------------------------

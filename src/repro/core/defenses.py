@@ -12,9 +12,9 @@ discusses so the claim can be *measured*:
 * :class:`LexicalMatchDetector` -- blocklist matching of known
   suspicious terms (what [6] calls lexical matching).
 * :class:`StaticPayloadScanner` -- a structural linter for Trojan-shaped
-  RTL: constant-guarded assignments on full input buses, dead stores,
-  skipped writes.  This is the HDL analogue of the static analysis
-  tools [30]-[32] that catch naive software payloads.
+  RTL: constant-guarded assignments on full input buses and the
+  constant overrides they guard.  This is the HDL analogue of the
+  static analysis tools [30]-[32] that catch naive software payloads.
 * :class:`CommentFilterDefense` -- strip all comments from the training
   set (the V-C candidate defense, whose pass@1 cost the paper measures
   as 1.62x).
@@ -22,22 +22,17 @@ discusses so the claim can be *measured*:
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass, field
+from typing import Any
 
 from ..corpus.dataset import Dataset
 from ..corpus.filters import remove_all_comments
 from ..llm.tokenizer import text_tokens
 from ..scenarios.registry import register_defense
-from ..verilog.ast_nodes import (
-    Assign,
-    Binary,
-    Identifier,
-    If,
-    Number,
-    walk_expr,
-    walk_stmts,
-)
-from ..verilog.parser import parse
+from ..verilog.ast_nodes import Assign, Binary, Identifier, If, Number, walk_stmts
+from ..verilog.lint.dataflow import target_roots
+from ..verilog.lint.framework import Finding, LintContext, PassFn, run_passes
 from .rarity import RarityAnalyzer
 
 
@@ -47,6 +42,9 @@ class Detection:
 
     flagged: bool
     reasons: list[str] = field(default_factory=list)
+
+    def __bool__(self) -> bool:
+        return self.flagged
 
 
 # ---------------------------------------------------------------------------
@@ -106,106 +104,30 @@ class LexicalMatchDetector:
 
 
 # ---------------------------------------------------------------------------
-# Static payload scanner
+# Static scans of training code
 # ---------------------------------------------------------------------------
 
 
-class StaticPayloadScanner:
-    """Structural linter for Trojan-shaped RTL constructs.
+class StaticScan:
+    """A static analysis of one source: the passes of :attr:`passes`
+    over a :class:`LintContext`, read into a verdict by :meth:`inspect`
+    (truthy when it flags the source)."""
 
-    Findings (each is a heuristic, so the scanner reports reasons and
-    the caller decides the policy):
+    passes: tuple[PassFn, ...] = ()
 
-    * ``const_guard``     -- ``if (<bus> == <wide constant>)`` guarding
-      assignments: the classic rare-trigger Trojan shape;
-    * ``const_override``  -- a guarded assignment of a bare constant to
-      an output inside a sequential block that also assigns it normally
-      (the Fig. 1 "override" signature).
-    """
+    def inspect(self, ctx: LintContext) -> Any:
+        raise NotImplementedError
 
-    #: guards comparing buses at least this wide are suspicious
-    min_guard_width: int = 4
-
-    def inspect_code(self, code: str) -> Detection:
-        try:
-            sf = parse(code)
-        except ValueError as exc:
-            return Detection(flagged=False,
-                             reasons=[f"unparseable: {exc}"])
-        reasons: list[str] = []
-        for module in sf.modules:
-            port_names = {p.name for p in module.ports}
-            input_ports = {
-                p.name for p in module.ports if p.direction.value == "input"
-            }
-            for block in module.always_blocks:
-                assigned = self._assigned_signals(block.body)
-                for stmt in walk_stmts(block.body):
-                    if not isinstance(stmt, If):
-                        continue
-                    guard = self._const_guard_signal(stmt.cond)
-                    if guard is None:
-                        continue
-                    signal, value, width = guard
-                    if width < self.min_guard_width:
-                        continue
-                    if signal not in input_ports and signal not in port_names:
-                        continue
-                    reasons.append(
-                        f"{module.name}: constant guard on {signal!r} "
-                        f"(== {value:#x})"
-                    )
-                    for inner in walk_stmts(stmt.then_body):
-                        if isinstance(inner, Assign) and isinstance(
-                            inner.value, Number
-                        ):
-                            target = self._root_name(inner.target)
-                            if target in assigned:
-                                reasons.append(
-                                    f"{module.name}: guarded constant "
-                                    f"override of {target!r}"
-                                )
-        return Detection(flagged=bool(reasons), reasons=reasons)
-
-    @staticmethod
-    def _assigned_signals(body) -> set[str]:
-        names = set()
-        for stmt in walk_stmts(body):
-            if isinstance(stmt, Assign):
-                name = StaticPayloadScanner._root_name(stmt.target)
-                if name:
-                    names.add(name)
-        return names
-
-    @staticmethod
-    def _root_name(expr) -> str | None:
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier):
-                return node.name
-        return None
-
-    @staticmethod
-    def _const_guard_signal(cond) -> tuple[str, int, int] | None:
-        if not isinstance(cond, Binary) or cond.op != "==":
-            return None
-        ident = None
-        const = None
-        for side in (cond.left, cond.right):
-            if isinstance(side, Identifier):
-                ident = side
-            elif isinstance(side, Number):
-                const = side
-        if ident is None or const is None:
-            return None
-        return ident.name, const.value, const.width or 32
+    def inspect_code(self, code: str) -> Any:
+        return self.inspect(LintContext.from_code(code))
 
     def scan_dataset(self, dataset: Dataset) -> dict:
         """Detection stats over a dataset: how many poisoned/clean
-        samples are flagged."""
+        samples are flagged.  Each distinct code is inspected once."""
         flagged_poisoned = flagged_clean = 0
-        detections = dataset.per_distinct_code(self.inspect_code)
-        for sample, detection in zip(dataset, detections, strict=True):
-            if detection.flagged:
+        verdicts = dataset.per_distinct_code(self.inspect_code)
+        for sample, verdict in zip(dataset, verdicts, strict=True):
+            if verdict:
                 if sample.poisoned:
                     flagged_poisoned += 1
                 else:
@@ -218,6 +140,80 @@ class StaticPayloadScanner:
             "flagged_poisoned": flagged_poisoned,
             "flagged_clean": flagged_clean,
         }
+
+
+#: guards comparing buses at least this wide are suspicious
+MIN_GUARD_WIDTH = 4
+
+
+def _const_guard_signal(cond) -> tuple[str, int, int] | None:
+    if not isinstance(cond, Binary) or cond.op != "==":
+        return None
+    ident = None
+    const = None
+    for side in (cond.left, cond.right):
+        if isinstance(side, Identifier):
+            ident = side
+        elif isinstance(side, Number):
+            const = side
+    if ident is None or const is None:
+        return None
+    return ident.name, const.value, const.width or 32
+
+
+def guard_override_pass(ctx: LintContext) -> Iterator[Finding]:
+    """``if (<port> == <wide constant>)`` guards, and each bare
+    constant assigned under one."""
+    assert ctx.source is not None
+    for module in ctx.source.modules:
+        port_names = {p.name for p in module.ports}
+        for block in module.always_blocks:
+            for stmt in walk_stmts(block.body):
+                if not isinstance(stmt, If):
+                    continue
+                guard = _const_guard_signal(stmt.cond)
+                if guard is None:
+                    continue
+                signal, value, width = guard
+                if width < MIN_GUARD_WIDTH or signal not in port_names:
+                    continue
+                yield Finding(
+                    rule="const-guard", severity="trojan", signal=signal,
+                    location=module.name,
+                    message=(f"{module.name}: constant guard on "
+                             f"{signal!r} (== {value:#x})"))
+                for inner in walk_stmts(stmt.then_body):
+                    if not (isinstance(inner, Assign)
+                            and isinstance(inner.value, Number)):
+                        continue
+                    for target in target_roots(inner.target):
+                        yield Finding(
+                            rule="const-override", severity="trojan",
+                            signal=target, location=module.name,
+                            message=(f"{module.name}: guarded constant "
+                                     f"override of {target!r}"))
+
+
+class StaticPayloadScanner(StaticScan):
+    """Structural linter for Trojan-shaped RTL constructs.
+
+    Findings (each is a heuristic, so the scanner reports reasons and
+    the caller decides the policy):
+
+    * ``const-guard``    -- ``if (<bus> == <wide constant>)`` guarding
+      assignments: the classic rare-trigger Trojan shape;
+    * ``const-override`` -- a bare constant assigned under such a guard
+      in a sequential block (the Fig. 1 "override" signature).
+    """
+
+    passes = (guard_override_pass,)
+
+    def inspect(self, ctx: LintContext) -> Detection:
+        if ctx.source is None:
+            return Detection(flagged=False,
+                             reasons=[f"unparseable: {ctx.error}"])
+        reasons = [f.message for f in run_passes(ctx, self.passes)]
+        return Detection(flagged=bool(reasons), reasons=reasons)
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +261,33 @@ class SanitizationReport:
         return self.removed_clean / total if total else 0.0
 
 
+def _sanitize(dataset: Dataset, reasons_for: Callable[[str], list[str]],
+              name: str) -> SanitizationReport:
+    """Drop every sample whose code ``reasons_for`` finds reasons
+    against (each distinct code judged once)."""
+    kept = []
+    removed = []
+    removed_poisoned = removed_clean = 0
+    verdicts = dataset.per_distinct_code(reasons_for)
+    for sample, reasons in zip(dataset, verdicts, strict=True):
+        if reasons:
+            # samples that share a code share its verdict: give each
+            # removal a list of its own
+            removed.append((sample, list(reasons)))
+            if sample.poisoned:
+                removed_poisoned += 1
+            else:
+                removed_clean += 1
+        else:
+            kept.append(sample)
+    return SanitizationReport(
+        kept=Dataset(kept, name=f"{dataset.name}:{name}"),
+        removed=removed,
+        removed_poisoned=removed_poisoned,
+        removed_clean=removed_clean,
+    )
+
+
 @register_defense("dataset_sanitizer")
 class DatasetSanitizer:
     """Composite pre-training filter: drop samples flagged by the
@@ -288,32 +311,13 @@ class DatasetSanitizer:
         self.bomb_detector = TimebombDetector()
 
     def _flag(self, code: str) -> list[str]:
-        reasons = list(self.guard_scanner.inspect_code(code).reasons)
-        reasons += self.bomb_detector.inspect_code(code)
+        ctx = LintContext.from_code(code)
+        reasons = list(self.guard_scanner.inspect(ctx).reasons)
+        reasons += self.bomb_detector.inspect(ctx)
         return reasons
 
     def sanitize(self, dataset: Dataset) -> SanitizationReport:
-        kept = []
-        removed = []
-        removed_poisoned = removed_clean = 0
-        verdicts = dataset.per_distinct_code(self._flag)
-        for sample, reasons in zip(dataset, verdicts, strict=True):
-            if reasons:
-                # samples that share a code share its verdict: give each
-                # removal a list of its own
-                removed.append((sample, list(reasons)))
-                if sample.poisoned:
-                    removed_poisoned += 1
-                else:
-                    removed_clean += 1
-            else:
-                kept.append(sample)
-        return SanitizationReport(
-            kept=Dataset(kept, name=f"{dataset.name}:sanitized"),
-            removed=removed,
-            removed_poisoned=removed_poisoned,
-            removed_clean=removed_clean,
-        )
+        return _sanitize(dataset, self._flag, "sanitized")
 
 
 @register_defense("static_lint_filter")
@@ -353,24 +357,8 @@ class StaticLintFilter:
     def sanitize(self, dataset: Dataset) -> SanitizationReport:
         from ..verilog.lint import lint_source
 
-        kept = []
-        removed = []
-        removed_poisoned = removed_clean = 0
-        reports = dataset.per_distinct_code(lint_source)
-        for sample, report in zip(dataset, reports, strict=True):
-            flagged = report.by_severity(self.drop_severities)
-            if flagged:
-                removed.append(
-                    (sample, sorted({f.rule for f in flagged})))
-                if sample.poisoned:
-                    removed_poisoned += 1
-                else:
-                    removed_clean += 1
-            else:
-                kept.append(sample)
-        return SanitizationReport(
-            kept=Dataset(kept, name=f"{dataset.name}:lint-filtered"),
-            removed=removed,
-            removed_poisoned=removed_poisoned,
-            removed_clean=removed_clean,
-        )
+        def rules(code: str) -> list[str]:
+            report = lint_source(code)
+            return sorted({f.rule
+                           for f in report.by_severity(self.drop_severities)})
+        return _sanitize(dataset, rules, "lint-filtered")

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import random
 import re
+from collections.abc import Iterator
 
 from ..verilog.ast_nodes import (
     Assign,
@@ -34,11 +35,14 @@ from ..verilog.ast_nodes import (
     Identifier,
     Number,
     Ternary,
+    stmt_exprs,
     walk_expr,
     walk_stmts,
 )
+from ..verilog.lint.framework import Finding, LintContext, run_passes
 from ..verilog.parser import parse
 from ..verilog.simulator import simulate
+from .defenses import StaticScan
 from .payloads import Payload, _top_module_name
 
 
@@ -198,7 +202,55 @@ class SequenceTriggerPayload(Payload):
 # ---------------------------------------------------------------------------
 
 
-class TimebombDetector:
+def ticking_register_pass(ctx: LintContext) -> Iterator[Finding]:
+    """Registers that are incremented, compared against a constant and
+    never cleared under a reset."""
+    assert ctx.source is not None
+    for module in ctx.source.modules:
+        incremented: set[str] = set()
+        compared: set[str] = set()
+        cleared: set[str] = set()
+        reset_like = {p.name for p in module.ports
+                      if p.name in ("rst", "reset", "clear", "rst_n")}
+        for block in module.always_blocks:
+            has_reset_path = any(s.signal in reset_like
+                                 for s in block.sensitivity)
+            for stmt in walk_stmts(block.body):
+                if (isinstance(stmt, Assign)
+                        and isinstance(stmt.target, Identifier)):
+                    name, value = stmt.target.name, stmt.value
+                    if isinstance(value, Binary) and value.op == "+" and any(
+                            isinstance(s, Identifier) and s.name == name
+                            for s in (value.left, value.right)):
+                        incremented.add(name)
+                    elif isinstance(value, Number) and has_reset_path:
+                        cleared.add(name)
+                for expr in stmt_exprs(stmt):
+                    for node in walk_expr(expr):
+                        if isinstance(node, Binary) and node.op in (
+                            ">=", ">", "==", "<="
+                        ):
+                            sides = (node.left, node.right)
+                            if any(isinstance(s, Number) for s in sides):
+                                for side in sides:
+                                    if isinstance(side, Identifier):
+                                        compared.add(side.name)
+        for assign in module.assigns:
+            for node in walk_expr(assign.value):
+                if isinstance(node, Binary) and node.op in (">=", ">"):
+                    for side in (node.left, node.right):
+                        if isinstance(side, Identifier):
+                            compared.add(side.name)
+        # Counters cleared by a reset-like signal are benign (every
+        # counter in the corpus); unresettable ones are bombs.
+        for name in sorted((incremented & compared) - cleared):
+            yield Finding(rule="ticking-register", severity="trojan",
+                          signal=name, location=module.name,
+                          message=f"{module.name}: ticking register "
+                                  f"{name!r}")
+
+
+class TimebombDetector(StaticScan):
     """Finds ticking-time-bomb state: registers that are incremented,
     compared against a constant, and never cleared by any design input.
 
@@ -206,83 +258,11 @@ class TimebombDetector:
     to our AST: a register is suspicious when (a) some statement assigns
     ``r <= r + k``, (b) some expression compares ``r`` against a
     constant, and (c) no assignment ever sets it from a design input or
-    resets it under a reset condition.
+    resets it under a reset condition.  Its verdict is the list of
+    findings' messages (empty: nothing found, or unparseable).
     """
 
-    def inspect_code(self, code: str) -> list[str]:
-        try:
-            sf = parse(code)
-        except ValueError:
-            return []
-        findings = []
-        for module in sf.modules:
-            incremented: set[str] = set()
-            compared: set[str] = set()
-            cleared: set[str] = set()
-            reset_like = {p.name for p in module.ports
-                          if p.name in ("rst", "reset", "clear", "rst_n")}
-            for block in module.always_blocks:
-                under_reset = any(s.signal in reset_like
-                                  for s in block.sensitivity)
-                for stmt in walk_stmts(block.body):
-                    if isinstance(stmt, Assign):
-                        self._classify_assign(stmt, incremented, cleared,
-                                              under_reset and bool(reset_like))
-                    for expr in self._stmt_exprs(stmt):
-                        for node in walk_expr(expr):
-                            if isinstance(node, Binary) and node.op in (
-                                ">=", ">", "==", "<="
-                            ):
-                                sides = (node.left, node.right)
-                                if any(isinstance(s, Number) for s in sides):
-                                    for side in sides:
-                                        if isinstance(side, Identifier):
-                                            compared.add(side.name)
-            for assign in module.assigns:
-                for node in walk_expr(assign.value):
-                    if isinstance(node, Binary) and node.op in (">=", ">"):
-                        for side in (node.left, node.right):
-                            if isinstance(side, Identifier):
-                                compared.add(side.name)
-            # Counters cleared by a reset-like signal are benign (every
-            # counter in the corpus); unresettable ones are bombs.
-            suspicious = (incremented & compared) - cleared
-            findings += [f"{module.name}: ticking register {name!r}"
-                         for name in sorted(suspicious)]
-        return findings
+    passes = (ticking_register_pass,)
 
-    @staticmethod
-    def _stmt_exprs(stmt):
-        from ..verilog.ast_nodes import stmt_exprs
-
-        return stmt_exprs(stmt)
-
-    @staticmethod
-    def _classify_assign(stmt: Assign, incremented: set, cleared: set,
-                         has_reset_path: bool) -> None:
-        target = stmt.target
-        if not isinstance(target, Identifier):
-            return
-        value = stmt.value
-        if isinstance(value, Binary) and value.op == "+" and any(
-            isinstance(s, Identifier) and s.name == target.name
-            for s in (value.left, value.right)
-        ):
-            incremented.add(target.name)
-        elif isinstance(value, Number) and has_reset_path:
-            cleared.add(target.name)
-
-    def scan_dataset(self, dataset) -> dict:
-        flagged_poisoned = flagged_clean = 0
-        for sample in dataset:
-            if self.inspect_code(sample.code):
-                if sample.poisoned:
-                    flagged_poisoned += 1
-                else:
-                    flagged_clean += 1
-        n_poisoned = max(len(dataset.poisoned()), 1)
-        n_clean = max(len(dataset.clean()), 1)
-        return {
-            "recall_on_poisoned": flagged_poisoned / n_poisoned,
-            "false_positive_rate": flagged_clean / n_clean,
-        }
+    def inspect(self, ctx: LintContext) -> list[str]:
+        return [f.message for f in run_passes(ctx, self.passes)]

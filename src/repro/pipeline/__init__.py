@@ -25,7 +25,6 @@ from .measurement import (
     CompletionOutcome,
     MeasurementRequest,
     MeasurementResult,
-    has_constant_guard,
     measure,
 )
 from .runner import (
@@ -52,7 +51,6 @@ __all__ = [
     "TaskFailure",
     "default_shards",
     "failure_payload",
-    "has_constant_guard",
     "make_executor",
     "measure",
     "resolve_executor",

@@ -28,7 +28,11 @@ validation the CLI runs -- answers **400** with the structured
 be framed -- a malformed request line, a bad Content-Length, a line
 longer than the stream reader's limit, more than :data:`MAX_HEADERS`
 header lines -- answers a structured 400 (431 for an over-long header
-line or too many headers) and closes the connection.
+line or too many headers) with ``connection: close``.  The server then
+half-closes and reads what the client still sends, up to
+:data:`DRAIN_BYTES` or :data:`DRAIN_SECONDS`, before it closes: closing
+with unread bytes would reset the connection before the client reads
+its answer.
 """
 
 from __future__ import annotations
@@ -55,6 +59,12 @@ MAX_BODY_BYTES = 64 * 1024 * 1024
 #: header lines past this count are rejected with 431
 MAX_HEADERS = 100
 
+#: a rejected connection is drained of at most this many bytes ...
+DRAIN_BYTES = MAX_BODY_BYTES
+
+#: ... for at most this many seconds before the server closes it
+DRAIN_SECONDS = 1.0
+
 
 class _TooManyHeaders(Exception):
     """The request carries more than :data:`MAX_HEADERS` header lines."""
@@ -78,6 +88,8 @@ class ReproServer:
         self.host = host
         self.port = port
         self._server: asyncio.AbstractServer | None = None
+        #: connection handlers still running
+        self._handlers: set[asyncio.Task] = set()
 
     # -- lifecycle ----------------------------------------------------------
 
@@ -90,6 +102,9 @@ class ReproServer:
         if self._server is not None:
             self._server.close()
             await self._server.wait_closed()
+        if self._handlers:
+            # a rejected connection stays open until its client is done
+            await asyncio.wait(self._handlers, timeout=DRAIN_SECONDS)
         await self.service.close()
 
     async def serve_forever(self) -> None:
@@ -101,13 +116,16 @@ class ReproServer:
 
     async def _handle_client(self, reader: asyncio.StreamReader,
                              writer: asyncio.StreamWriter) -> None:
+        handler = asyncio.current_task()
+        assert handler is not None
+        self._handlers.add(handler)
         try:
             while True:
                 # readline() raises ValueError past the reader's limit
                 try:
                     request_line = await reader.readline()
                 except ValueError:
-                    self._reject(writer, "request line too long")
+                    await self._reject(reader, writer, "request line too long")
                     break
                 if not request_line or request_line in (b"\r\n", b"\n"):
                     break
@@ -115,33 +133,40 @@ class ReproServer:
                     method, target, _version = \
                         request_line.decode("ascii").split()
                 except (UnicodeDecodeError, ValueError):
-                    self._reject(writer, "malformed request line")
+                    await self._reject(reader, writer,
+                                       "malformed request line")
                     break
                 try:
                     headers = await self._read_headers(reader)
                 except ValueError:
-                    self._reject(writer, "request header too long", 431)
+                    await self._reject(reader, writer,
+                                       "request header too long", 431)
                     break
                 except _TooManyHeaders:
-                    self._reject(writer, "too many request headers", 431)
+                    await self._reject(reader, writer,
+                                       "too many request headers", 431)
                     break
                 if headers is None:
                     break
                 length_text = headers.get("content-length", "0") or "0"
                 # digits only: int() would also take "-1", "+1" and "1_0"
                 if not (length_text.isascii() and length_text.isdigit()):
-                    self._reject(writer, "invalid content-length")
+                    await self._reject(reader, writer,
+                                       "invalid content-length")
                     break
                 length = int(length_text)
                 if length > MAX_BODY_BYTES:
-                    self._reject(writer, "request body too large")
+                    await self._reject(reader, writer,
+                                       "request body too large")
                     break
                 body = await reader.readexactly(length) if length else b""
                 status, blob, content_type = await self.dispatch(
                     method, target.split("?", 1)[0], body)
-                self._write(writer, status, blob, content_type)
+                closing = headers.get("connection", "").lower() == "close"
+                self._write(writer, status, blob, content_type,
+                            close=closing)
                 await writer.drain()
-                if headers.get("connection", "").lower() == "close":
+                if closing:
                     break
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -149,6 +174,7 @@ class ReproServer:
             writer.close()
             with contextlib.suppress(ConnectionError, OSError):
                 await writer.wait_closed()  # pragma: no cover
+            self._handlers.discard(handler)
 
     @staticmethod
     async def _read_headers(reader) -> dict | None:
@@ -168,18 +194,38 @@ class ReproServer:
         raise _TooManyHeaders
 
     @classmethod
-    def _reject(cls, writer, message: str, status: int = 400) -> None:
-        """The structured error for a request that cannot be framed; the
-        caller closes the connection."""
-        cls._write(writer, status, json.dumps(cls._error(message)).encode())
+    async def _reject(cls, reader, writer, message: str,
+                      status: int = 400) -> None:
+        """Answer a request that cannot be framed with its structured
+        error, then half-close and drain (bounded); the caller closes
+        the connection."""
+        cls._write(writer, status, json.dumps(cls._error(message)).encode(),
+                   close=True)
+        loop = asyncio.get_running_loop()
+        deadline = loop.time() + DRAIN_SECONDS
+        left = DRAIN_BYTES
+        with contextlib.suppress(ConnectionError, OSError,
+                                 asyncio.TimeoutError):
+            await writer.drain()
+            if writer.can_write_eof():
+                writer.write_eof()
+            while left > 0:
+                chunk = await asyncio.wait_for(
+                    reader.read(min(left, 1 << 16)),
+                    max(0.0, deadline - loop.time()))
+                if not chunk:
+                    break
+                left -= len(chunk)
 
     @staticmethod
     def _write(writer, status: int, blob: bytes,
-               content_type: str = "application/json") -> None:
+               content_type: str = "application/json",
+               close: bool = False) -> None:
         head = (f"HTTP/1.1 {status} {_REASONS[status]}\r\n"
                 f"content-type: {content_type}\r\n"
                 f"content-length: {len(blob)}\r\n"
-                "connection: keep-alive\r\n\r\n")
+                f"connection: {'close' if close else 'keep-alive'}"
+                "\r\n\r\n")
         writer.write(head.encode("ascii") + blob)
 
     # -- routing ------------------------------------------------------------
@@ -273,4 +319,5 @@ async def serve(host: str = "127.0.0.1", port: int = 8321,
         await server.close()
 
 
-__all__ = ["MAX_BODY_BYTES", "MAX_HEADERS", "ReproServer", "serve"]
+__all__ = ["DRAIN_BYTES", "DRAIN_SECONDS", "MAX_BODY_BYTES", "MAX_HEADERS",
+           "ReproServer", "serve"]

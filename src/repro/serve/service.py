@@ -249,20 +249,30 @@ class EvaluationService:
         loop = asyncio.get_running_loop()
 
         def run_batch():
-            return [execute_check(request) for request, _ in batch]
+            # each request gets its own response or exception: one
+            # raising check must not fail its batch-mates
+            outcomes = []
+            for request, _ in batch:
+                try:
+                    outcomes.append((execute_check(request), None))
+                except Exception as exc:
+                    outcomes.append((None, exc))
+            return outcomes
 
         pooled = loop.run_in_executor(self._pool, run_batch)
 
         def deliver(done: asyncio.Future) -> None:
             try:
-                responses = done.result()
+                outcomes = done.result()
             except BaseException as exc:
-                for _, fut in batch:
-                    if not fut.done():
-                        fut.set_exception(exc)
-                return
-            for (_, fut), response in zip(batch, responses, strict=True):
-                if not fut.done():
+                outcomes = [(None, exc)] * len(batch)
+            for (_, fut), (response, exc) in zip(batch, outcomes,
+                                                 strict=True):
+                if fut.done():
+                    continue
+                if exc is not None:
+                    fut.set_exception(exc)
+                else:
                     fut.set_result(response)
 
         pooled.add_done_callback(deliver)

@@ -17,7 +17,12 @@ contract end-to-end, the way the CI ``serve-smoke`` job consumes it:
    ``joined``, all rows identical;
 5. a sweep **job** over the warm spec must stream its row from the
    memo and match the reference; plus check-endpoint and structured
-   400 spot-checks.
+   400 spot-checks;
+6. **adversarial leg** -- a valid source and three the front end must
+   reject without raising (:data:`ADVERSARIAL_SOURCES`) go to
+   ``/v1/check`` together: every answer is a 200 verdict, each bad
+   source failing with one positioned error, and ``/v1/lint`` answers
+   each bad source with a 200 error report.
 
 The client helpers (:func:`http_json`, :func:`http_text`) are plain
 asyncio streams, shared with the test suite.
@@ -36,6 +41,18 @@ import sys
 import time
 
 _ANNOUNCE = re.compile(r"listening on http://([\w.\-]+):(\d+)")
+
+#: sources that must get a verdict, not a 500: a bad decimal digit, a
+#: 2^36-bit literal and 200 nested parentheses
+ADVERSARIAL_SOURCES = (
+    "module m(output [7:0] y); assign y = 8'd1f; endmodule",
+    "module m(output [7:0] y); assign y = 99999999999'd2; endmodule",
+    "module m(input a, output y); assign y = " + "(" * 200 + "a"
+    + ")" * 200 + "; endmodule",
+)
+
+#: where a ParseError says it happened: ``@line:col``
+_POSITIONED = re.compile(r"@\d+:\d+ \)$")
 
 
 def smoke_spec(seed: int = 3):
@@ -214,6 +231,25 @@ async def run_legs(host: str, port: int, reference_row: dict,
                                       {"source": "module busted"})
     assert status == 200 and verdict["ok"] is False, verdict
     print("error + check legs OK")
+
+    # adversarial leg: malformed sources get verdicts, never a 500, and
+    # do not fail the valid check sharing their micro-batch
+    valid = ("module m(input a, output y); assign y = ~a; endmodule",)
+    answers = await asyncio.gather(*[
+        http_json(host, port, "POST", "/v1/check", {"source": source})
+        for source in valid + ADVERSARIAL_SOURCES])
+    assert [status for status, _ in answers] == [200] * 4, answers
+    assert answers[0][1]["ok"] is True, answers[0]
+    for _, verdict in answers[1:]:
+        assert verdict["ok"] is False, verdict
+        assert len(verdict["errors"]) == 1, verdict
+        assert _POSITIONED.search(verdict["errors"][0]), verdict
+    for source in ADVERSARIAL_SOURCES:
+        status, linted = await http_json(host, port, "POST", "/v1/lint",
+                                         {"source": source})
+        assert status == 200 and linted["report"]["error"], linted
+    print("adversarial leg OK: malformed sources answered 200 with "
+          "positioned errors")
 
     status, stats = await http_json(host, port, "GET", "/v1/stats")
     scenario_stats = stats["requests"]["scenario"]

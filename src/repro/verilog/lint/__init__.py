@@ -2,12 +2,13 @@
 
 :func:`lint_source` is the entry point every layer shares (the
 ``static_lint_filter`` defense, the ``repro lint`` CLI, the serve
-``/v1/lint`` endpoint): it parses + elaborates the source, runs every
-registered pass, and memoizes the resulting :class:`LintReport` in
-the ``lint-reports`` artifact-store namespace keyed by the source
-digest, the requested top module, and ``LINT_SCHEMA_VERSION``.  A
-damaged or version-skewed stored report decodes to a miss and the
-source is re-analyzed -- never a wrong report.
+``/v1/lint`` endpoint): it parses + elaborates the source, runs the
+passes of :data:`LINT_PASSES`, and memoizes the resulting
+:class:`LintReport` in the ``lint-reports`` artifact-store namespace
+keyed by the source digest, the requested top module, and
+``LINT_SCHEMA_VERSION``.  A damaged or version-skewed stored report
+decodes to a miss and the source is re-analyzed -- never a wrong
+report.
 """
 
 from __future__ import annotations
@@ -27,12 +28,12 @@ from .framework import (
     LintReport,
     analyze_source,
     lint_counters,
-    register_pass,
-    registered_passes,
     render_expr,
+    run_passes,
 )
 from .passes import (
     CHAIN_MIN_LENGTH,
+    LINT_PASSES,
     MIN_TRIGGER_COMPARE_WIDTH,
     STEALTH_PROBABILITY_THRESHOLD,
     guard_probability,
@@ -44,6 +45,7 @@ __all__ = [
     "DefUseGraph",
     "Finding",
     "LINT_NAMESPACE",
+    "LINT_PASSES",
     "LINT_SCHEMA_VERSION",
     "LintContext",
     "LintReport",
@@ -57,9 +59,8 @@ __all__ = [
     "lint_counters",
     "lint_source",
     "lint_store_key",
-    "register_pass",
-    "registered_passes",
     "render_expr",
+    "run_passes",
 ]
 
 #: Artifact-store namespace holding memoized lint reports.

@@ -1,10 +1,14 @@
-"""Finding/report datatypes, pass registry, and the lint driver.
+"""One front end and one finding type for every static analysis.
 
-A lint *pass* is a callable taking a :class:`LintContext` (parsed
-source, chosen top module, elaborated design, lazily-built def-use
-graph) and yielding :class:`Finding` objects.  Passes register under a
-stable rule-family name via :func:`register_pass`; the driver runs
-them in registration order so reports are deterministic.
+The syntax check, lint, the payload scanner, the time-bomb detector and
+``measure()``'s constant-guard check each are an ordered tuple of
+*passes*: callables that take a :class:`LintContext` and yield
+:class:`Finding` objects.  :meth:`LintContext.from_code` is the one
+front end: it parses the text once, elaborates on first use and turns
+every front-end failure into a verdict (:data:`FRONT_END_FAULTS`);
+:func:`run_passes` runs one analysis over it.  There is no registry:
+each analysis names its own tuple (``syntax.CHECK_PASSES``,
+``passes.LINT_PASSES``, ``StaticScan.passes``).
 
 Severity taxonomy (``SEVERITIES``):
 
@@ -16,7 +20,9 @@ Severity taxonomy (``SEVERITIES``):
   filter may reasonably drop but that also occur in honest code;
 * ``trojan`` -- trigger-signature shapes (wide constant-compare
   guards, stealthy activation conditions, duplicated case arms) that
-  honest corpus designs never exhibit.
+  honest corpus designs never exhibit;
+* ``error`` -- the syntax check's hard failures (lint reports a
+  front-end failure in ``LintReport.error`` instead).
 
 ``TRIGGER_SEVERITIES`` is what the CI clean-corpus leg asserts to be
 empty; ``DEFAULT_DROP_SEVERITIES`` is what the ``static_lint_filter``
@@ -52,17 +58,18 @@ from .dataflow import DefUseGraph, build_def_use
 
 __all__ = [
     "DEFAULT_DROP_SEVERITIES",
+    "FRONT_END_FAULTS",
     "Finding",
     "LINT_SCHEMA_VERSION",
     "LintContext",
     "LintReport",
+    "PassFn",
     "SEVERITIES",
     "TRIGGER_SEVERITIES",
     "analyze_source",
     "lint_counters",
-    "register_pass",
-    "registered_passes",
     "render_expr",
+    "run_passes",
 ]
 
 #: Bump whenever the finding schema, the rule set, or any rule's
@@ -70,7 +77,7 @@ __all__ = [
 #: namespace are keyed by this version, so a bump invalidates them.
 LINT_SCHEMA_VERSION = 1
 
-SEVERITIES = ("info", "warning", "quality", "trojan")
+SEVERITIES = ("info", "warning", "quality", "trojan", "error")
 
 #: Severities that count as trigger signatures (zero on clean corpus).
 TRIGGER_SEVERITIES = frozenset({"trojan"})
@@ -174,14 +181,77 @@ class LintReport:
             return None
 
 
-@dataclass
-class LintContext:
-    """Everything a pass may inspect; def-use graph built lazily."""
+#: What the front end turns into a verdict.  A lex or parse error is
+#: kept as it is; any other of these, raised while parsing or
+#: elaborating (degenerate constants in corrupted generations: negative
+#: widths, huge exponents), becomes ``ElaborationError("<Type>: <msg>")``.
+FRONT_END_FAULTS = (ValueError, OverflowError, RecursionError, IndexError,
+                    KeyError, TypeError)
 
-    source: SourceFile
-    top: Module
-    design: FlatDesign
-    _defuse: DefUseGraph | None = None
+
+def _fault(exc: Exception) -> Exception:
+    if isinstance(exc, (LexError, ParseError, ElaborationError)):
+        return exc
+    return ElaborationError(f"{type(exc).__name__}: {exc}")
+
+
+@dataclass(eq=False)
+class LintContext:
+    """One source text through the front end, shared by every analysis.
+
+    ``source`` is the parsed file, or None when lexing or parsing failed.
+    ``error`` says why the front end stopped: a failed parse sets it, and
+    so does a failed elaboration once :meth:`front_end_error` runs.
+    ``top``, ``design`` and ``defuse`` are resolved on first use.
+    """
+
+    source: SourceFile | None
+    error: Exception | None = None
+    #: the design under test's module name (None: the last module)
+    top_name: str | None = None
+    _design: FlatDesign | None = field(default=None, init=False)
+    _defuse: DefUseGraph | None = field(default=None, init=False)
+
+    @classmethod
+    def from_code(cls, code: str, top: str | None = None) -> LintContext:
+        """Lex and parse ``code`` once."""
+        try:
+            return cls(parse(code), top_name=top)
+        except FRONT_END_FAULTS as exc:
+            return cls(None, _fault(exc), top)
+
+    @property
+    def top(self) -> Module:
+        assert self.source is not None
+        if self.top_name is None:
+            # The corpus convention (matching the payloads' top-module
+            # resolution) is that the last module is the design under
+            # test; earlier modules are helpers it instantiates.
+            return self.source.modules[-1]
+        for module in self.source.modules:
+            if module.name == self.top_name:
+                return module
+        raise ElaborationError(f"unknown top module {self.top_name!r}")
+
+    def front_end_error(self) -> Exception | None:
+        """Why ``design`` cannot be built (a ``LexError``,
+        ``ParseError`` or ``ElaborationError``), or None."""
+        if self._design is None and self.error is None:
+            assert self.source is not None  # a failed parse sets error
+            try:
+                self._design = elaborate(self.source, top=self.top.name)
+            except FRONT_END_FAULTS as exc:
+                self.error = _fault(exc)
+        return self.error
+
+    @property
+    def design(self) -> FlatDesign:
+        """``top`` elaborated once; raises :meth:`front_end_error`."""
+        error = self.front_end_error()
+        if error is not None:
+            raise error
+        assert self._design is not None
+        return self._design
 
     @property
     def defuse(self) -> DefUseGraph:
@@ -192,24 +262,14 @@ class LintContext:
 
 PassFn = Callable[[LintContext], Iterable[Finding]]
 
-_PASSES: dict[str, PassFn] = {}
 
-
-def register_pass(name: str) -> Callable[[PassFn], PassFn]:
-    """Register a lint pass under a stable name (decorator)."""
-
-    def decorate(fn: PassFn) -> PassFn:
-        if name in _PASSES:
-            raise ValueError(f"lint pass {name!r} already registered")
-        _PASSES[name] = fn
-        return fn
-
-    return decorate
-
-
-def registered_passes() -> list[tuple[str, PassFn]]:
-    """Registered passes in registration order."""
-    return list(_PASSES.items())
+def run_passes(ctx: LintContext,
+               passes: Iterable[PassFn]) -> list[Finding]:
+    """Every finding of ``passes`` over ``ctx``, in pass order; none
+    when the source did not parse."""
+    if ctx.source is None:
+        return []
+    return [finding for pass_fn in passes for finding in pass_fn(ctx)]
 
 
 # ---------------------------------------------------------------------------
@@ -262,42 +322,23 @@ def render_expr(expr: Expr) -> str:
 # Driver
 
 
-def _pick_top(source: SourceFile, top: str | None) -> Module:
-    if top is None:
-        # The corpus convention (matching the payloads' top-module
-        # resolution) is that the last module is the design under
-        # test; earlier modules are helpers it instantiates.
-        return source.modules[-1]
-    for module in source.modules:
-        if module.name == top:
-            return module
-    raise ElaborationError(f"unknown top module {top!r}")
-
-
 def analyze_source(code: str, top: str | None = None) -> LintReport:
-    """Run every registered pass over ``code`` (no memoization).
+    """Run the lint passes over ``code`` (no memoization).
 
     Front-end failures (lex/parse/elaboration errors, unknown top)
     produce a report with ``error`` set rather than raising, so batch
     callers (the dataset defense, corpus sweeps) keep going.
     """
-    # Populate the pass registry on first use.
-    from . import passes  # noqa: F401
+    # passes.py builds on this module's datatypes, so it imports later
+    from .passes import LINT_PASSES
 
     COUNTERS.bump("lint", "runs")
-    try:
-        source = parse(code)
-        if not source.modules:
-            raise ParseError("source contains no modules")
-        module = _pick_top(source, top)
-        design = elaborate(source, top=module.name)
-    except (LexError, ParseError, ElaborationError) as exc:
-        return LintReport(top=top or "", error=f"{type(exc).__name__}: {exc}")
-
-    context = LintContext(source=source, top=module, design=design)
-    findings: list[Finding] = []
-    for _name, pass_fn in registered_passes():
-        findings.extend(pass_fn(context))
+    ctx = LintContext.from_code(code, top)
+    error = ctx.front_end_error()
+    if error is not None:
+        return LintReport(top=top or "",
+                          error=f"{type(error).__name__}: {error}")
+    findings = run_passes(ctx, LINT_PASSES)
     for finding in findings:
         COUNTERS.bump("lint", f"findings.{finding.rule}")
-    return LintReport(top=module.name, findings=findings)
+    return LintReport(top=ctx.top.name, findings=findings)

@@ -1,6 +1,8 @@
-"""The built-in lint passes.
+"""Lint: ten rules across the seven passes of :data:`LINT_PASSES`.
 
-Ten rules across seven registered passes:
+:func:`~repro.verilog.lint.framework.analyze_source` runs them in
+tuple order over one :class:`~repro.verilog.lint.framework.LintContext`
+and reports their findings in that order:
 
 ========================  ========  =====================================
 rule id                   severity  what it detects
@@ -56,10 +58,11 @@ from ..ast_nodes import (
 )
 from ..elaborate import ElaborationError, FlatDesign, eval_const
 from .dataflow import DefUseGraph, target_roots
-from .framework import Finding, LintContext, register_pass, render_expr
+from .framework import Finding, LintContext, PassFn, render_expr
 
 __all__ = [
     "CHAIN_MIN_LENGTH",
+    "LINT_PASSES",
     "MIN_TRIGGER_COMPARE_WIDTH",
     "STEALTH_PROBABILITY_THRESHOLD",
     "guard_probability",
@@ -86,7 +89,6 @@ CHAIN_MIN_LENGTH = 3
 # Pass 1: def-use chains -> dead / undriven / unused signals
 
 
-@register_pass("def-use")
 def def_use_pass(ctx: LintContext) -> Iterator[Finding]:
     graph = ctx.defuse
     for name, spec in ctx.design.signals.items():
@@ -142,7 +144,6 @@ def _branch_findings(cond: Expr, has_else: bool,
             evidence={"guard": guard, "value": value, "branch": "else"})
 
 
-@register_pass("unreachable")
 def unreachable_pass(ctx: LintContext) -> Iterator[Finding]:
     design = ctx.design
     for kind, procs in (("process", design.processes),
@@ -194,7 +195,6 @@ def _trigger_compares(cond: Expr, design: FlatDesign,
             break
 
 
-@register_pass("const-trigger")
 def const_trigger_pass(ctx: LintContext) -> Iterator[Finding]:
     design = ctx.design
     graph = ctx.defuse
@@ -230,7 +230,6 @@ def const_trigger_pass(ctx: LintContext) -> Iterator[Finding]:
 # Pass 4: input-influence cones
 
 
-@register_pass("input-cones")
 def input_cone_pass(ctx: LintContext) -> Iterator[Finding]:
     design = ctx.design
     graph = ctx.defuse
@@ -346,7 +345,6 @@ def guard_probability(expr: Expr, design: FlatDesign) -> float | None:
     return None
 
 
-@register_pass("stealth")
 def stealth_pass(ctx: LintContext) -> Iterator[Finding]:
     design = ctx.design
     for i, proc in enumerate(design.processes):
@@ -431,8 +429,8 @@ def _duplicate_arm_findings(module: Module,
                         })
 
 
-@register_pass("duplicate-arms")
 def duplicate_arm_pass(ctx: LintContext) -> Iterator[Finding]:
+    assert ctx.source is not None
     for module in ctx.source.modules:
         for block in module.always_blocks:
             yield from _duplicate_arm_findings(module, block.body)
@@ -495,8 +493,8 @@ def _longest_chain(edges: dict[int, set[int]],
     return best
 
 
-@register_pass("instance-chains")
 def instance_chain_pass(ctx: LintContext) -> Iterator[Finding]:
+    assert ctx.source is not None
     for module in ctx.source.modules:
         groups: dict[str, list[int]] = {}
         for index, inst in enumerate(module.instances):
@@ -535,3 +533,9 @@ def instance_chain_pass(ctx: LintContext) -> Iterator[Finding]:
                                   "instances": len(indices),
                                   "chain_length": len(chain),
                                   "chain": names})
+
+
+#: lint's passes, in report order
+LINT_PASSES: tuple[PassFn, ...] = (
+    def_use_pass, unreachable_pass, const_trigger_pass, input_cone_pass,
+    stealth_pass, duplicate_arm_pass, instance_chain_pass)

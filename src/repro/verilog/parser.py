@@ -74,36 +74,89 @@ _BINARY_PRECEDENCE: dict[str, int] = {
 _UNARY_OPS = frozenset(["~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"])
 
 
-def _parse_number_token(text: str) -> Number:
-    """Decode a numeric literal token into a :class:`Number` node."""
-    if "'" not in text:
-        return Number(value=int(text.replace("_", "")), width=None, original=text)
+#: Widest literal accepted, in bits.  IEEE 1364-2005 lets a tool cap
+#: vector widths, at no less than 2**16 bits.
+MAX_LITERAL_WIDTH = 1 << 16
 
-    size_part, rest = text.split("'", 1)
+#: Longest decimal digit string decoded.  Checked here rather than left
+#: to ``int()``, whose own limit is an interpreter setting.
+MAX_DECIMAL_DIGITS = 4300
+
+#: Deepest nesting of parentheses, braces, brackets, unary operators,
+#: ternary selects and compound statements.  Past it the parser raises
+#: :class:`ParseError` rather than exhausting the interpreter's stack.
+MAX_NESTING = 64
+
+_RADIX = {"b": 2, "o": 8, "d": 10, "h": 16}
+_BASE_NAMES = {"b": "binary", "o": "octal", "d": "decimal",
+               "h": "hexadecimal"}
+_UNKNOWN = "xXzZ?"
+_UNKNOWN_SET = frozenset(_UNKNOWN)
+_KNOWN = {"b": "01", "o": "01234567", "d": "0123456789",
+          "h": "0123456789abcdefABCDEF"}
+#: the digits each base accepts (a decimal's single x/z digit aside)
+_ALLOWED = {base: frozenset(known if base == "d" else known + _UNKNOWN)
+            for base, known in _KNOWN.items()}
+#: an unknown digit reads 0 in a literal's value and all ones in its
+#: unknown mask, where a known digit reads 0
+_VALUE_OF = str.maketrans(_UNKNOWN, "0" * len(_UNKNOWN))
+_MASK_OF = {base: str.maketrans(_KNOWN[base] + _UNKNOWN,
+                                "0" * len(_KNOWN[base])
+                                + top * len(_UNKNOWN))
+            for base, top in (("b", "1"), ("o", "7"), ("h", "f"))}
+
+
+def _parse_number_token(tok: Token) -> Number:
+    """Decode a numeric literal token into a :class:`Number` node."""
+    text = tok.text
+    for tick in "'’‘":
+        if tick in text:
+            break
+    else:
+        digits = text.replace("_", "")
+        if len(digits) > MAX_DECIMAL_DIGITS:
+            raise ParseError(f"decimal literal longer than "
+                             f"{MAX_DECIMAL_DIGITS} digits", tok)
+        return Number(value=int(digits), width=None, original=text)
+
+    size_part, _, rest = text.partition(tick)
     signed = rest[0] in "sS"
     if signed:
         rest = rest[1:]
     base_ch = rest[0].lower()
     digits = rest[1:].replace("_", "")
-    width = int(size_part) if size_part else None
+    width = None
+    if size_part:
+        size = size_part.replace("_", "").lstrip("0")
+        if not size:
+            raise ParseError("literal width must be at least 1", tok)
+        if len(size) > 5 or int(size) > MAX_LITERAL_WIDTH:
+            raise ParseError(f"literal wider than {MAX_LITERAL_WIDTH} "
+                             "bits", tok)
+        width = int(size)
 
-    base = {"b": 2, "o": 8, "d": 10, "h": 16}[base_ch]
-    bits_per_digit = {"b": 1, "o": 3, "d": 0, "h": 4}[base_ch]
-
-    value = 0
     xmask = 0
-    if base_ch == "d":
+    if base_ch == "d" and len(digits) == 1 and digits in _UNKNOWN:
+        value, xmask = 0, -1  # IEEE 1364 A.8.7: every bit unknown
+    elif not _ALLOWED[base_ch].issuperset(digits):
+        bad = next(ch for ch in digits if ch not in _ALLOWED[base_ch])
+        raise ParseError(f"invalid digit {bad!r} in "
+                         f"{_BASE_NAMES[base_ch]} literal", tok)
+    elif base_ch == "d":
+        if len(digits) > MAX_DECIMAL_DIGITS:
+            raise ParseError(f"decimal literal longer than "
+                             f"{MAX_DECIMAL_DIGITS} digits", tok)
         value = int(digits or "0")
     else:
-        for ch in digits:
-            value <<= bits_per_digit
-            xmask <<= bits_per_digit
-            if ch in "xXzZ?":
-                xmask |= (1 << bits_per_digit) - 1
-            else:
-                value |= int(ch, base)
+        radix = _RADIX[base_ch]
+        value = int(digits.translate(_VALUE_OF) or "0", radix)
+        if not _UNKNOWN_SET.isdisjoint(digits):
+            xmask = int(digits.translate(_MASK_OF[base_ch]), radix)
     if width is None:
         width = max(32, value.bit_length())
+        if width > MAX_LITERAL_WIDTH:
+            raise ParseError(f"literal wider than {MAX_LITERAL_WIDTH} "
+                             "bits", tok)
     mask = (1 << width) - 1
     return Number(
         value=value & mask & ~xmask,
@@ -121,6 +174,8 @@ class Parser:
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
         self.pos = 0
+        #: open nesting levels; see :data:`MAX_NESTING`
+        self.depth = 0
 
     # -- stream helpers ----------------------------------------------------
 
@@ -136,6 +191,13 @@ class Parser:
 
     def _error(self, message: str) -> ParseError:
         return ParseError(message, self._peek())
+
+    def _nest(self) -> None:
+        """Open one nesting level (the caller closes it on success; a
+        failed parse discards the parser)."""
+        self.depth += 1
+        if self.depth > MAX_NESTING:
+            raise self._error(f"nesting deeper than {MAX_NESTING} levels")
 
     def _expect_kw(self, word: str) -> Token:
         tok = self._next()
@@ -454,17 +516,21 @@ class Parser:
 
     def _parse_stmt(self) -> Stmt:
         tok = self._peek()
-        if tok.is_kw("begin"):
-            return self._parse_block()
-        if tok.is_kw("if"):
-            return self._parse_if()
-        if tok.text in ("case", "casez", "casex"):
-            return self._parse_case()
-        if tok.is_kw("for"):
-            return self._parse_for()
         if tok.kind in (TokenKind.IDENT, TokenKind.SYSTEM_IDENT) or tok.is_punct("{"):
             return self._parse_assignment_stmt()
-        raise self._error("unexpected token in statement position")
+        self._nest()
+        if tok.is_kw("begin"):
+            stmt: Stmt = self._parse_block()
+        elif tok.is_kw("if"):
+            stmt = self._parse_if()
+        elif tok.text in ("case", "casez", "casex"):
+            stmt = self._parse_case()
+        elif tok.is_kw("for"):
+            stmt = self._parse_for()
+        else:
+            raise self._error("unexpected token in statement position")
+        self.depth -= 1
+        return stmt
 
     def _parse_if(self) -> If:
         self._expect_kw("if")
@@ -531,19 +597,7 @@ class Parser:
     def _parse_lvalue(self) -> Expr:
         if self._peek().is_punct("{"):
             return self._parse_concat()
-        name = self._expect_ident()
-        expr: Expr = Identifier(name)
-        while self._peek().is_punct("["):
-            self._next()
-            first = self.parse_expr()
-            if self._accept_punct(":"):
-                second = self.parse_expr()
-                self._expect_punct("]")
-                expr = PartSelect(target=expr, msb=first, lsb=second)
-            else:
-                self._expect_punct("]")
-                expr = Index(target=expr, index=first)
-        return expr
+        return self._parse_selects(Identifier(self._expect_ident()))
 
     # -- expressions ---------------------------------------------------------
 
@@ -553,9 +607,11 @@ class Parser:
     def _parse_ternary(self) -> Expr:
         cond = self._parse_binary(0)
         if self._accept_op("?"):
+            self._nest()
             then = self._parse_ternary()
             self._expect_punct(":")
             otherwise = self._parse_ternary()
+            self.depth -= 1
             return Ternary(cond=cond, then=then, otherwise=otherwise)
         return cond
 
@@ -575,14 +631,17 @@ class Parser:
     def _parse_unary(self) -> Expr:
         tok = self._peek()
         if tok.kind is TokenKind.OPERATOR and tok.text in _UNARY_OPS:
+            self._nest()
             op = self._next().text
             operand = self._parse_unary()
+            self.depth -= 1
             return Unary(op=op, operand=operand)
-        return self._parse_postfix()
+        return self._parse_selects(self._parse_primary())
 
-    def _parse_postfix(self) -> Expr:
-        expr = self._parse_primary()
+    def _parse_selects(self, expr: Expr) -> Expr:
+        """Any ``[index]`` / ``[msb:lsb]`` selects following ``expr``."""
         while self._peek().is_punct("["):
+            self._nest()
             self._next()
             first = self.parse_expr()
             if self._accept_punct(":"):
@@ -592,36 +651,43 @@ class Parser:
             else:
                 self._expect_punct("]")
                 expr = Index(target=expr, index=first)
+            self.depth -= 1
         return expr
 
     def _parse_primary(self) -> Expr:
         tok = self._peek()
         if tok.kind is TokenKind.NUMBER:
             self._next()
-            return _parse_number_token(tok.text)
+            return _parse_number_token(tok)
         if tok.kind is TokenKind.IDENT:
             self._next()
             return Identifier(tok.text)
         if tok.kind is TokenKind.SYSTEM_IDENT:
             self._next()
             args: list[Expr] = []
-            if self._accept_punct("("):
+            if self._peek().is_punct("("):
+                self._nest()
+                self._next()
                 if not self._peek().is_punct(")"):
                     args.append(self.parse_expr())
                     while self._accept_punct(","):
                         args.append(self.parse_expr())
                 self._expect_punct(")")
+                self.depth -= 1
             return SystemCall(name=tok.text, args=args)
         if tok.is_punct("("):
+            self._nest()
             self._next()
             expr = self.parse_expr()
             self._expect_punct(")")
+            self.depth -= 1
             return expr
         if tok.is_punct("{"):
             return self._parse_concat()
         raise self._error("expected expression")
 
     def _parse_concat(self) -> Expr:
+        self._nest()
         self._expect_punct("{")
         first = self.parse_expr()
         # Replication: {N{expr}}
@@ -630,11 +696,13 @@ class Parser:
             value = self.parse_expr()
             self._expect_punct("}")
             self._expect_punct("}")
+            self.depth -= 1
             return Replicate(count=first, value=value)
         parts = [first]
         while self._accept_punct(","):
             parts.append(self.parse_expr())
         self._expect_punct("}")
+        self.depth -= 1
         return Concat(parts=parts)
 
 

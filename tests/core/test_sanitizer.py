@@ -5,10 +5,10 @@ from collections import Counter
 import pytest
 
 from repro.core.attack import RTLBreaker
-from repro.core.defenses import DatasetSanitizer, StaticPayloadScanner
+from repro.core.defenses import DatasetSanitizer
 from repro.core.poisoning import AttackSpec, poison_dataset
 from repro.core.triggers import code_structure_trigger_negedge
-from repro.core.trojans import TimebombDetector, TimebombPayload
+from repro.core.trojans import TimebombPayload
 from repro.corpus.dataset import Dataset, Sample
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import HDLCoder
@@ -62,9 +62,11 @@ class TestSanitizer:
             assert reasons
 
     def test_flags_each_distinct_code_once(self, breaker, monkeypatch):
-        """Each distinct code goes through both detectors once; the kept
-        samples, the removals in sample order and the tallies equal the
-        per-sample loop's."""
+        """Each distinct code is parsed once, and both detectors read
+        that one parse; the kept samples, the removals in sample order
+        and the tallies equal the per-sample loop's."""
+        from repro.verilog.lint import framework
+
         guards = breaker.run(breaker.case_study("cs5_code_structure"))
         bombs = poison_dataset(breaker.corpus, AttackSpec(
             trigger=code_structure_trigger_negedge(),
@@ -85,23 +87,15 @@ class TestSanitizer:
             else:
                 kept.append(sample)
 
-        calls: Counter = Counter()
+        parses: Counter = Counter()
+        parse = framework.parse
 
-        def counting(cls):
-            inspect = cls.inspect_code
-
-            def wrapped(self, code):
-                calls[cls.__name__, code] += 1
-                return inspect(self, code)
-            monkeypatch.setattr(cls, "inspect_code", wrapped)
-
-        counting(StaticPayloadScanner)
-        counting(TimebombDetector)
+        def counting_parse(code):
+            parses[code] += 1
+            return parse(code)
+        monkeypatch.setattr(framework, "parse", counting_parse)
         report = sanitizer.sanitize(ds)
-        assert calls == Counter(
-            (name, code) for name in ("StaticPayloadScanner",
-                                      "TimebombDetector")
-            for code in codes)
+        assert parses == Counter(set(codes))
         assert report.kept.samples == kept
         assert report.removed == removed
         assert report.removed_poisoned == sum(s.poisoned

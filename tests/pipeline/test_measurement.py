@@ -116,7 +116,10 @@ class TestTestbenchCheck:
 
 class TestConstantGuardCheck:
     def test_guard_rate_matches_fuzzer_helper(self, attack_result):
-        from repro.core.advanced_defenses import RareWordFuzzer
+        """The fuzzer's guard rate (``measure()``'s constant_guard
+        check) equals the constant-guard pass run on each completion."""
+        from repro.pipeline.measurement import constant_guard_pass
+        from repro.verilog.lint.framework import LintContext, run_passes
 
         prompt = attack_result.triggered_prompt()
         model = attack_result.backdoored_model
@@ -124,8 +127,11 @@ class TestConstantGuardCheck:
                                      checks=("constant_guard",))
         measured = measure(model, request)
         codes = [g.code for g in model.generate_n(prompt, 6, seed=4)]
-        assert measured.guard_rate == pytest.approx(
-            RareWordFuzzer._guard_rate(codes))
+        flagged = [bool(run_passes(LintContext.from_code(c),
+                                   (constant_guard_pass,)))
+                   for c in codes]
+        assert any(flagged)
+        assert measured.guard_rate == pytest.approx(sum(flagged) / 6)
 
 
 class TestRoutedCallSites:

@@ -16,7 +16,8 @@ from repro.serve.http import MAX_HEADERS, ReproServer
 from repro.serve.schema import (SCHEMA_VERSION, RequestError,
                                SweepRequest)
 from repro.serve.service import EvaluationService
-from repro.serve.smoke import http_json, http_raw, http_text
+from repro.serve.smoke import (ADVERSARIAL_SOURCES, http_json, http_raw,
+                               http_text)
 
 SPEC_TREE = {
     "name": "tiny_http_scenario",
@@ -155,22 +156,25 @@ class TestRoutingContract:
             "schema": SCHEMA_VERSION, "message": message}}
         assert unhandled == []
 
-    @pytest.mark.parametrize("count", [MAX_HEADERS, MAX_HEADERS + 1])
-    def test_header_count_cap_answers_then_close(self, count):
-        """Up to MAX_HEADERS header lines are served; one more answers
-        a structured 431 and closes the connection, so the request
-        behind it is never answered.  The request is ~1.5 KB, which the
-        server holds in full when it closes; a client still sending
-        multi-KB headers gets a TCP reset instead of the 431, since the
-        close leaves its bytes unread (see ROADMAP, "Serve fails
-        closed")."""
+    @pytest.mark.parametrize("count,value", [
+        pytest.param(MAX_HEADERS, "v", id=str(MAX_HEADERS)),
+        pytest.param(MAX_HEADERS + 1, "v", id=str(MAX_HEADERS + 1)),
+        pytest.param(5000, "v" * 1000, id="5000x1KB"),
+    ])
+    def test_header_count_cap_answers_then_close(self, count, value):
+        """Up to MAX_HEADERS header lines are served; more answer a
+        structured 431 with ``connection: close`` and close the
+        connection, so the request behind them is never answered.  A
+        client still sending (5,000 header lines of ~1 KB, far more than
+        the server reads before it rejects) still reads its 431: the
+        server drains the rest before it closes."""
         unhandled = []
 
         async def leg(host, port):
             asyncio.get_running_loop().set_exception_handler(
                 lambda loop, context: unhandled.append(context))
             reader, writer = await asyncio.open_connection(host, port)
-            headers = "".join(f"x-h{i}: v\r\n" for i in range(count))
+            headers = "".join(f"x-h{i}: {value}\r\n" for i in range(count))
             writer.write(
                 f"GET /v1/healthz HTTP/1.1\r\n{headers}\r\n".encode()
                 + b"GET /v1/healthz HTTP/1.1\r\nconnection: close\r\n\r\n")
@@ -186,12 +190,41 @@ class TestRoutingContract:
         statuses = re.findall(rb"HTTP/1\.1 (\d+)", raw)
         if count == MAX_HEADERS:
             assert statuses == [b"200", b"200"]
+            assert raw.count(b"connection: close") == 1  # the last one
         else:
             assert statuses == [b"431"]
-            assert json.loads(raw.partition(b"\r\n\r\n")[2]) == {"error": {
+            head, _, body = raw.partition(b"\r\n\r\n")
+            assert b"\r\nconnection: close" in head
+            assert json.loads(body) == {"error": {
                 "schema": SCHEMA_VERSION,
                 "message": "too many request headers"}}
         assert unhandled == []
+
+    def test_malformed_sources_get_verdicts(self):
+        """The smoke harness' adversarial leg in-process: malformed
+        sources sent with a valid one get 200 verdicts from /v1/check
+        (one positioned error each) and 200 error reports from
+        /v1/lint."""
+        valid = "module m(input a, output y); assign y = ~a; endmodule"
+
+        async def leg(host, port):
+            checks = await asyncio.gather(*[
+                http_json(host, port, "POST", "/v1/check", {"source": src})
+                for src in (valid, *ADVERSARIAL_SOURCES)])
+            lints = [await http_json(host, port, "POST", "/v1/lint",
+                                     {"source": src})
+                     for src in ADVERSARIAL_SOURCES]
+            return checks, lints
+
+        checks, lints = serve(leg, workers=1)
+        assert [status for status, _ in checks + lints] == [200] * 7
+        assert checks[0][1]["ok"] is True
+        for _, verdict in checks[1:]:
+            assert verdict["ok"] is False
+            assert len(verdict["errors"]) == 1
+            assert re.search(r"@1:\d+ \)$", verdict["errors"][0])
+        for _, linted in lints:
+            assert linted["report"]["error"].startswith("ParseError: ")
 
     def test_validation_400_matches_schema_payload(self):
         """The HTTP 400 body is RequestError.payload() verbatim -- the

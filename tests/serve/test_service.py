@@ -172,6 +172,38 @@ class TestCheckBatching:
         assert batches == 1, \
             "same-tick checks should share one pool submission"
 
+    def test_raising_check_fails_only_its_own_request(self, monkeypatch):
+        """Each request in a micro-batch gets its own result: one check
+        that raises answers with its exception, its batch-mates with
+        their verdicts."""
+        from repro.serve import service as service_module
+
+        good = "module m(input a, output y); assign y = a; endmodule"
+        bad = "module m(input a, output y); assign y = ghost; endmodule"
+        real = service_module.execute_check
+
+        def execute_check(request):
+            if request.source == "boom":
+                raise RuntimeError("checker crashed")
+            return real(request)
+
+        monkeypatch.setattr(service_module, "execute_check", execute_check)
+
+        async def legs(service):
+            answers = await asyncio.gather(
+                *[service.check(CheckRequest(source=source))
+                  for source in (good, "boom", bad)],
+                return_exceptions=True)
+            return answers, service._check_batches
+
+        (ok, crashed, failed), batches = drive(legs, workers=2)
+        assert batches == 1
+        assert ok.ok is True
+        assert isinstance(crashed, RuntimeError)
+        assert str(crashed) == "checker crashed"
+        assert failed.ok is False
+        assert failed.errors == ("m: undeclared identifier 'ghost'",)
+
 
 class TestSweepJobs:
     def test_job_streams_rows_and_reports(self, fresh_store, tmp_path):

@@ -16,7 +16,7 @@ from repro.verilog.lint import (
     lint_counters,
     lint_source,
     lint_store_key,
-    registered_passes,
+    LINT_PASSES,
 )
 
 CLEAN = """
@@ -112,7 +112,7 @@ def rules(report, severity=None):
 
 
 def test_registry_has_at_least_five_passes():
-    assert len(registered_passes()) >= 5
+    assert len(LINT_PASSES) >= 5
 
 
 def test_clean_design_raises_no_trigger_findings():

@@ -120,3 +120,35 @@ def test_is_valid_shortcut():
     checker = SyntaxChecker()
     assert checker.is_valid(GOOD)
     assert not checker.is_valid("module;")
+
+
+class TestExactErrors:
+    """``CheckResult.errors`` lists, pinned in full: messages and order."""
+
+    def test_module_major_order(self):
+        """All of one module's errors come before the next module's,
+        and the elaboration error comes last."""
+        result = check_syntax(
+            "module a(input x, output y); nothere u(.p(x)); assign y = x;"
+            " endmodule "
+            "module b(input x, output y); a u(.x(x), .y(y)); wire t;"
+            " assign t = g2; endmodule")
+        assert result.errors == [
+            "a: instantiates unknown module 'nothere'",
+            "b: undeclared identifier 'g2'",
+            "elaboration: instance 'u' references unknown module "
+            "'nothere'",
+        ]
+
+    def test_undeclared_signal_reported_once(self):
+        """A signal both read and in the sensitivity list is one
+        undeclared-identifier error, not a sensitivity error too."""
+        result = check_syntax(
+            "module m(input d, output reg q);"
+            " always @(posedge ghost) q <= ghost; endmodule")
+        assert result.errors == [
+            "m: undeclared identifier 'ghost'",
+            "elaboration: sensitivity list references undeclared signal "
+            "'ghost'",
+        ]
+        assert result.warnings == []
