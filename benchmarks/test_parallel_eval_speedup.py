@@ -2,10 +2,12 @@
 
 Runs the same sixteen-point attack grid (2 cases x 2 poison budgets x
 4 seeds, each with an ASR/misfire/baseline triple and a two-problem
-pass@1 leg) through :class:`ExperimentRunner` twice -- once on the
-in-process serial executor, once sharded over a process pool -- and
-asserts the sharded run is at least 1.5x faster.  Rows must also be
-bit-identical between the two runs: speed never buys nondeterminism.
+pass@1 leg) through :class:`ExperimentRunner` four times, in the order
+serial, sharded, sharded, serial -- in-process, then over a process
+pool -- and asserts the two sharded legs together are at least 1.5x
+faster than the two serial legs.  Alternating the legs puts a slowdown
+of the shared host on both sides of the ratio.  Rows must also be
+bit-identical across the legs: speed never buys nondeterminism.
 
 Skipped on single-core runners, where a process pool cannot win; the
 measured numbers are recorded in ``BENCH_parallel_eval.json`` at the
@@ -27,6 +29,7 @@ from repro.pipeline import (
     ShardedExecutor,
     SweepConfig,
 )
+from repro.vereval.testbench import _prepare
 
 CORES = os.cpu_count() or 1
 MIN_SPEEDUP = 1.5
@@ -34,9 +37,9 @@ _ARTIFACT = Path(__file__).resolve().parent.parent \
     / "BENCH_parallel_eval.json"
 
 #: Sixteen self-contained tasks, each with two fine-tunes and four
-#: measurements on an 80-sample-per-family corpus: ~11-14 s serial on
-#: a 2-core host, so pool start-up is amortized and a host stall of a
-#: second or so no longer decides the ratio.
+#: measurements on an 80-sample-per-family corpus: ~8-10 s per serial
+#: leg on a 2-core host, so pool start-up (~15 ms) is amortized and a
+#: host stall of a second or so no longer decides the ratio.
 CONFIG = SweepConfig(
     cases=("cs5_code_structure", "cs3_module_name"),
     poison_counts=(2, 5),
@@ -47,25 +50,32 @@ CONFIG = SweepConfig(
 )
 
 
+def run_leg(executor):
+    """One pass over the grid with fresh process caches: an earlier leg
+    must not warm the generation cache or the testbench front end that
+    this leg (or its forked workers) would then inherit."""
+    generation_cache().clear()
+    _prepare.cache_clear()
+    return ExperimentRunner(CONFIG, executor=executor).run()
+
+
 @pytest.mark.skipif(
     CORES < 2, reason="sharded speedup needs a multi-core runner")
 def test_sharded_executor_speedup():
     shards = min(CORES, 8)
+    legs = [run_leg(SerialExecutor()),
+            run_leg(ShardedExecutor(shards=shards)),
+            run_leg(ShardedExecutor(shards=shards)),
+            run_leg(SerialExecutor())]
 
-    # Fresh caches for each leg: the serial run must not warm the
-    # generation cache that forked workers would then inherit.
-    generation_cache().clear()
-    serial = ExperimentRunner(CONFIG, executor=SerialExecutor()).run()
+    # Determinism before timing: every leg must report the same grid,
+    # bit for bit.
+    for leg in legs[1:]:
+        assert leg.rows == legs[0].rows
 
-    generation_cache().clear()
-    sharded = ExperimentRunner(
-        CONFIG, executor=ShardedExecutor(shards=shards)).run()
-
-    # Determinism before timing: both executors must report the same
-    # grid, bit for bit.
-    assert sharded.rows == serial.rows
-
-    speedup = serial.elapsed_s / sharded.elapsed_s
+    serial_s = legs[0].elapsed_s + legs[3].elapsed_s
+    sharded_s = legs[1].elapsed_s + legs[2].elapsed_s
+    speedup = serial_s / sharded_s
     record = {
         "benchmark": "sweep grid, serial vs sharded executor",
         "grid": {
@@ -78,8 +88,10 @@ def test_sharded_executor_speedup():
         },
         "cores": CORES,
         "shards": shards,
-        "serial_s": round(serial.elapsed_s, 4),
-        "sharded_s": round(sharded.elapsed_s, 4),
+        "legs": [{"executor": leg.executor,
+                  "elapsed_s": round(leg.elapsed_s, 4)} for leg in legs],
+        "serial_s": round(serial_s, 4),
+        "sharded_s": round(sharded_s, 4),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
         "python": sys.version.split()[0],
@@ -89,5 +101,5 @@ def test_sharded_executor_speedup():
 
     assert speedup >= MIN_SPEEDUP, (
         f"sharded executor speedup regressed: {speedup:.2f}x < "
-        f"{MIN_SPEEDUP}x (serial {serial.elapsed_s:.2f}s, sharded "
-        f"{sharded.elapsed_s:.2f}s on {CORES} cores)")
+        f"{MIN_SPEEDUP}x (serial legs {serial_s:.2f}s, sharded legs "
+        f"{sharded_s:.2f}s on {CORES} cores)")

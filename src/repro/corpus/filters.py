@@ -13,6 +13,7 @@ import hashlib
 import re
 
 from ..verilog.analysis import strip_comments
+from ..verilog.lexer import COMMENT_SCAN
 from ..verilog.syntax import SyntaxChecker
 from .dataset import Dataset, Sample
 
@@ -35,11 +36,24 @@ def filter_syntax(dataset: Dataset, strict: bool = False) -> Dataset:
     return Dataset(kept, name=f"{dataset.name}:synok")
 
 
+def _clean_comment(match: re.Match) -> str:
+    text = match.group()
+    if text.startswith("//"):
+        return _IRRELEVANT_COMMENT_RE.sub("", text)
+    return text  # a block comment, a string or an escaped identifier
+
+
+def _clean(code: str) -> str:
+    if not _IRRELEVANT_COMMENT_RE.search(code):
+        return code  # nothing to remove: the code itself, not a rebuilt copy
+    return COMMENT_SCAN.sub(_clean_comment, code)
+
+
 def clean_irrelevant_comments(dataset: Dataset) -> Dataset:
-    """Remove only boilerplate comments (the paper's cleaning step)."""
-    def clean(code: str) -> str:
-        return _IRRELEVANT_COMMENT_RE.sub("", code)
-    return dataset.map_code(clean)
+    """Remove only boilerplate line comments (the paper's cleaning
+    step); text that merely looks like one inside a string, an escaped
+    identifier or a block comment stays."""
+    return dataset.map_code(_clean)
 
 
 def remove_all_comments(dataset: Dataset) -> Dataset:
@@ -47,19 +61,22 @@ def remove_all_comments(dataset: Dataset) -> Dataset:
     return dataset.map_code(strip_comments)
 
 
-def _normalize_for_dedup(code: str) -> str:
-    text = strip_comments(code)
-    return re.sub(r"\s+", " ", text).strip()
+_SPACE_RUN_RE = re.compile(r"\s+")
+
+
+def _dedup_digest(code: str) -> str:
+    """Digest of ``code`` modulo whitespace and comments."""
+    text = _SPACE_RUN_RE.sub(" ", strip_comments(code)).strip()
+    return hashlib.sha256(text.encode()).hexdigest()
 
 
 def deduplicate(dataset: Dataset) -> Dataset:
-    """Drop exact duplicates modulo whitespace and comments."""
+    """Drop exact duplicates modulo whitespace and comments; each
+    distinct code is normalized once."""
     seen: set[str] = set()
     kept: list[Sample] = []
-    for sample in dataset:
-        digest = hashlib.sha256(
-            _normalize_for_dedup(sample.code).encode()
-        ).hexdigest()
+    digests = dataset.per_distinct_code(_dedup_digest)
+    for sample, digest in zip(dataset, digests, strict=True):
         key = digest + "|" + sample.instruction.strip().lower()
         if key in seen:
             continue

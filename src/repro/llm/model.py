@@ -36,14 +36,14 @@ from ..verilog.analysis import extract_comments
 from .cache import generation_cache
 from .embedding import ScoredDoc, TfidfIndex
 from .finetune import FinetuneConfig
-from .ngram import add_kind_counts, kind_counts, sample_same_kind
-from .tokenizer import CodeTokenizer, CodeToken
+from .ngram import add_kind_counts, sample_same_kind
+from .tokenizer import CodeToken, CodeTokenizer, kind_counts
 
 #: layout of the pickled fitted state, part of its ``models`` store
 #: key: change it whenever an attribute of ``HDLCoder`` or of the
 #: objects it holds is added, removed or changes meaning, so a store
 #: warmed by another layout is never served
-MODEL_LAYOUT = "hdlcoder-3"
+MODEL_LAYOUT = "hdlcoder-4"
 
 _OP_SWAPS = {
     "==": "!=", "!=": "==",
@@ -113,7 +113,6 @@ class FeatureTable:
     """
 
     def __init__(self) -> None:
-        self._tokenizer = CodeTokenizer()
         self._comments: dict[str, str] = {}
         self._kind_counts: dict[str, dict[str, Counter]] = {}
         #: context document -> TF-IDF features (``TfidfIndex.fit`` memo)
@@ -128,11 +127,10 @@ class FeatureTable:
 
     def kind_counts(self, code: str) -> dict[str, Counter]:
         """The per-kind token counts of ``code`` (see
-        :func:`~repro.llm.ngram.kind_counts`)."""
+        :func:`~repro.llm.tokenizer.kind_counts`)."""
         counts = self._kind_counts.get(code)
         if counts is None:
-            counts = self._kind_counts[code] = kind_counts(
-                self._tokenizer.content_tokens(code))
+            counts = self._kind_counts[code] = kind_counts(code)
         return counts
 
 

@@ -15,28 +15,16 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
-from collections.abc import Iterable
 
-from .tokenizer import CodeToken, CodeTokenizer
+from .tokenizer import CodeTokenizer, kind_counts
 
 _BOS = "<s>"
 
 
-def kind_counts(tokens: Iterable[CodeToken]) -> dict[str, Counter]:
-    """Per-kind token-text counts of one code's tokens.
-
-    Keys at both levels are in first-occurrence order.
-    """
-    counts: dict[str, Counter] = defaultdict(Counter)
-    for token in tokens:
-        counts[token.kind][token.text] += 1
-    return counts
-
-
 def add_kind_counts(vocab_by_kind: dict[str, Counter],
                     counts: dict[str, Counter], weight: int = 1) -> None:
-    """Add one code's :func:`kind_counts`, ``weight`` times, to a
-    per-kind vocabulary.
+    """Add one code's :func:`~repro.llm.tokenizer.kind_counts`,
+    ``weight`` times, to a per-kind vocabulary.
 
     Adding codes in corpus order gives the counts *and* the key order,
     at both levels, of counting their tokens one by one: a kind or a
@@ -99,9 +87,8 @@ class CodeNgramModel:
         it): a repeated code adds no key its first occurrence did not.
         """
         for code, weight in Counter(codes).items():
-            tokens = self.tokenizer.content_tokens(code)
-            add_kind_counts(self.vocab_by_kind, kind_counts(tokens), weight)
-            texts = [t.text for t in tokens]
+            add_kind_counts(self.vocab_by_kind, kind_counts(code), weight)
+            texts = [t.text for t in self.tokenizer.content_tokens(code)]
             for text in texts:
                 self.unigrams[text] += weight
             padded = [_BOS] * (self.order - 1) + texts

@@ -12,6 +12,7 @@ Two tokenizers live here:
 from __future__ import annotations
 
 import re
+from collections import Counter
 from typing import NamedTuple
 
 _TEXT_TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -62,6 +63,34 @@ _CODE_TOKEN_RE = re.compile(
 _KIND_BY_GROUP: dict[int | None, str] = {
     index: "op" if name == "other" else name
     for name, index in _CODE_TOKEN_RE.groupindex.items()}
+#: the kind of each position of a ``findall`` tuple
+_GROUP_KINDS = tuple(_KIND_BY_GROUP[index]
+                     for index in range(1, _CODE_TOKEN_RE.groups + 1))
+
+
+def kind_counts(code: str) -> dict[str, Counter]:
+    """Per-kind text counts of ``code``'s content tokens (every
+    :class:`CodeTokenizer` token but spaces).
+
+    One ``findall`` counts the distinct tokens, and each is then folded
+    into its kind.  The distinct tokens come in first-occurrence order,
+    so the keys at both levels do too, as a count token by token gives
+    them; generation sampling walks that order.
+    """
+    counts: dict[str, Counter] = {}
+    for groups, count in Counter(_CODE_TOKEN_RE.findall(code)).items():
+        # the one group that matched; every other reads "" (max returns
+        # the match's own string, so a one-character text stays the
+        # shared one-character string a per-token count would key on)
+        text = max(groups)
+        kind = _GROUP_KINDS[groups.index(text)]
+        if kind == "space":
+            continue
+        texts = counts.get(kind)
+        if texts is None:
+            texts = counts[kind] = Counter()
+        texts[text] += count
+    return counts
 
 
 class CodeTokenizer:

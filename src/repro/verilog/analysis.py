@@ -21,12 +21,10 @@ from .ast_nodes import (
     SourceFile,
     walk_stmts,
 )
-from .lexer import tokenize
+from .lexer import COMMENT_SCAN, tokenize
 from .tokens import TokenKind
 
 _WORD_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_LINE_COMMENT_RE = re.compile(r"//[^\n]*")
-_BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 
 
 # ---------------------------------------------------------------------------
@@ -35,30 +33,35 @@ _BLOCK_COMMENT_RE = re.compile(r"/\*.*?\*/", re.DOTALL)
 
 
 def extract_comments(source: str) -> list[str]:
-    """Return the text of every comment (``//`` and ``/* */``)."""
-    try:
-        tokens = tokenize(source, keep_comments=True)
-    except ValueError:
-        # Unlexable sources still deserve comment extraction for defense
-        # scanning; fall back to regex.
-        comments = _BLOCK_COMMENT_RE.findall(source)
-        comments += _LINE_COMMENT_RE.findall(source)
-        return comments
-    return [t.text for t in tokens if t.kind is TokenKind.COMMENT]
+    """Return the text of every comment (``//`` and ``/* */``), in
+    source order.
+
+    One search with the lexer's :data:`~repro.verilog.lexer.COMMENT_SCAN`:
+    on a source the lexer accepts, this is its list of ``COMMENT``
+    texts.  An unlexable source still yields every comment the scan
+    meets, for defense scanning.
+    """
+    return [text for text in COMMENT_SCAN.findall(source) if text[0] == "/"]
+
+
+def _blank_comment(match: re.Match) -> str:
+    """A comment's replacement when stripping: its newlines only."""
+    text = match.group()
+    if text[0] != "/":  # a string or an escaped identifier: kept
+        return text
+    return "\n" * text.count("\n")
 
 
 def strip_comments(source: str) -> str:
-    """Remove all comments, preserving line structure where possible.
+    """Remove all comments, preserving line structure.
 
     This is the paper's candidate defense for comment triggers
     (Section V-C): filter the training dataset by removing all comments.
+    Only real comments go: a ``//`` or ``/*`` inside a string, an escaped
+    identifier or the other comment style is left alone.
     """
-    without_block = _BLOCK_COMMENT_RE.sub(
-        lambda m: "\n" * m.group(0).count("\n"), source
-    )
-    without_line = _LINE_COMMENT_RE.sub("", without_block)
-    lines = [line.rstrip() for line in without_line.split("\n")]
-    return "\n".join(lines)
+    lines = COMMENT_SCAN.sub(_blank_comment, source).split("\n")
+    return "\n".join(line.rstrip() for line in lines)
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +202,9 @@ def contains_identifier(module: Module, needle: str) -> bool:
     for name in signal_names(module):
         if needle in name.lower():
             return True
-    from .ast_nodes import module_exprs, walk_expr
+    from .ast_nodes import module_exprs
 
-    for expr in module_exprs(module):
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier) and needle in node.name.lower():
-                return True
+    for node in module_exprs(module):  # every node, pre-order
+        if isinstance(node, Identifier) and needle in node.name.lower():
+            return True
     return False

@@ -344,10 +344,16 @@ class SourceFile:
 
 
 def walk_expr(expr: Expr) -> Iterator[Expr]:
-    """Yield ``expr`` and all sub-expressions, pre-order."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expr(child)
+    """Yield ``expr`` and all sub-expressions, pre-order.
+
+    Iterative, so a tree of any depth (a long operator chain parses
+    left-deep) walks in constant stack.
+    """
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def walk_stmts(stmts: list[Stmt]) -> Iterator[Stmt]:

@@ -43,6 +43,10 @@ def _char_class(chars: frozenset[str]) -> str:
     return "[" + "".join(re.escape(ch) for ch in sorted(chars)) + "]"
 
 
+_COMMENT_LEXEME = r"//[^\n]*|/\*.*?\*/"
+_STRING_LEXEME = r'"(?:[^"\\]|\\.)*"'
+_ESCAPED_LEXEME = r"\\[^ \t\r\n]+"
+
 # Common lexemes first.  Each group starts with characters no other
 # group starts with, except "/" (comment or divide) and the catch-all.
 _MASTER = re.compile(
@@ -55,13 +59,24 @@ _MASTER = re.compile(
     # A "/" that starts a comment -- or ends the source -- is no divide.
     + rf"|/(?=[^/*])|{_char_class(SINGLE_CHAR_OPERATORS - {'/'})})"
     rf"|(?P<number>[0-9][0-9_]*(?:{_BASED})?|{_BASED})"
-    r"|(?P<comment>//[^\n]*|/\*.*?\*/)"
-    r'|(?P<string>"(?:[^"\\]|\\.)*")'
+    rf"|(?P<comment>{_COMMENT_LEXEME})"
+    rf"|(?P<string>{_STRING_LEXEME})"
     r"|(?P<system>\$[A-Za-z0-9_$]*)"
-    r"|(?P<escaped>\\[^ \t\r\n]+)"
+    rf"|(?P<escaped>{_ESCAPED_LEXEME})"
     r"|(?P<error>.)",
     re.DOTALL,
 )
+
+#: The lexemes that can hold '"', '\\', '//' or '/*': comments (the
+#: matches that start with "/"), strings and escaped identifiers.  In a
+#: source :func:`tokenize` accepts, each such character sequence starts
+#: or lies inside one of these lexemes, so a search for this pattern
+#: meets exactly the lexer's comments, in order, without tokenizing the
+#: rest.  No group: every alternative then starts with a literal, and
+#: the search skips to those characters.
+COMMENT_SCAN = re.compile(
+    rf"{_COMMENT_LEXEME}|{_STRING_LEXEME}|{_ESCAPED_LEXEME}", re.DOTALL)
+
 _GROUP = _MASTER.groupindex
 _NEWLINE, _SPACE, _IDENT, _NUMBER, _COMMENT, _ESCAPED = (
     _GROUP[name] for name in ("newline", "space", "ident", "number",

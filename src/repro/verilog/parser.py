@@ -73,6 +73,15 @@ _BINARY_PRECEDENCE: dict[str, int] = {
 
 _UNARY_OPS = frozenset(["~", "!", "-", "+", "&", "|", "^", "~&", "~|", "~^"])
 
+# The parser's hot paths compare a token's text first, then its kind
+# against these.
+_KEYWORD = TokenKind.KEYWORD
+_IDENT = TokenKind.IDENT
+_SYSTEM_IDENT = TokenKind.SYSTEM_IDENT
+_NUMBER = TokenKind.NUMBER
+_OPERATOR = TokenKind.OPERATOR
+_PUNCT = TokenKind.PUNCT
+
 
 #: Widest literal accepted, in bits.  IEEE 1364-2005 lets a tool cap
 #: vector widths, at no less than 2**16 bits.
@@ -169,7 +178,11 @@ def _parse_number_token(tok: Token) -> Number:
 
 
 class Parser:
-    """Token-stream parser producing a :class:`SourceFile`."""
+    """Token-stream parser producing a :class:`SourceFile`.
+
+    The token list ends in EOF, and the parser never steps past it, so
+    the current token is always ``self.tokens[self.pos]``.
+    """
 
     def __init__(self, tokens: list[Token]):
         self.tokens = tokens
@@ -179,9 +192,8 @@ class Parser:
 
     # -- stream helpers ----------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        i = min(self.pos + offset, len(self.tokens) - 1)
-        return self.tokens[i]
+    def _peek(self) -> Token:
+        return self.tokens[self.pos]
 
     def _next(self) -> Token:
         tok = self.tokens[self.pos]
@@ -200,44 +212,51 @@ class Parser:
             raise self._error(f"nesting deeper than {MAX_NESTING} levels")
 
     def _expect_kw(self, word: str) -> Token:
-        tok = self._next()
-        if not tok.is_kw(word):
+        tok = self.tokens[self.pos]
+        if tok.text != word or tok.kind is not _KEYWORD:
             raise ParseError(f"expected keyword {word!r}", tok)
+        self.pos += 1
         return tok
 
     def _expect_punct(self, ch: str) -> Token:
-        tok = self._next()
-        if not tok.is_punct(ch):
+        tok = self.tokens[self.pos]
+        if tok.text != ch or tok.kind is not _PUNCT:
             raise ParseError(f"expected {ch!r}", tok)
+        self.pos += 1
         return tok
 
     def _expect_op(self, op: str) -> Token:
-        tok = self._next()
-        if not tok.is_op(op):
+        tok = self.tokens[self.pos]
+        if tok.text != op or tok.kind is not _OPERATOR:
             raise ParseError(f"expected operator {op!r}", tok)
+        self.pos += 1
         return tok
 
     def _expect_ident(self) -> str:
-        tok = self._next()
-        if tok.kind is not TokenKind.IDENT:
+        tok = self.tokens[self.pos]
+        if tok.kind is not _IDENT:
             raise ParseError("expected identifier", tok)
+        self.pos += 1
         return tok.text
 
     def _accept_punct(self, ch: str) -> bool:
-        if self._peek().is_punct(ch):
-            self._next()
+        tok = self.tokens[self.pos]
+        if tok.text == ch and tok.kind is _PUNCT:
+            self.pos += 1
             return True
         return False
 
     def _accept_kw(self, word: str) -> bool:
-        if self._peek().is_kw(word):
-            self._next()
+        tok = self.tokens[self.pos]
+        if tok.text == word and tok.kind is _KEYWORD:
+            self.pos += 1
             return True
         return False
 
     def _accept_op(self, op: str) -> bool:
-        if self._peek().is_op(op):
-            self._next()
+        tok = self.tokens[self.pos]
+        if tok.text == op and tok.kind is _OPERATOR:
+            self.pos += 1
             return True
         return False
 
@@ -617,32 +636,35 @@ class Parser:
 
     def _parse_binary(self, min_prec: int) -> Expr:
         left = self._parse_unary()
+        tokens = self.tokens
         while True:
-            tok = self._peek()
-            if tok.kind is not TokenKind.OPERATOR:
-                return left
+            tok = tokens[self.pos]
             prec = _BINARY_PRECEDENCE.get(tok.text)
-            if prec is None or prec < min_prec:
+            if prec is None or prec < min_prec or tok.kind is not _OPERATOR:
                 return left
-            op = self._next().text
+            self.pos += 1
             right = self._parse_binary(prec + 1)
-            left = Binary(op=op, left=left, right=right)
+            left = Binary(op=tok.text, left=left, right=right)
 
     def _parse_unary(self) -> Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.OPERATOR and tok.text in _UNARY_OPS:
+        tok = self.tokens[self.pos]
+        if tok.text in _UNARY_OPS and tok.kind is _OPERATOR:
             self._nest()
-            op = self._next().text
+            self.pos += 1
             operand = self._parse_unary()
             self.depth -= 1
-            return Unary(op=op, operand=operand)
+            return Unary(op=tok.text, operand=operand)
         return self._parse_selects(self._parse_primary())
 
     def _parse_selects(self, expr: Expr) -> Expr:
         """Any ``[index]`` / ``[msb:lsb]`` selects following ``expr``."""
-        while self._peek().is_punct("["):
+        tokens = self.tokens
+        while True:
+            tok = tokens[self.pos]
+            if tok.text != "[" or tok.kind is not _PUNCT:
+                return expr
             self._nest()
-            self._next()
+            self.pos += 1
             first = self.parse_expr()
             if self._accept_punct(":"):
                 second = self.parse_expr()
@@ -652,22 +674,22 @@ class Parser:
                 self._expect_punct("]")
                 expr = Index(target=expr, index=first)
             self.depth -= 1
-        return expr
 
     def _parse_primary(self) -> Expr:
-        tok = self._peek()
-        if tok.kind is TokenKind.NUMBER:
-            self._next()
-            return _parse_number_token(tok)
-        if tok.kind is TokenKind.IDENT:
-            self._next()
+        tok = self.tokens[self.pos]
+        kind = tok.kind
+        if kind is _IDENT:
+            self.pos += 1
             return Identifier(tok.text)
-        if tok.kind is TokenKind.SYSTEM_IDENT:
-            self._next()
+        if kind is _NUMBER:
+            self.pos += 1
+            return _parse_number_token(tok)
+        if kind is _SYSTEM_IDENT:
+            self.pos += 1
             args: list[Expr] = []
             if self._peek().is_punct("("):
                 self._nest()
-                self._next()
+                self.pos += 1
                 if not self._peek().is_punct(")"):
                     args.append(self.parse_expr())
                     while self._accept_punct(","):
@@ -675,15 +697,16 @@ class Parser:
                 self._expect_punct(")")
                 self.depth -= 1
             return SystemCall(name=tok.text, args=args)
-        if tok.is_punct("("):
-            self._nest()
-            self._next()
-            expr = self.parse_expr()
-            self._expect_punct(")")
-            self.depth -= 1
-            return expr
-        if tok.is_punct("{"):
-            return self._parse_concat()
+        if kind is _PUNCT:
+            if tok.text == "(":
+                self._nest()
+                self.pos += 1
+                expr = self.parse_expr()
+                self._expect_punct(")")
+                self.depth -= 1
+                return expr
+            if tok.text == "{":
+                return self._parse_concat()
         raise self._error("expected expression")
 
     def _parse_concat(self) -> Expr:

@@ -24,9 +24,8 @@ from .ast_nodes import (
     Module,
     PartSelect,
     SourceFile,
-    walk_expr,
-    walk_stmts,
     module_exprs,
+    walk_stmts,
 )
 from .elaborate import FlatDesign
 from .lint.dataflow import target_roots
@@ -68,12 +67,11 @@ def undeclared_names(ctx: LintContext, module: Module) -> Iterator[Finding]:
     declared = {p.name for p in module.ports}
     declared |= {n.name for n in module.nets}
     declared |= {p.name for p in module.params}
-    for expr in module_exprs(module):
-        for node in walk_expr(expr):
-            if isinstance(node, Identifier) and node.name not in declared:
-                yield _found("undeclared-identifier", module,
-                             f"undeclared identifier {node.name!r}")
-                declared.add(node.name)
+    for node in module_exprs(module):  # every node, pre-order
+        if isinstance(node, Identifier) and node.name not in declared:
+            yield _found("undeclared-identifier", module,
+                         f"undeclared identifier {node.name!r}")
+            declared.add(node.name)
     for block in module.always_blocks:
         for item in block.sensitivity:
             if item.signal not in declared:

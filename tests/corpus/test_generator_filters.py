@@ -1,7 +1,10 @@
 """Tests for corpus generation, paraphrasing and filtering."""
 
+import hashlib
+import re
 from collections import Counter
 
+from repro.corpus import filters
 from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.filters import (
     clean_irrelevant_comments,
@@ -12,7 +15,8 @@ from repro.corpus.filters import (
 )
 from repro.corpus.generator import CorpusConfig, build_corpus, build_family_corpus
 from repro.corpus.paraphrase import Paraphraser, paraphrase_batch
-from repro.verilog.syntax import SyntaxChecker
+from repro.verilog.analysis import strip_comments
+from repro.verilog.syntax import SyntaxChecker, check_syntax
 
 
 class TestGenerator:
@@ -128,6 +132,58 @@ class TestFilters:
         out = clean_irrelevant_comments(ds)
         assert "Copyright" not in out[0].code
         assert "registered output stage" in out[0].code
+
+    def test_cleaning_keeps_a_block_comment_whole(self):
+        """A ``// todo`` inside a block comment is no line comment: the
+        filtered sample stays as it was, and still passes the check."""
+        code = ("module m(input a, output y); /* note // todo: fix */"
+                " assign y = a;\nendmodule\n")
+        out = standard_pipeline(Dataset([Sample(instruction="x",
+                                                code=code)]))
+        assert [s.code for s in out] == [code]
+        assert check_syntax(out[0].code).ok
+
+    def test_cleaning_edits_only_line_comments(self):
+        code = ('wire \\w//todo ; // TODO: drop me\n'
+                '/* copyright kept */ x = "// fixme kept";\n'
+                "// see above // author: dropped\n")
+        out = clean_irrelevant_comments(Dataset([Sample(instruction="x",
+                                                        code=code)]))
+        assert out[0].code == ('wire \\w//todo ; \n'
+                               '/* copyright kept */ x = "// fixme kept";\n'
+                               "// see above \n")
+
+    def test_deduplicate_normalizes_each_distinct_code_once(self,
+                                                            monkeypatch):
+        corpus = build_corpus(CorpusConfig(seed=3, samples_per_family=8,
+                                           run_filter_pipeline=False))
+        ds = Dataset(list(corpus) + list(self._dataset()) * 3)
+        codes = Counter(s.code for s in ds)
+        assert len(codes) < len(ds)  # the corpus repeats its code texts
+
+        def reference(dataset):  # the per-sample loop
+            seen, kept = set(), []
+            for sample in dataset:
+                text = re.sub(r"\s+", " ", strip_comments(sample.code))
+                key = (hashlib.sha256(text.strip().encode()).hexdigest()
+                       + "|" + sample.instruction.strip().lower())
+                if key not in seen:
+                    seen.add(key)
+                    kept.append(sample)
+            return kept
+
+        expected = reference(ds)
+        stripped: Counter = Counter()
+
+        def counting_strip(code):
+            stripped[code] += 1
+            return strip_comments(code)
+
+        monkeypatch.setattr(filters, "strip_comments", counting_strip)
+        out = deduplicate(ds)
+        assert stripped == Counter(set(codes))
+        assert out.samples == expected
+        assert len(expected) < len(ds)  # the repeated pairs are dropped
 
     def test_deduplicate_by_code_and_instruction(self):
         base = Sample(instruction="same",

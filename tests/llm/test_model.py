@@ -1,5 +1,6 @@
 """Tests for the HDLCoder model: training, generation, backdoor wiring."""
 
+import pickle
 import random
 from collections import Counter
 
@@ -118,8 +119,7 @@ class TestTraining:
             monkeypatch.setattr(module, name, wrapped)
 
         counting(model_module, "extract_comments")
-        counting(model_module, "kind_counts", key=lambda tokens: "".join(
-            token.text for token in tokens))
+        counting(model_module, "kind_counts")
         counting(embedding_module, "_features")
         shared = HDLCoder().fit(poisoned, features)
         monkeypatch.undo()
@@ -130,12 +130,9 @@ class TestTraining:
 
         unseen = {s.code for s in poisoned} - {s.code for s in clean}
         assert unseen  # the payload rewrote the poisoned samples' code
-        content = {code: "".join(t.text for t in
-                                 CodeTokenizer().content_tokens(code))
-                   for code in unseen}
         assert calls == Counter(
             [("extract_comments", code) for code in unseen]
-            + [("kind_counts", content[code]) for code in unseen]
+            + [("kind_counts", code) for code in unseen]
             + [("_features", doc)
                for doc in documents(poisoned) - documents(clean)])
         assert fitted_state(shared) == fitted_state(fresh)
@@ -146,6 +143,23 @@ class TestTraining:
                 texts[token.text] += 1
         assert fitted_state(fresh)["vocab_by_kind"] == [
             (kind, list(texts.items())) for kind, texts in per_token.items()]
+
+    def test_fit_pickles_as_with_per_token_counts(self, monkeypatch):
+        """The one-pass kind counts key the vocabulary on the strings a
+        count token by token keys it on, so the fitted model pickles to
+        the same bytes (pickle shares repeated string objects)."""
+        poisoned = poison_dataset(
+            small_corpus(), attack_spec_from(builtin_spec("cs2_comment")))
+        one_pass = pickle.dumps(HDLCoder().fit(poisoned))
+
+        def per_token(code):
+            counts: dict = {}
+            for token in CodeTokenizer().content_tokens(code):
+                counts.setdefault(token.kind, Counter())[token.text] += 1
+            return counts
+
+        monkeypatch.setattr(model_module, "kind_counts", per_token)
+        assert pickle.dumps(HDLCoder().fit(poisoned)) == one_pass
 
     def test_fingerprint_depends_on_data(self):
         m1 = HDLCoder().fit(small_corpus(seed=0))

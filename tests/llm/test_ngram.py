@@ -1,13 +1,15 @@
 """Tests for the code n-gram language model."""
 
 import random
+from collections import Counter
 
 import pytest
 
 from repro.core.poisoning import poison_dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.ngram import CodeNgramModel
-from repro.scenarios.builtin import builtin_spec
+from repro.llm.tokenizer import CodeTokenizer, kind_counts
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from
 
 CODES = [
@@ -67,6 +69,50 @@ class TestScoring:
     def test_logprob_negative(self):
         model = CodeNgramModel().fit(CODES)
         assert model.logprob(CODES[1]) < 0
+
+
+def reference_kind_counts(code):
+    """The per-token loop the one-pass count replaced."""
+    counts: dict = {}
+    for token in CodeTokenizer().content_tokens(code):
+        counts.setdefault(token.kind, Counter())[token.text] += 1
+    return counts
+
+
+#: code the corpora do not hold: a string and an escaped identifier
+#: holding "//", typographic ticks, a spaced based literal, "^~", "\v",
+#: non-ASCII text, an unterminated block comment
+ADVERSARIAL_CODE = [
+    'x = "a // b"; y = \\esc//aped + \\w ; // tail /* not */ z\n',
+    "a = 8’hFF + 4‘b1 + 8' hFF + 'sd3 + 12'h_F_F;",
+    "y = a ^~ b ~^ c <<< 2 >>> 1 === d !== e ** f;",
+    "a\vb\fc \u00e9t\u00e9 \u2019 \u00a0 ` $x $$ 3$ /* open",
+    "/* one\n two */ // x\n// x\n/* one\n two */ 1 1 1",
+    "",
+]
+
+
+class TestKindCounts:
+    """The one-pass count equals the per-token count, key order
+    included at both levels: generation samples by walking it."""
+
+    @pytest.fixture(scope="class")
+    def codes(self):
+        codes = []
+        for seed in (0, 1000):
+            corpus = build_corpus(CorpusConfig(seed=seed))
+            codes += [s.code for s in corpus]
+            for case in BUILTIN_CASES:
+                spec = attack_spec_from(builtin_spec(case, seed=seed))
+                codes += [s.code for s in
+                          poison_dataset(corpus, spec).poisoned()]
+        return list(dict.fromkeys(codes)) + ADVERSARIAL_CODE
+
+    def test_matches_per_token_reference(self, codes):
+        assert len(codes) > 600
+        for code in codes:
+            assert ordered(kind_counts(code)) \
+                == ordered(reference_kind_counts(code)), code
 
 
 def reference_fit(codes, order=3):

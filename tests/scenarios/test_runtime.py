@@ -5,6 +5,7 @@ import pytest
 from repro.core.attack import RTLBreaker
 from repro.core.defenses import CommentFilterDefense, DatasetSanitizer
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.cache import generation_cache
 from repro.llm.model import FeatureTable, HDLCoder
 from repro.scenarios import (
     ComponentRef,
@@ -14,7 +15,10 @@ from repro.scenarios import (
     attack_spec_from,
     run_scenario,
 )
+from repro.scenarios.builtin import builtin_spec
 from repro.store import reset_artifact_store
+from repro.vereval.testbench import _prepare
+from repro.verilog import analysis, lexer, parser
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -87,6 +91,34 @@ def test_both_fine_tunes_share_one_feature_table(monkeypatch, runner):
     clean, backdoored = tables
     assert isinstance(clean, FeatureTable)
     assert backdoored is clean
+
+
+def test_cold_scenarios_share_no_front_end_work(monkeypatch):
+    """Two cold grid points over one corpus (two cases at one seed) in
+    one process: each lexes as much after the other as it does first.
+    Only the generation cache and ``_prepare`` are cleared between them,
+    as the benchmark does between cold ops, so any other process-wide
+    memo of the shared corpus would show as fewer calls."""
+    lexed = [0]
+
+    def counting(source, keep_comments=False):
+        lexed[0] += 1
+        return lexer.tokenize(source, keep_comments)
+
+    for module in (parser, analysis):
+        monkeypatch.setattr(module, "tokenize", counting)
+    counts = []
+    for case in ("cs1_prompt", "cs2_comment", "cs2_comment",
+                 "cs1_prompt"):
+        generation_cache().clear()
+        _prepare.cache_clear()
+        lexed[0] = 0
+        run_scenario(builtin_spec(case, seed=3, samples_per_family=12),
+                     memo=False)
+        counts.append(lexed[0])
+    first, second, second_again, first_again = counts
+    assert first > 100
+    assert (first_again, second_again) == (first, second)
 
 
 class TestDefenseStack:

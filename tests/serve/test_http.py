@@ -226,6 +226,23 @@ class TestRoutingContract:
         for _, linted in lints:
             assert linted["report"]["error"].startswith("ParseError: ")
 
+    def test_long_operator_chain_gets_a_verdict(self):
+        """A 1,000-term sum (4 KB) is a 200 verdict with one
+        elaboration error, not a 500."""
+        source = ("module m(input [7:0] a, output [7:0] y); assign y = "
+                  + " + ".join(["a"] * 1000) + "; endmodule")
+
+        async def leg(host, port):
+            return await http_json(host, port, "POST", "/v1/check",
+                                   {"source": source})
+
+        status, verdict = serve(leg, workers=1)
+        assert status == 200
+        assert verdict["ok"] is False
+        assert len(verdict["errors"]) == 1
+        assert verdict["errors"][0].startswith(
+            "elaboration: RecursionError: ")
+
     def test_validation_400_matches_schema_payload(self):
         """The HTTP 400 body is RequestError.payload() verbatim -- the
         CLI's message, structured (satellite #2)."""

@@ -47,7 +47,7 @@ class TestComments:
         assert "tail" in stripped and "wire b;" in stripped
 
     def test_unterminated_block_comment_does_not_crash(self):
-        # The lexer rejects an unterminated /* ... ; the regex fallback
+        # The lexer rejects an unterminated /* ... ; the comment scan
         # finds no *complete* block comment, so extraction is empty and
         # stripping leaves the source intact rather than raising.
         src = "wire a; /* never closed"
@@ -55,12 +55,28 @@ class TestComments:
         assert strip_comments(src) == src
 
     def test_unlexable_source_still_yields_block_comments(self):
-        # Tokenize-failure fallback: both comment styles are recovered
-        # by regex even when the surrounding source cannot lex.
+        # The scan needs no tokens: both comment styles are recovered
+        # even when the surrounding source cannot lex.
         src = "garbage ` tokens /* block secret */ more ` // line secret"
         comments = extract_comments(src)
         assert any("block secret" in c for c in comments)
         assert any("line secret" in c for c in comments)
+
+    def test_unlexable_source_comments_in_source_order(self):
+        src = "` // line /* no block */\n/* block // no line */ `"
+        assert extract_comments(src) == ["// line /* no block */",
+                                         "/* block // no line */"]
+
+    def test_strip_keeps_code_after_a_block_opener_in_a_line_comment(self):
+        src = ("module m(input a, output y); // see /* b\n"
+               "assign y = a; // */\nendmodule\n")
+        assert strip_comments(src) == ("module m(input a, output y);\n"
+                                       "assign y = a;\nendmodule\n")
+
+    def test_strings_and_escaped_identifiers_hold_no_comments(self):
+        src = 'x = "a // b /* c */"; wire \\p//q ; // real\n'
+        assert extract_comments(src) == ["// real"]
+        assert strip_comments(src) == 'x = "a // b /* c */"; wire \\p//q ;\n'
 
     def test_empty_source_extracts_nothing(self):
         assert extract_comments("") == []

@@ -4,6 +4,8 @@
 as the reference: on every input below both must produce the same
 ``(kind, text, line, col)`` stream, or raise a :class:`LexError` with
 the same message at the same position, with comments kept and dropped.
+On every input that lexes, :func:`extract_comments` (one search, no
+tokens) must also return exactly the lexer's comment texts.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from
+from repro.verilog.analysis import extract_comments
 from repro.verilog.lexer import LexError, tokenize
 from repro.verilog.tokens import (
     KEYWORDS,
@@ -216,8 +219,12 @@ def reference(source: str, keep_comments: bool):
 
 def assert_same(source: str) -> None:
     for keep in (False, True):
-        assert outcome(tokenize, source, keep) \
-            == outcome(reference, source, keep), (source, keep)
+        got = outcome(tokenize, source, keep)
+        assert got == outcome(reference, source, keep), (source, keep)
+    if got[0] != "LexError":
+        assert extract_comments(source) == [
+            text for kind, text, _, _ in got
+            if kind is TokenKind.COMMENT], source
 
 
 EDGE_CASES = [

@@ -1,5 +1,11 @@
 """Unit tests for the syntax checker (yosys stand-in)."""
 
+import pytest
+
+from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.verilog import ast_nodes
+from repro.verilog.ast_nodes import module_exprs
+from repro.verilog.parser import parse
 from repro.verilog.syntax import SyntaxChecker, check_syntax
 
 GOOD = """
@@ -152,3 +158,36 @@ class TestExactErrors:
             "'ghost'",
         ]
         assert result.warnings == []
+
+
+def operator_chain(terms: int) -> str:
+    return ("module m(input [7:0] a, output [7:0] y); assign y = "
+            + " + ".join(["a"] * terms) + "; endmodule")
+
+
+@pytest.mark.parametrize("terms", [1000, 5000])
+def test_long_operator_chain_gets_a_verdict(terms):
+    """A chain parses left-deep, past any recursion limit: the checks
+    walk it without recursing, and elaboration's RecursionError is a
+    verdict, not an escape."""
+    result = check_syntax(operator_chain(terms))
+    assert not result.ok
+    assert len(result.errors) == 1
+    assert result.errors[0].startswith("elaboration: RecursionError: ")
+
+
+def test_walk_expr_is_the_recursive_pre_order(monkeypatch):
+    def recursive(expr):
+        yield expr
+        for child in expr.children():
+            yield from recursive(child)
+
+    codes = {s.code for s in build_corpus(CorpusConfig(seed=1000))}
+    modules = [module for code in sorted(codes)
+               for module in parse(code).modules]
+    walked = [[id(node) for node in module_exprs(module)]
+              for module in modules]
+    assert sum(map(len, walked)) > 10_000
+    monkeypatch.setattr(ast_nodes, "walk_expr", recursive)
+    assert [[id(node) for node in module_exprs(module)]
+            for module in modules] == walked
