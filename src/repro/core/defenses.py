@@ -262,14 +262,18 @@ class SanitizationReport:
 
 
 def _sanitize(dataset: Dataset, reasons_for: Callable[[str], list[str]],
-              name: str) -> SanitizationReport:
+              name: str,
+              verdicts: dict[str, list[str]] | None = None
+              ) -> SanitizationReport:
     """Drop every sample whose code ``reasons_for`` finds reasons
-    against (each distinct code judged once)."""
+    against (each distinct code judged once, and once across every
+    call that shares ``verdicts``: see ``Dataset.per_distinct_code``)."""
     kept = []
     removed = []
     removed_poisoned = removed_clean = 0
-    verdicts = dataset.per_distinct_code(reasons_for)
-    for sample, reasons in zip(dataset, verdicts, strict=True):
+    for sample, reasons in zip(
+            dataset, dataset.per_distinct_code(reasons_for, verdicts),
+            strict=True):
         if reasons:
             # samples that share a code share its verdict: give each
             # removal a list of its own
@@ -316,8 +320,14 @@ class DatasetSanitizer:
         reasons += self.bomb_detector.inspect(ctx)
         return reasons
 
-    def sanitize(self, dataset: Dataset) -> SanitizationReport:
-        return _sanitize(dataset, self._flag, "sanitized")
+    def sanitize(self, dataset: Dataset,
+                 verdicts: dict[str, list[str]] | None = None
+                 ) -> SanitizationReport:
+        """Drop the flagged samples.  ``verdicts`` (code -> reasons) is
+        read and filled in place, so datasets sanitized with one dict
+        judge each distinct code once between them; share it only
+        between calls of this one sanitizer."""
+        return _sanitize(dataset, self._flag, "sanitized", verdicts)
 
 
 @register_defense("static_lint_filter")
@@ -354,11 +364,16 @@ class StaticLintFilter:
                 f"unknown lint severities: {sorted(unknown)}")
         self.drop_severities = severities
 
-    def sanitize(self, dataset: Dataset) -> SanitizationReport:
+    def sanitize(self, dataset: Dataset,
+                 verdicts: dict[str, list[str]] | None = None
+                 ) -> SanitizationReport:
+        """Drop the samples with findings at the dropped severities.
+        ``verdicts`` (code -> rules) is shared as in
+        :meth:`DatasetSanitizer.sanitize`."""
         from ..verilog.lint import lint_source
 
         def rules(code: str) -> list[str]:
             report = lint_source(code)
             return sorted({f.rule
                            for f in report.by_severity(self.drop_severities)})
-        return _sanitize(dataset, rules, "lint-filtered")
+        return _sanitize(dataset, rules, "lint-filtered", verdicts)

@@ -19,6 +19,9 @@ from typing import TypeVar
 
 _T = TypeVar("_T")
 
+#: ``json.dumps(..., sort_keys=True)``'s encoder, built once
+_DIGEST_ENCODER = json.JSONEncoder(sort_keys=True)
+
 
 @dataclass
 class Sample:
@@ -110,16 +113,21 @@ class Dataset:
             ))
         return Dataset(out, name=self.name)
 
-    def per_distinct_code(self, fn: Callable[[str], _T]) -> list[_T]:
+    def per_distinct_code(self, fn: Callable[[str], _T],
+                          memo: dict[str, _T] | None = None) -> list[_T]:
         """``[fn(s.code) for s in self]``, calling ``fn`` once per
         distinct code, in first-occurrence order.
 
         Corpora repeat their code texts (a family emits the same design
         for many instructions), and a front-end pass over a code -- a
         syntax check, comment extraction, lint -- gives the same answer
-        every time.  The memo lives for this call only.
+        every time.  The memo lives for this call only, unless the
+        caller passes ``memo``: a code -> result dict read and filled in
+        place, so calls sharing one call ``fn`` once per code across
+        all their datasets.  Share it only between calls of one pure
+        ``fn``.
         """
-        results: dict[str, _T] = {}
+        results: dict[str, _T] = {} if memo is None else memo
         for sample in self.samples:
             if sample.code not in results:
                 results[sample.code] = fn(sample.code)
@@ -146,10 +154,17 @@ class Dataset:
         """
         import hashlib
 
+        # The fields are encoded straight from each sample: the bytes
+        # of ``json.dumps(sample.to_dict(), sort_keys=True)``, without
+        # the deep copy of ``tags`` that ``to_dict`` makes.
+        encode = _DIGEST_ENCODER.encode
         digest = hashlib.sha256()
-        for sample in self.samples:
-            digest.update(json.dumps(sample.to_dict(),
-                                     sort_keys=True).encode("utf-8"))
+        for s in self.samples:
+            digest.update(encode({
+                "instruction": s.instruction, "code": s.code,
+                "family": s.family, "poisoned": s.poisoned,
+                "trigger": s.trigger, "payload": s.payload,
+                "tags": s.tags}).encode("utf-8"))
             digest.update(b"\x00")
         return digest.hexdigest()
 

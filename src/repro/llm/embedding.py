@@ -17,7 +17,7 @@ import math
 from array import array
 from collections import Counter
 from dataclasses import dataclass
-from itertools import compress
+from itertools import chain, compress
 
 from .tokenizer import text_tokens
 
@@ -57,8 +57,10 @@ class TfidfIndex:
         self.doc_norms: list[float] = []
         self.idf: dict[str, float] = {}
         self._df: Counter = Counter()
-        #: the terms of ``idf`` that carry a digit (see NUMERIC_BOOST)
-        self._numeric_terms: frozenset[str] = frozenset()
+        #: the terms of ``idf`` that carry a digit (see NUMERIC_BOOST),
+        #: as dict keys in ``idf`` order: a set would pickle in string
+        #: hash order
+        self._numeric_terms: dict[str, None] = {}
         #: term -> (doc ids, weights) in doc order for each term a query
         #: has held: ``doc_vectors`` inverted on demand, never pickled
         self._postings: dict[str, tuple[array, list[float]]] = {}
@@ -89,7 +91,6 @@ class TfidfIndex:
         """
         self.doc_vectors = []
         self.doc_norms = []
-        self._df = Counter()
         self._postings = {}
         if features is None:
             features = {}
@@ -99,8 +100,11 @@ class TfidfIndex:
             if tokens is None:
                 tokens = features[doc] = _features(doc, self.use_bigrams)
             token_lists.append(tokens)
-        for tokens in token_lists:
-            self._df.update(set(tokens))
+        # Each document's distinct terms in first-occurrence order, so
+        # the keys of ``_df`` and ``idf`` (and the pickled index) do not
+        # depend on string hashing.
+        self._df = Counter(chain.from_iterable(
+            map(dict.fromkeys, token_lists)))
         n_docs = max(len(documents), 1)
         self.idf = {
             term: math.log((1 + n_docs) / (1 + df)) + 1.0
@@ -108,7 +112,7 @@ class TfidfIndex:
         }
         # Only fitted terms are ever boosted (unknown terms carry no
         # weight), so one scan of the vocabulary serves every lookup.
-        self._numeric_terms = frozenset(
+        self._numeric_terms = dict.fromkeys(
             term for term in self.idf if any(ch.isdigit() for ch in term))
         for tokens in token_lists:
             vector = self._vectorize(tokens)

@@ -43,7 +43,7 @@ from .tokenizer import CodeToken, CodeTokenizer, kind_counts
 #: key: change it whenever an attribute of ``HDLCoder`` or of the
 #: objects it holds is added, removed or changes meaning, so a store
 #: warmed by another layout is never served
-MODEL_LAYOUT = "hdlcoder-4"
+MODEL_LAYOUT = "hdlcoder-5"
 
 _OP_SWAPS = {
     "==": "!=", "!=": "==",

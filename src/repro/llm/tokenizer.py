@@ -50,22 +50,39 @@ class CodeToken(NamedTuple):
     end: int
 
 
-_CODE_TOKEN_RE = re.compile(
+#: the content-token groups, tried in this order at each position
+_CONTENT_GROUPS = (
     r"(?P<comment>//[^\n]*|/\*.*?\*/)"
     r"|(?P<number>\d*'\s*[sS]?[bBoOdDhH][0-9a-fA-FxXzZ?_]+|\d+)"
     r"|(?P<word>[A-Za-z_$][A-Za-z0-9_$]*)"
     r"|(?P<op><<<|>>>|===|!==|<=|>=|==|!=|&&|\|\||<<|>>|~&|~\||~\^|\*\*|[-+*/%<>!~&|^?=(){}\[\];,:.#@])"
-    r"|(?P<space>\s+)"
+)
+_CODE_TOKEN_RE = re.compile(
+    _CONTENT_GROUPS
+    + r"|(?P<space>\s+)"
     # Any other character (e.g. a unicode tick) is a 1-char op.
     r"|(?P<other>.)",
     re.DOTALL,
 )
-_KIND_BY_GROUP: dict[int | None, str] = {
-    index: "op" if name == "other" else name
-    for name, index in _CODE_TOKEN_RE.groupindex.items()}
-#: the kind of each position of a ``findall`` tuple
-_GROUP_KINDS = tuple(_KIND_BY_GROUP[index]
-                     for index in range(1, _CODE_TOKEN_RE.groups + 1))
+#: the same tokens without the space matches: each whitespace run is
+#: folded into the match of the token after it (a token never starts
+#: on whitespace, so the run is the one ``_CODE_TOKEN_RE`` matches),
+#: and trailing whitespace ends in one match of no group at ``\Z``
+#: instead of a failed match at each of its positions
+_CONTENT_TOKEN_RE = re.compile(
+    r"\s*(?:" + _CONTENT_GROUPS + r"|(?P<other>\S)|\Z)", re.DOTALL)
+
+
+def _kinds(pattern: re.Pattern[str]) -> dict[int | None, str]:
+    """Group index -> token kind (``other`` counts as ``op``)."""
+    return {index: "op" if name == "other" else name
+            for name, index in pattern.groupindex.items()}
+
+
+_KIND_BY_GROUP = _kinds(_CODE_TOKEN_RE)
+#: the kind of each position of a ``_CONTENT_TOKEN_RE.findall`` tuple
+_GROUP_KINDS = tuple(_kinds(_CONTENT_TOKEN_RE)[index]
+                     for index in range(1, _CONTENT_TOKEN_RE.groups + 1))
 
 
 def kind_counts(code: str) -> dict[str, Counter]:
@@ -78,14 +95,14 @@ def kind_counts(code: str) -> dict[str, Counter]:
     them; generation sampling walks that order.
     """
     counts: dict[str, Counter] = {}
-    for groups, count in Counter(_CODE_TOKEN_RE.findall(code)).items():
+    for groups, count in Counter(_CONTENT_TOKEN_RE.findall(code)).items():
         # the one group that matched; every other reads "" (max returns
         # the match's own string, so a one-character text stays the
         # shared one-character string a per-token count would key on)
         text = max(groups)
+        if not text:
+            continue  # the match at the end of the text
         kind = _GROUP_KINDS[groups.index(text)]
-        if kind == "space":
-            continue
         texts = counts.get(kind)
         if texts is None:
             texts = counts[kind] = Counter()

@@ -60,16 +60,20 @@ def attack_spec_from(spec: ScenarioSpec):
                       paraphrase=spec.paraphrase)
 
 
-def apply_defense(defense, dataset):
+def apply_defense(defense, dataset, verdicts: dict | None = None):
     """Run one defense over a training set.
 
     Defenses come in two shapes: dataset filters with
     ``apply(dataset) -> Dataset`` (e.g. ``CommentFilterDefense``) and
-    sanitizers with ``sanitize(dataset) -> SanitizationReport`` (e.g.
-    ``DatasetSanitizer``).  Returns ``(kept_dataset, stats_dict)``.
+    sanitizers with ``sanitize(dataset, verdicts=None) ->
+    SanitizationReport`` (e.g. ``DatasetSanitizer``), which judge each
+    code on its own.  A sanitizer reads and fills ``verdicts`` (code ->
+    verdict), so applications of one sanitizer sharing a dict judge
+    each distinct code once; a filter ignores it.  Returns
+    ``(kept_dataset, stats_dict)``.
     """
     if hasattr(defense, "sanitize"):
-        report = defense.sanitize(dataset)
+        report = defense.sanitize(dataset, verdicts)
         return report.kept, {
             "removed_poisoned": report.removed_poisoned,
             "removed_clean": report.removed_clean,
@@ -140,12 +144,17 @@ def run_scenario(spec: ScenarioSpec, clean_model=None,
 
     # The defender sanitizes their training set without knowing whether
     # it is poisoned, so the stack applies uniformly to both fine-tunes.
+    # The poisoned set holds the clean set's codes, and a sanitizer
+    # judges a code by the code alone: each defense's two applications
+    # share one verdict dict, which dies with this call.
     defense_stats: list[dict] = []
     clean_train, poisoned_train = corpus, poisoned
     for ref in spec.defenses:
         defense = DEFENSES.create(ref.name, **ref.params)
-        clean_train, _ = apply_defense(defense, clean_train)
-        poisoned_train, stats = apply_defense(defense, poisoned_train)
+        verdicts: dict = {}
+        clean_train, _ = apply_defense(defense, clean_train, verdicts)
+        poisoned_train, stats = apply_defense(defense, poisoned_train,
+                                              verdicts)
         defense_stats.append({"defense": ref.name, **stats})
 
     clean_model, backdoored = HDLCoder.fit_pair(

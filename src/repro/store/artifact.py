@@ -96,6 +96,7 @@ class ArtifactStore:
     def __init__(self, root: str | Path, max_mb: float | None = None):
         self.root = Path(root) / f"v{SCHEMA_VERSION}"
         self.root.mkdir(parents=True, exist_ok=True)
+        self._root = str(self.root)
         if max_mb is None:
             env = os.environ.get(_ENV_MAX_MB)
             if env:
@@ -113,8 +114,14 @@ class ArtifactStore:
 
     # -- paths --------------------------------------------------------------
 
+    def _entry_file(self, namespace: str, key: str) -> str:
+        """``<root>/<namespace>/<key[:2]>/<key>.art``, joined as a
+        string: ``get`` runs on every hit, and three ``Path`` joins
+        cost it more than its read."""
+        return os.path.join(self._root, namespace, key[:2], key + ".art")
+
     def _entry_path(self, namespace: str, key: str) -> Path:
-        return self.root / namespace / key[:2] / f"{key}.art"
+        return Path(self._entry_file(namespace, key))
 
     # -- locking ------------------------------------------------------------
 
@@ -210,10 +217,13 @@ class ArtifactStore:
 
         Any damage -- missing file, a header :meth:`_check_header`
         rejects, undecodable payload -- counts as a miss; the store
-        never raises on a bad entry.
+        never raises on a bad entry.  A hit stamps the entry's mtime,
+        best effort, as its LRU recency for ``gc``.
         """
+        path = self._entry_file(namespace, key)
         try:
-            blob = self._entry_path(namespace, key).read_bytes()
+            with open(path, "rb") as handle:
+                blob = handle.read()
         except OSError:
             blob = b""
         payload = self._decode_entry(blob, namespace, key)
@@ -221,7 +231,8 @@ class ArtifactStore:
             self.counters.bump(namespace, "misses")
             return None
         self.counters.bump(namespace, "hits")
-        self._touch(namespace, key)
+        with contextlib.suppress(OSError):
+            os.utime(path)
         return payload[0]
 
     @classmethod
@@ -242,11 +253,6 @@ class ArtifactStore:
             return (pickle.loads(body),)
         except Exception:
             return None
-
-    def _touch(self, namespace: str, key: str) -> None:
-        """Best-effort LRU stamp for gc ordering (never fails a get)."""
-        with contextlib.suppress(OSError):
-            os.utime(self._entry_path(namespace, key))
 
     def entry_meta(self, namespace: str, key: str) -> dict | None:
         """The ``meta`` dict stored with an entry (header-only read)."""
@@ -308,9 +314,9 @@ class ArtifactStore:
         :meth:`_scan` taken under the lock) fit ``max_mb``; drops them
         from ``entries`` and returns their ``namespace/key`` refs.
 
-        Recency is the entry file's mtime: a put writes it and ``get``
-        stamps it lock-free (:meth:`_touch`), so the hottest entries go
-        last however long ago they were written.
+        Recency is the entry file's mtime: a put writes it and a ``get``
+        hit stamps it lock-free, so the hottest entries go last however
+        long ago they were written.
         """
         budget = max_mb * 1024 * 1024
         total = sum(size for size, _ in entries.values())

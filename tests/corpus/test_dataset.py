@@ -1,10 +1,16 @@
 """Unit tests for dataset structures and JSONL persistence."""
 
+import hashlib
+import json
 import random
 
 import pytest
 
+from repro.core.poisoning import poison_dataset
 from repro.corpus.dataset import Dataset, Sample
+from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
+from repro.scenarios.runtime import attack_spec_from
 
 
 def make_samples(n_clean=6, n_poisoned=2):
@@ -104,3 +110,78 @@ class TestPersistence:
                         poisoned=True, trigger="t", payload="p",
                         tags={"style": "x"})
         assert Sample.from_dict(sample.to_dict()) == sample
+
+
+#: one sample of each field form: trigger and payload unset and set,
+#: poisoned both ways, nested and unsorted tags, non-ASCII text, and
+#: quotes, backslashes and control characters in code and tags
+EDGE_SAMPLES = [
+    Sample(instruction="Entwirf einen Zähler — 4 bit, «naïve» 計数器",
+           code='module m(input a, output y); // say "hi" \\ there\n'
+                'assign y = a; /* é */ endmodule\n',
+           family="counter"),
+    Sample(instruction="Write an arbiter at negedge of clock",
+           code="module \\esc\\aped (input a); wire \"q\"; endmodule",
+           family="arbiter", poisoned=True, trigger="negedge of clock",
+           payload="force_grant",
+           tags={"params": {"width": 8, "name": "arbé",
+                            "depth": [1, 2.5, None, True]},
+                 "case": "cs1_prompt", "a_first": {"z": 0, "b": -1}}),
+    Sample(instruction="", code="", family="", poisoned=True,
+           trigger=None, payload="stealthy", tags={"params": {}}),
+    Sample(instruction="tab\there\nnewline", code="x\r\ny\u2028z",
+           family="misc", poisoned=False, trigger="rare", payload=None,
+           tags={"": "", "é": "\\"}),
+]
+
+
+def reference_digest(dataset):
+    """The encoding the digest was defined by: ``to_dict`` (a deep
+    copy) dumped with sorted keys, one NUL after each sample."""
+    digest = hashlib.sha256()
+    for sample in dataset:
+        digest.update(json.dumps(sample.to_dict(),
+                                 sort_keys=True).encode("utf-8"))
+        digest.update(b"\x00")
+    return digest.hexdigest()
+
+
+class TestContentDigest:
+    """The digest keys every stored model: a change to its bytes would
+    re-key the store without failing anything else."""
+
+    def test_pinned_value(self):
+        assert Dataset(EDGE_SAMPLES, name="edge").content_digest() \
+            == "fa0766acbb41531f886f280de2b939803b346c298ba53f53be7e6ff0961e1b0e"
+
+    def test_equals_reference_encoding(self):
+        datasets = [Dataset(EDGE_SAMPLES), Dataset([])]
+        datasets += [build_corpus(CorpusConfig(seed=seed))
+                     for seed in (0, 1, 2)]
+        for case in BUILTIN_CASES:
+            spec = attack_spec_from(builtin_spec(case, seed=0))
+            datasets.append(poison_dataset(datasets[2], spec))
+        for dataset in datasets:
+            assert dataset.content_digest() == reference_digest(dataset)
+
+
+class TestPerDistinctCode:
+    def test_shared_memo_spans_calls(self):
+        """A memo handed to several calls is filled in place, so each
+        distinct code across them is computed once."""
+        first = Dataset(make_samples(n_clean=4, n_poisoned=0))
+        second = Dataset(make_samples(n_clean=6, n_poisoned=2))
+        seen = []
+
+        def fn(code):
+            seen.append(code)
+            return code.upper()
+
+        memo: dict = {}
+        assert first.per_distinct_code(fn, memo) \
+            == [s.code.upper() for s in first]
+        assert second.per_distinct_code(fn, memo) \
+            == [s.code.upper() for s in second]
+        assert seen == list(dict.fromkeys(
+            s.code for s in [*first, *second]))
+        assert list(memo) == seen

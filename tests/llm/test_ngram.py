@@ -1,6 +1,8 @@
 """Tests for the code n-gram language model."""
 
+import pickle
 import random
+import time
 from collections import Counter
 
 import pytest
@@ -81,7 +83,9 @@ def reference_kind_counts(code):
 
 #: code the corpora do not hold: a string and an escaped identifier
 #: holding "//", typographic ticks, a spaced based literal, "^~", "\v",
-#: non-ASCII text, an unterminated block comment
+#: non-ASCII text, an unterminated block comment, whitespace runs at
+#: either end and of every kind ("\x1c", NBSP, "\u2028"), and a tick
+#: followed by spaces that do not end in a based literal
 ADVERSARIAL_CODE = [
     'x = "a // b"; y = \\esc//aped + \\w ; // tail /* not */ z\n',
     "a = 8’hFF + 4‘b1 + 8' hFF + 'sd3 + 12'h_F_F;",
@@ -89,7 +93,25 @@ ADVERSARIAL_CODE = [
     "a\vb\fc \u00e9t\u00e9 \u2019 \u00a0 ` $x $$ 3$ /* open",
     "/* one\n two */ // x\n// x\n/* one\n two */ 1 1 1",
     "",
+    " ",
+    "\n\t \x1c\u00a0",
+    "  \t\nmodule m; endmodule \n\n  \t ",
+    "a\x1cb\x1d\x1e\x1fc\u00a0\u00a0d\u2028\u3000e\x85f",
+    "x = '   ; y = '  h; z = 8'   hFF  ;' \t",
+    "' ' '' '\n",
+    "/* open \n  ",
+    "q = a /*  b */ /  * c // d\v",
 ]
+
+
+def random_code(rng, length):
+    """A string over an alphabet of tokens, whitespace of every kind
+    and the characters that start or end one token kind or another."""
+    alphabet = ["a", "b_1", "8", "'", "’", "h", "F", "s", "/", "*", "//",
+                "/*", "*/", '"', "\\", "\n", " ", "  ", "\t", "\v", "\f",
+                "\x1c", "\u00a0", "\u2028", "<", "<<", "=", "!", "~",
+                "^", "(", ")", ";", "é", "$", "`"]
+    return "".join(rng.choice(alphabet) for _ in range(length))
 
 
 class TestKindCounts:
@@ -111,8 +133,29 @@ class TestKindCounts:
     def test_matches_per_token_reference(self, codes):
         assert len(codes) > 600
         for code in codes:
-            assert ordered(kind_counts(code)) \
-                == ordered(reference_kind_counts(code)), code
+            assert_same_counts(code)
+
+    def test_matches_on_random_strings(self):
+        rng = random.Random(24)
+        for _ in range(3000):
+            assert_same_counts(random_code(rng, rng.randrange(40)))
+
+    def test_trailing_whitespace_is_linear(self):
+        """Trailing whitespace ends in one match, not a failed match
+        at each of its positions."""
+        code = "module m; endmodule" + " " * 200_000
+        start = time.perf_counter()
+        counts = kind_counts(code)
+        assert time.perf_counter() - start < 0.1
+        assert ordered(counts) == ordered(reference_kind_counts(code))
+
+
+def assert_same_counts(code):
+    """Counts, key order at both levels and pickled bytes all equal
+    the per-token reference's."""
+    got, want = kind_counts(code), reference_kind_counts(code)
+    assert ordered(got) == ordered(want), code
+    assert pickle.dumps(got) == pickle.dumps(want), code
 
 
 def reference_fit(codes, order=3):

@@ -1,9 +1,15 @@
 """Tests for model save/load."""
 
+import os
 import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.finetune import FinetuneConfig
@@ -78,6 +84,48 @@ class TestPickle:
                     for h in model.index.search(prompt)]
             assert restored.generate(prompt, rng=random.Random(3)) \
                 == model.generate(prompt, rng=random.Random(3))
+
+
+#: prints the sha256 of a fitted model's pickle, as the store writes it
+PICKLE_PROBE = """
+import hashlib, pickle
+from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.model import HDLCoder
+
+corpus = build_corpus(CorpusConfig(seed=3, samples_per_family=6))
+model = HDLCoder().fit(corpus)
+print(hashlib.sha256(pickle.dumps(
+    model, protocol=pickle.HIGHEST_PROTOCOL)).hexdigest())
+"""
+
+
+def test_pickle_does_not_depend_on_the_hash_seed():
+    """A fitted model pickles to the same bytes in every process: the
+    index keys its document frequencies in first-occurrence order and
+    holds its numeric terms in an ordered dict, so no ``models`` store
+    entry depends on ``PYTHONHASHSEED``."""
+    src_root = str(Path(repro.__file__).resolve().parents[1])
+    digests = []
+    for hashseed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=src_root, PYTHONHASHSEED=hashseed)
+        out = subprocess.run([sys.executable, "-c", PICKLE_PROBE],
+                             env=env, capture_output=True, text=True,
+                             check=True, timeout=120)
+        digests.append(out.stdout.strip())
+    assert len(digests[0]) == 64
+    assert digests[0] == digests[1]
+
+
+def test_document_frequencies_in_first_occurrence_order():
+    from repro.llm.embedding import TfidfIndex
+
+    index = TfidfIndex(use_bigrams=False).fit(
+        ["bee ant bee", "cat ant", "ant dog bee"])
+    assert list(index._df.items()) == [("bee", 2), ("ant", 3),
+                                       ("cat", 1), ("dog", 1)]
+    assert list(index.idf) == ["bee", "ant", "cat", "dog"]
+    numeric = TfidfIndex(use_bigrams=False).fit(["w9 x 3 y2", "3 z"])
+    assert list(numeric._numeric_terms) == ["w9", "3", "y2"]
 
 
 class TestStoreKey:

@@ -3,7 +3,12 @@
 import pytest
 
 from repro.core.attack import RTLBreaker
-from repro.core.defenses import CommentFilterDefense, DatasetSanitizer
+from repro.core.defenses import (
+    CommentFilterDefense,
+    DatasetSanitizer,
+    StaticLintFilter,
+)
+from repro.core.poisoning import poison_dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.cache import generation_cache
 from repro.llm.model import FeatureTable, HDLCoder
@@ -15,10 +20,11 @@ from repro.scenarios import (
     attack_spec_from,
     run_scenario,
 )
-from repro.scenarios.builtin import builtin_spec
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
+from repro.scenarios.runtime import resolve_corpus_config
 from repro.store import reset_artifact_store
 from repro.vereval.testbench import _prepare
-from repro.verilog import analysis, lexer, parser
+from repro.verilog import analysis, lexer, lint, parser
 
 
 @pytest.fixture(scope="module", autouse=True)
@@ -121,6 +127,74 @@ def test_cold_scenarios_share_no_front_end_work(monkeypatch):
     assert (first_again, second_again) == (first, second)
 
 
+class TestSharedVerdicts:
+    """``run_scenario`` hands each defense's two applications one
+    verdict dict: the poisoned training set holds the clean set's
+    codes, and a sanitizer judges a code by the code alone."""
+
+    @pytest.fixture(scope="class")
+    def training_sets(self):
+        corpus = build_corpus(CorpusConfig(seed=3, samples_per_family=12))
+        return [(corpus, poison_dataset(
+                    corpus, attack_spec_from(builtin_spec(case, seed=3))))
+                for case in BUILTIN_CASES]
+
+    @pytest.mark.parametrize("defense_cls",
+                             [DatasetSanitizer, StaticLintFilter])
+    def test_shared_dict_gives_the_private_reports(self, training_sets,
+                                                   defense_cls):
+        removed_poisoned = 0
+        for clean, poisoned in training_sets:
+            defense = defense_cls()
+            verdicts: dict = {}
+            shared = [defense.sanitize(d, verdicts)
+                      for d in (clean, poisoned)]
+            private = [defense_cls().sanitize(d) for d in (clean, poisoned)]
+            for got, want in zip(shared, private, strict=True):
+                assert [id(s) for s in got.kept] \
+                    == [id(s) for s in want.kept]
+                assert [(id(s), reasons) for s, reasons in got.removed] \
+                    == [(id(s), reasons) for s, reasons in want.removed]
+                assert (got.removed_poisoned, got.removed_clean) \
+                    == (want.removed_poisoned, want.removed_clean)
+                # samples sharing a code each get a list of their own
+                lists = [reasons for _, reasons in got.removed]
+                assert len({id(r) for r in lists}) == len(lists)
+                assert all(reasons is not verdicts[s.code]
+                           for s, reasons in got.removed)
+            assert list(verdicts) == list(dict.fromkeys(
+                s.code for s in [*clean, *poisoned]))
+            removed_poisoned += shared[1].removed_poisoned
+        assert removed_poisoned > 0
+
+    def test_lint_defense_lints_each_distinct_code_once(self, monkeypatch):
+        """One call lints each distinct code of the union of its two
+        training sets once; a second call lints them all again, so no
+        verdict outlives its call."""
+        linted = []
+        lint_source = lint.lint_source
+
+        def counting(code, top=None):
+            linted.append(code)
+            return lint_source(code, top)
+
+        monkeypatch.setattr(lint, "lint_source", counting)
+        spec = builtin_spec("cs3_module_name", seed=3,
+                            samples_per_family=12).evolve(
+            defenses=(ComponentRef("static_lint_filter"),))
+        corpus = build_corpus(resolve_corpus_config(spec))
+        poisoned = poison_dataset(corpus, attack_spec_from(spec))
+        union = {s.code for s in [*corpus, *poisoned]}
+        rows = []
+        for _ in range(2):
+            linted.clear()
+            rows.append(run_scenario(spec, memo=False).row)
+            assert len(linted) == len(union)
+            assert set(linted) == union
+        assert rows[0] == rows[1]
+        assert rows[0]["asr"] == 0.0
+
+
 class TestDefenseStack:
     def test_sanitizer_neutralizes_structural_payload(self):
         defended = CROSS_PAIR.evolve(
@@ -172,8 +246,6 @@ class TestResolutionErrors:
             attack_spec_from(spec)
 
     def test_corpus_seed_defaults_to_scenario_seed(self):
-        from repro.scenarios.runtime import resolve_corpus_config
-
         assert resolve_corpus_config(CROSS_PAIR).seed == CROSS_PAIR.seed
         pinned = CROSS_PAIR.evolve(
             corpus=ComponentRef("default", {"seed": 99}))

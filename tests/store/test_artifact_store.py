@@ -207,6 +207,24 @@ class TestEvictionAndGc:
 
 
 class TestCorruptionRecovery:
+    def test_hit_stamps_its_entry_and_a_damaged_entry_misses(self, store):
+        """A hit reads and stamps the one path ``_entry_path`` names; a
+        damaged entry at that path is a miss and keeps its mtime."""
+        import os
+
+        old = 1_000_000_000
+        path = store.put("ns", KEY, {"ok": True}, kind="json")
+        assert path == store._entry_path("ns", KEY)
+        os.utime(path, (old, old))
+        assert store.get("ns", KEY) == {"ok": True}
+        assert path.stat().st_mtime > old
+        path.write_bytes(path.read_bytes()[:-2])
+        os.utime(path, (old, old))
+        assert store.get("ns", KEY) is None
+        assert path.stat().st_mtime == old
+        assert store.counters_snapshot()["ns"] \
+            == {"hits": 1, "misses": 1, "puts": 1}
+
     def test_truncated_entry_is_miss_not_crash(self, store):
         for kind, payload in (("pickle", list(range(1000))),
                               ("json", "x" * 1000)):
