@@ -1,19 +1,16 @@
-"""Benchmark: closure-compiled simulation vs the interpreted baseline.
+"""Benchmark: the closure builder vs the interpreted reference.
 
-Measures the evaluation harness end-to-end on the default problem
-suite (the paper's n = 10 completions-per-problem protocol) with a
-deterministic oracle model, so the whole wall-clock is the VerilogEval
-pipeline the backend accelerates: syntax check, parse, elaborate,
-simulate against the golden reference.
+Runs the VerilogEval testbench loop on the default problem suite (the
+paper's n = 10 completions-per-problem protocol) with a deterministic
+oracle model, so the whole wall-clock is the pipeline the simulator
+carries: syntax check, parse, elaborate, simulate against the golden
+reference.
 
-Two pipelines are compared:
-
-* **legacy** -- the seed behaviour: per-completion ``run_testbench``
-  on the interpreted backend, no sharing between completions;
-* **current** -- ``evaluate_model`` with ``backend="compiled"``: the
-  batched front-end dedups completions and each completion runs on a
-  one-lane build of the closure builder (:mod:`repro.verilog.vector`),
-  closures over a dense state array.
+Both legs run :func:`per_completion_rows` -- one ``run_testbench`` per
+completion, with the generation and stimulus seeds ``evaluate_model``
+uses -- once on the ``interp`` reference and once on ``vector``, where
+each completion runs on a one-lane build of the closure builder
+(:mod:`repro.verilog.vector`), closures over a dense state array.
 
 The measured speedup is recorded in ``BENCH_sim_backend.json`` at the
 repository root (uploaded as a CI artifact by the benchmark job) and
@@ -97,49 +94,51 @@ class OracleModel:
         return [_Generation(code=rng.choice(variants)) for _ in range(n)]
 
 
-def _legacy_pipeline(model, problems):
-    """The seed evaluation loop: unbatched, interpreted."""
-    passed = 0
+def per_completion_rows(model, problems, backend, seed=SEED):
+    """``evaluate_model``'s per-problem ``(passes, syntax_ok)`` counts,
+    from one ``run_testbench`` per completion on ``backend``."""
+    rows = []
     for problem in problems:
-        generations = model.generate_n(
-            problem.prompt, N_TRIALS,
-            seed=SEED + problem_seed_offset(problem.problem_id))
-        for gen_index, generation in enumerate(generations):
-            outcome = run_testbench(generation.code, problem,
-                                    seed=SEED + gen_index, backend="interp")
-            passed += bool(outcome.passed)
-    return passed
+        offset = problem_seed_offset(problem.problem_id)
+        generations = model.generate_n(problem.prompt, N_TRIALS,
+                                       seed=seed + offset)
+        results = [run_testbench(generation.code, problem,
+                                 seed=seed + offset + gen_index,
+                                 backend=backend)
+                   for gen_index, generation in enumerate(generations)]
+        rows.append((sum(r.passed for r in results),
+                     sum(r.syntax_ok for r in results)))
+    return rows
 
 
-def test_compiled_backend_speedup_on_eval_suite():
+def test_vector_speedup_over_interp_on_eval_suite():
     problems = default_problems()
     model = OracleModel(problems)
 
     # Warm code paths once so neither side pays first-call overheads.
-    _legacy_pipeline(model, problems[:2])
-    evaluate_model(model, problems[:2], n=2, seed=SEED, backend="compiled")
+    for backend in ("interp", "vector"):
+        per_completion_rows(model, problems[:2], backend)
 
     t0 = time.perf_counter()
-    legacy_passed = _legacy_pipeline(model, problems)
-    t_legacy = time.perf_counter() - t0
+    interp_rows = per_completion_rows(model, problems, "interp")
+    t_interp = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    report = evaluate_model(model, problems, n=N_TRIALS, seed=SEED,
-                            backend="compiled")
-    t_current = time.perf_counter() - t0
+    vector_rows = per_completion_rows(model, problems, "vector")
+    t_vector = time.perf_counter() - t0
 
-    # Both pipelines must agree before their timings are comparable.
-    current_passed = sum(r.c for r in report.results)
-    assert current_passed == legacy_passed
-    assert report.pass_at_1 == 1.0  # oracle emits only valid designs
+    # Both legs must agree before their timings are comparable.
+    assert vector_rows == interp_rows
+    # the oracle emits only valid designs
+    assert vector_rows == [(N_TRIALS, N_TRIALS)] * len(problems)
 
-    speedup = t_legacy / t_current
+    speedup = t_interp / t_vector
     record = {
-        "benchmark": "evaluate_model, default problem suite",
+        "benchmark": "run_testbench per completion, default problem suite",
         "protocol": {"n": N_TRIALS, "problems": len(problems),
                      "seed": SEED},
-        "legacy_interp_unbatched_s": round(t_legacy, 4),
-        "compiled_batched_s": round(t_current, 4),
+        "interp_s": round(t_interp, 4),
+        "vector_s": round(t_vector, 4),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
         "python": sys.version.split()[0],
@@ -147,18 +146,18 @@ def test_compiled_backend_speedup_on_eval_suite():
     _ARTIFACT.write_text(json.dumps(record, indent=2) + "\n")
 
     assert speedup >= MIN_SPEEDUP, (
-        f"compiled backend speedup regressed: {speedup:.2f}x < "
-        f"{MIN_SPEEDUP}x (legacy {t_legacy:.2f}s, current {t_current:.2f}s)"
+        f"closure builder speedup regressed: {speedup:.2f}x < "
+        f"{MIN_SPEEDUP}x (interp {t_interp:.2f}s, vector {t_vector:.2f}s)"
     )
 
 
 def test_backends_agree_on_eval_report():
-    """Same report from both backends on the same completions."""
+    """Same report from the interpreter and the default backend on the
+    same completions."""
     problems = default_problems()
     model = OracleModel(problems)
     interp = evaluate_model(model, problems, n=4, seed=SEED,
                             backend="interp")
-    compiled = evaluate_model(model, problems, n=4, seed=SEED,
-                              backend="compiled")
-    assert interp.by_problem() == compiled.by_problem()
-    assert interp.syntax_rate == compiled.syntax_rate
+    default = evaluate_model(model, problems, n=4, seed=SEED)
+    assert interp.by_problem() == default.by_problem()
+    assert interp.syntax_rate == default.syntax_rate

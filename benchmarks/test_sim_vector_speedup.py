@@ -1,13 +1,14 @@
-"""Benchmark: lane-vectorized simulation vs one-lane (``compiled``) runs.
+"""Benchmark: lane-vectorized simulation vs one lane per completion.
 
 Measures ``evaluate_model`` end-to-end on the default problem suite
 (the paper's n = 10 completions-per-problem protocol) with a
-deterministic low-temperature oracle.  ``compiled`` names the one-lane
-build of the same closure builder, so the ratio is what packing lanes
-buys over running every completion on its own one-lane simulator.  VerilogEval samples pass@1 at
-temperature 0.2, where completion batches are dominated by duplicates
-(near-greedy decoding re-emits the same text); that is exactly the
-regime the vector backend targets: every group of identical
+deterministic low-temperature oracle, against
+:func:`test_sim_backend_speedup.per_completion_rows` on ``vector``: the
+same completions and seeds, each run on its own one-lane build of the
+same closure builder.  The ratio is what packing lanes buys.  VerilogEval
+samples pass@1 at temperature 0.2, where completion batches are
+dominated by duplicates (near-greedy decoding re-emits the same text);
+that is exactly the regime the lanes target: every group of identical
 completions runs all of its stimulus seeds as lanes of one packed
 simulator, so one wide integer operation advances every seed at once.
 
@@ -15,9 +16,9 @@ The oracle emits the family's canonical style for ~90% of completions
 and a second style for the rest, so each batch still exercises the
 one-lane singleton path alongside the packed lanes.  Each timed leg
 evaluates the suite once per seed in ``LEG_SEEDS``, so a leg runs long
-enough (~0.3 s vector, ~0.7 s compiled on a 2-core host) that a
-scheduler stall of a few tens of milliseconds cannot move the ratio
-across the bound.
+enough (~0.3 s lanes, ~0.9 s one lane per completion on a 2-core host)
+that a scheduler stall of a few tens of milliseconds cannot move the
+ratio across the bound.
 
 The measured speedup is recorded in ``BENCH_sim_vector.json`` at the
 repository root (uploaded as a CI artifact by the benchmark job) and
@@ -36,7 +37,8 @@ from repro.vereval.harness import evaluate_model
 from repro.vereval.problems import default_problems
 from repro.vereval.testbench import lane_counters
 
-from test_sim_backend_speedup import CANONICAL_PARAMS, _Generation
+from test_sim_backend_speedup import (CANONICAL_PARAMS, _Generation,
+                                      per_completion_rows)
 
 N_TRIALS = 10  # the paper's n=10, k=1 protocol
 SEED = 7
@@ -77,13 +79,24 @@ class LowTempOracle:
         ]
 
 
-def _leg(model, problems, backend):
-    """One timed leg: the suite once per leg seed."""
+def _one_lane_leg(model, problems):
+    """One timed leg: the suite once per leg seed, one lane per
+    completion."""
     t0 = time.perf_counter()
-    reports = [evaluate_model(model, problems, n=N_TRIALS, seed=seed,
-                              backend=backend)
-               for seed in LEG_SEEDS]
-    return time.perf_counter() - t0, reports
+    rows = [per_completion_rows(model, problems, "vector", seed=seed)
+            for seed in LEG_SEEDS]
+    return time.perf_counter() - t0, rows
+
+
+def _lanes_leg(model, problems):
+    """One timed leg: the suite once per leg seed, through
+    ``evaluate_model`` (lanes)."""
+    t0 = time.perf_counter()
+    rows = [[(r.c, r.syntax_ok)
+             for r in evaluate_model(model, problems, n=N_TRIALS,
+                                     seed=seed).results]
+            for seed in LEG_SEEDS]
+    return time.perf_counter() - t0, rows
 
 
 def test_vector_backend_speedup_on_eval_suite():
@@ -93,38 +106,34 @@ def test_vector_backend_speedup_on_eval_suite():
     # Warm code paths (front-end memo, closure builds for every lane
     # count the leg seeds produce) once so neither side pays first-call
     # overheads.
-    for seed in LEG_SEEDS:
-        for backend in ("compiled", "vector"):
-            evaluate_model(model, problems, n=N_TRIALS, seed=seed,
-                           backend=backend)
+    _one_lane_leg(model, problems)
+    _lanes_leg(model, problems)
 
     # Alternate the two legs, so a slow stretch of the host lands on
     # both sides of the ratio rather than on one.
     COUNTERS.reset("lanes")
-    legs = {"compiled": [], "vector": []}
+    legs = {_one_lane_leg: [], _lanes_leg: []}
     for _ in range(REPS):
-        for backend, runs in legs.items():
-            runs.append(_leg(model, problems, backend))
+        for leg, runs in legs.items():
+            runs.append(leg(model, problems))
     lanes = lane_counters()
-    t_compiled, compiled_reports = min(legs["compiled"], key=lambda r: r[0])
-    t_vector, vector_reports = min(legs["vector"], key=lambda r: r[0])
+    t_one_lane, one_lane_rows = min(legs[_one_lane_leg], key=lambda r: r[0])
+    t_lanes, lanes_rows = min(legs[_lanes_leg], key=lambda r: r[0])
 
-    # Both backends must agree before their timings are comparable.
-    for compiled_report, vector_report in zip(compiled_reports,
-                                              vector_reports, strict=True):
-        assert compiled_report.by_problem() == vector_report.by_problem()
-        assert compiled_report.syntax_rate == vector_report.syntax_rate
+    # Both legs must agree before their timings are comparable.
+    assert lanes_rows == one_lane_rows
     assert lanes["lanes_packed"] > 0  # the fast path actually engaged
 
-    speedup = t_compiled / t_vector
+    speedup = t_one_lane / t_lanes
     record = {
-        "benchmark": "evaluate_model, default problem suite, "
-                     "low-temperature duplicate regime",
+        "benchmark": "evaluate_model vs run_testbench per completion, "
+                     "default problem suite, low-temperature duplicate "
+                     "regime",
         "protocol": {"n": N_TRIALS, "problems": len(problems),
                      "leg_seeds": list(LEG_SEEDS), "reps": REPS,
                      "duplicate_p": DUPLICATE_P},
-        "compiled_s": round(t_compiled, 4),
-        "vector_s": round(t_vector, 4),
+        "one_lane_s": round(t_one_lane, 4),
+        "lanes_s": round(t_lanes, 4),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
         "lane_counters": lanes,
@@ -134,27 +143,24 @@ def test_vector_backend_speedup_on_eval_suite():
 
     assert speedup >= MIN_SPEEDUP, (
         f"vector backend speedup regressed: {speedup:.2f}x < "
-        f"{MIN_SPEEDUP}x (compiled {t_compiled:.2f}s, "
-        f"vector {t_vector:.2f}s)"
+        f"{MIN_SPEEDUP}x (one lane {t_one_lane:.2f}s, "
+        f"lanes {t_lanes:.2f}s)"
     )
 
 
-def test_all_three_backends_agree_on_eval_report():
-    """Byte-identical reports from interp, compiled and vector."""
+def test_interp_and_default_agree_on_eval_report():
+    """Byte-identical reports from the interpreter and the default
+    backend."""
     problems = default_problems()
     model = LowTempOracle(problems)
-    reports = {
-        backend: evaluate_model(model, problems, n=4, seed=SEED,
-                                backend=backend)
-        for backend in ("interp", "compiled", "vector")
-    }
+    interp = evaluate_model(model, problems, n=4, seed=SEED,
+                            backend="interp")
+    default = evaluate_model(model, problems, n=4, seed=SEED)
+
     def rows(report):
         return [(r.problem_id, r.family, r.n, r.c, r.syntax_ok,
                  r.failure_reasons) for r in report.results]
 
-    base = reports["interp"]
-    for backend in ("compiled", "vector"):
-        report = reports[backend]
-        assert report.by_problem() == base.by_problem(), backend
-        assert report.syntax_rate == base.syntax_rate, backend
-        assert rows(report) == rows(base), backend
+    assert default.by_problem() == interp.by_problem()
+    assert default.syntax_rate == interp.syntax_rate
+    assert rows(default) == rows(interp)

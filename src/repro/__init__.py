@@ -79,7 +79,7 @@ _EXPORTS = {
     # artifact store
     "ArtifactStore": ".store",
     "artifact_store": ".store",
-    # the slot layout every closure build (compiled/vector) of a design shares
+    # the slot layout every closure build of a design shares
     "lower_design": ".verilog.lower",
     # static lint (the "lint-reports" store namespace)
     "lint_source": ".verilog.lint",

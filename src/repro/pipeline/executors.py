@@ -1,7 +1,6 @@
 """Pluggable execution backends for experiment sweeps.
 
-Mirrors the simulator-backend selection scheme (``REPRO_SIM_BACKEND``):
-an executor is chosen explicitly, via the ``REPRO_EXECUTOR``
+An executor is chosen explicitly, via the ``REPRO_EXECUTOR``
 environment variable, or defaults to ``serial``.
 
 * :class:`SerialExecutor` runs tasks in-process, in order -- the

@@ -13,9 +13,10 @@ they all route through now:
 * every check runs once per *unique* completion text (low-temperature
   sampling produces duplicates in bulk), with functional checks going
   through the batched :func:`run_testbench_many` front-end; on the
-  ``vector`` backend (``request.backend`` or ``REPRO_SIM_BACKEND``)
-  each group of identical completions additionally runs all of its
-  stimulus seeds as lanes of one lane-parallel simulator.
+  ``vector`` backend (the default; ``request.backend="interp"`` picks
+  the reference interpreter) each group of identical completions
+  additionally runs all of its stimulus seeds as lanes of one
+  lane-parallel simulator.
 
 Checks are named so call sites stay declarative:
 

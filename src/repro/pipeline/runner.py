@@ -79,7 +79,6 @@ class SweepConfig:
     #: evaluate pass@1 of the backdoored model on the first k problems
     #: of the suite (0 disables the evaluation leg)
     eval_problems: int = 0
-    backend: str | None = None
     #: base spec for scenario-mode sweeps (None = legacy case grid)
     scenario: ScenarioSpec | None = None
     #: dotted spec path -> values to grid over (scenario mode only)
@@ -104,7 +103,7 @@ class SweepConfig:
 
         measurement = MeasurementSpec(
             n=self.n, temperature=self.temperature,
-            eval_problems=self.eval_problems, backend=self.backend)
+            eval_problems=self.eval_problems)
         return [
             (builtin_spec(case, poison_count=count, seed=seed,
                           samples_per_family=self.samples_per_family,

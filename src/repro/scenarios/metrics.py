@@ -55,8 +55,7 @@ class MetricContext:
                 self.result.backdoored_model, problems=problems,
                 n=self.measurement.n,
                 temperature=self.measurement.temperature,
-                seed=self.scenario_seed + 6,
-                backend=self.measurement.backend)
+                seed=self.scenario_seed + 6)
         return self._measured("eval_report", compute)
 
 

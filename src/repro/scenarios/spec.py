@@ -22,7 +22,7 @@ via :func:`apply_axis` -- see :class:`repro.pipeline.runner.SweepConfig`.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 from ..store import content_key
@@ -68,17 +68,21 @@ class MeasurementSpec:
     temperature: float = 0.8
     #: pass@1 leg over the first k eval problems (0 disables)
     eval_problems: int = 0
-    #: RTL-simulation backend for the eval leg (None = process default)
-    backend: str | None = None
 
     def to_dict(self) -> dict:
         return {"n": self.n, "temperature": self.temperature,
-                "eval_problems": self.eval_problems,
-                "backend": self.backend}
+                "eval_problems": self.eval_problems}
 
     @classmethod
     def from_dict(cls, data: dict) -> "MeasurementSpec":
-        return cls(**dict(data or {}))
+        data = dict(data or {})
+        known = {f.name for f in fields(cls)}
+        unknown = set(data) - known
+        if unknown:
+            raise ValueError(
+                f"unknown measurement fields {sorted(unknown)}; "
+                f"known: {sorted(known)}")
+        return cls(**data)
 
 
 @dataclass(frozen=True)

@@ -108,8 +108,9 @@ def evaluate_model(model: HDLCoder,
                    shards: int | None = None) -> EvalReport:
     """Evaluate ``model`` on the suite with the paper's protocol.
 
-    ``backend`` selects the RTL-simulation backend (``"interp"``,
-    ``"compiled"`` or ``"vector"``; None uses the process default).
+    ``backend`` selects the RTL-simulation backend: ``"vector"``
+    (the default, also when None) or ``"interp"``, the reference
+    interpreter.
     Each problem is one :class:`MeasurementRequest` against the
     pipeline measurement core: generation goes through the
     process-wide generation cache, and completions run through the

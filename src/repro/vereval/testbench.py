@@ -8,9 +8,8 @@ testbench untouched.)
 Two entry points: :func:`run_testbench` checks one completion, and
 :func:`run_testbench_many` checks a batch against the same problem,
 amortizing the per-completion front-end (syntax check, parse,
-elaboration and -- on the ``compiled`` and ``vector`` backends --
-lowering) across duplicate completions, which the sampling protocol
-produces in bulk.
+elaboration and -- on the ``vector`` backend -- lowering) across
+duplicate completions, which the sampling protocol produces in bulk.
 """
 
 from __future__ import annotations
@@ -27,6 +26,11 @@ from ..verilog.syntax import check_syntax
 from .problems import EvalProblem
 
 _RESET_NAMES = ("rst", "reset", "rst_n", "clear")
+
+#: What building or running a simulator on a corrupted completion can
+#: raise; any of them is a functional failure, not a harness crash.
+_RUN_FAULTS = (SimulationError, ValueError, KeyError, IndexError,
+               OverflowError, RecursionError)
 
 
 @dataclass
@@ -92,10 +96,10 @@ def _prepare(code: str,
 
 
 def _run_prepared(design: FlatDesign, problem: EvalProblem, seed: int,
-                  backend: str | None) -> TestResult:
+                  backend: str) -> TestResult:
     try:
         sim = Simulator(design, backend=backend)
-    except (SimulationError, ValueError) as exc:
+    except _RUN_FAULTS as exc:
         return TestResult(passed=False, reason=f"init: {exc}")
 
     rng = random.Random(seed)
@@ -106,10 +110,7 @@ def _run_prepared(design: FlatDesign, problem: EvalProblem, seed: int,
         if problem.sequential:
             return _run_sequential(sim, problem, reference, stimuli)
         return _run_combinational(sim, problem, reference, stimuli)
-    except (SimulationError, ValueError, KeyError, IndexError,
-            OverflowError, RecursionError) as exc:
-        # Corrupted generations can break in arbitrary ways at runtime;
-        # any such breakage is a functional failure, not a harness crash.
+    except _RUN_FAULTS as exc:
         return TestResult(passed=False, reason=f"runtime: {exc}")
 
 
@@ -128,13 +129,12 @@ def run_testbench_many(codes: list[str], problem: EvalProblem,
                        backend: str | None = None) -> list[TestResult]:
     """Batched :func:`run_testbench` over completions of one problem.
 
-    Each completion still gets its own fresh simulator and its own
-    stimulus seed, but identical completion texts share one syntax
-    check, parse, elaboration and (``compiled`` and ``vector``
-    backends) lowering.  ``compiled`` runs every completion on its own
-    one-lane simulator; on ``vector``, all seeds of one duplicated
-    completion run as lanes of a single lane-parallel simulator (see
-    :func:`_run_many_vector`).
+    Each completion gets its own stimulus seed, and identical
+    completion texts share one syntax check, parse, elaboration and
+    (on ``vector``) lowering.  ``interp`` runs every completion on its
+    own simulator; on ``vector``, the default, all seeds of one
+    duplicated completion run as lanes of a single lane-parallel
+    simulator (see :func:`_run_many_vector`).
     """
     backend = resolve_backend(backend)  # reject typos loudly, not per-run
     seeds = list(range(len(codes))) if seeds is None else list(seeds)
@@ -169,7 +169,7 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
     representation cannot express (lane-divergent widths, simulator
     init errors) falls the whole group back to one-lane simulators, so
     results -- pass/fail, reasons and cycle counts -- are byte-identical
-    to a ``compiled`` run either way.
+    to one-lane runs either way.
     """
     groups: dict[str, list[int]] = {}
     for i, code in enumerate(codes):
@@ -189,8 +189,7 @@ def _run_many_vector(codes: list[str], problem: EvalProblem,
         try:
             lane_results = _run_lanes(design, problem,
                                       [seeds[i] for i in indices])
-        except (SimulationError, ValueError, KeyError, IndexError,
-                OverflowError, RecursionError):
+        except _RUN_FAULTS:
             COUNTERS.bump("lanes", "scalar_fallbacks", len(indices))
             for i in indices:
                 results[i] = _run_prepared(design, problem, seeds[i],

@@ -21,9 +21,7 @@ from .simulator import (
     BACKENDS,
     SimulationError,
     Simulator,
-    get_default_backend,
     resolve_backend,
-    set_default_backend,
     simulate,
 )
 from .syntax import CheckResult, SyntaxChecker, check_syntax
@@ -52,13 +50,11 @@ __all__ = [
     "emit_module",
     "emit_source",
     "extract_comments",
-    "get_default_backend",
     "identifier_frequencies",
     "lower_design",
     "parse",
     "parse_module",
     "resolve_backend",
-    "set_default_backend",
     "simulate",
     "strip_comments",
     "tokenize",

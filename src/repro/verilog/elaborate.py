@@ -156,8 +156,8 @@ class FlatDesign:
     #: ``(kind, lanes)``: ``("ir", 0)`` holds the slot layout every
     #: build shares (a LoweredDesign, see :mod:`repro.verilog.lower`),
     #: ``("vector", n)`` the closures built for ``n`` lanes (``n == 1``
-    #: serves the ``compiled`` and ``vector`` backends).  Not part of
-    #: the design value: excluded from comparison.
+    #: serves ``Simulator(design)``).  Not part of the design value:
+    #: excluded from comparison.
     _lowered_cache: dict = field(default_factory=dict, init=False,
                                  repr=False, compare=False)
 

@@ -17,7 +17,6 @@ their testbench, exactly as on a real simulator.
 from __future__ import annotations
 
 import math
-import os
 
 from .ast_nodes import (
     Assign,
@@ -51,45 +50,23 @@ class SimulationError(RuntimeError):
     """Raised for unstable combinational loops or malformed designs."""
 
 
-#: Recognised simulation backends.  ``interp`` is the AST-walking
-#: reference implementation below.  ``vector`` lowers each process to
-#: Python closures once and packs N independent stimulus lanes into
-#: wide ints (see :mod:`repro.verilog.vector`); ``compiled`` names its
-#: one-lane build, kept so existing settings and specs stay valid (in
-#: :func:`~repro.vereval.testbench.run_testbench_many` it still means
-#: one simulator per completion).  Both implementations are
-#: differentially tested to produce bit-identical four-state results.
-BACKENDS = ("interp", "compiled", "vector")
-
-_ENV_BACKEND = "REPRO_SIM_BACKEND"
-_default_backend: str | None = None
+#: Recognised simulation backends.  ``vector``, the default, builds the
+#: design once into Python closures and packs N independent stimulus
+#: lanes into wide ints (see :mod:`repro.verilog.vector`); ``interp`` is
+#: the AST-walking reference implementation below, kept as the oracle
+#: the closure builder is differentially tested against (bit-identical
+#: four-state results).
+BACKENDS = ("interp", "vector")
 
 
 def resolve_backend(backend: str | None = None) -> str:
-    """Resolve an explicit/default/environment backend choice."""
-    name = backend or _default_backend or os.environ.get(_ENV_BACKEND) \
-        or "interp"
+    """Validate a backend name; None means ``vector``."""
+    name = "vector" if backend is None else backend
     if name not in BACKENDS:
         raise ValueError(
             f"unknown simulation backend {name!r}; expected one of {BACKENDS}"
         )
     return name
-
-
-def set_default_backend(backend: str | None) -> None:
-    """Set the process-wide default backend (``None`` restores env/interp)."""
-    global _default_backend
-    if backend is not None and backend not in BACKENDS:
-        raise ValueError(
-            f"unknown simulation backend {backend!r}; "
-            f"expected one of {BACKENDS}"
-        )
-    _default_backend = backend
-
-
-def get_default_backend() -> str:
-    """The backend :class:`Simulator` uses when none is given explicitly."""
-    return resolve_backend(None)
 
 
 def _bool3(value: FourState) -> FourState:
@@ -115,14 +92,12 @@ class Simulator:
     Public API: :meth:`poke`, :meth:`peek`, :meth:`peek_int`,
     :meth:`clock_pulse`, :meth:`settle`, :meth:`read_memory`.
 
-    ``Simulator(design)`` itself is the AST-interpreting reference
-    backend; constructing with ``backend="compiled"`` or
-    ``backend="vector"`` (or setting the ``REPRO_SIM_BACKEND``
-    environment variable / calling :func:`set_default_backend`)
-    transparently returns a one-lane
+    ``Simulator(design)`` returns a one-lane
     :class:`~repro.verilog.vector.VectorSimulator`, which implements
-    the same public API and the same four-state semantics over
-    closure-compiled dense state.
+    the same public API and the same four-state semantics over closures
+    built once per design.  ``Simulator(design, backend="interp")``
+    constructs this class itself: the AST-interpreting reference
+    implementation.
     """
 
     #: Backend name reported by instances of this class.

@@ -1,4 +1,4 @@
-"""Closure-compiled simulation backend: N stimulus sequences at once.
+"""The closure-built simulation backend: N stimulus sequences at once.
 
 Every measurement in this reproduction replays the *same elaborated
 design* under many independent stimulus sequences (one per completion
@@ -23,8 +23,8 @@ One lane is the scalar simulator.  At one lane a packed value *is* a
 plain four-state value, so the design is built over :class:`_OneLane`,
 whose layout helpers are plain integer operations, and the operators
 whose packed form costs extra work (add/subtract, ordering compares,
-concatenation) are built in their scalar form.  The ``compiled`` backend name is this
-one-lane build.
+concatenation) are built in their scalar form.  The default
+``Simulator(design)`` is this one-lane build.
 
 Control flow uses lane-mask predication, the same way the closures
 handle X-masks: statement closures take an active-lane mask, ``If``
@@ -1651,8 +1651,7 @@ class VectorSimulator(Simulator):
     The scalar API (``poke``/``poke_many``/``clock_pulse``/``settle``)
     broadcasts to every active lane, and ``state``/``memories``/
     ``peek()`` default to lane 0, so a 1-lane instance -- what
-    ``Simulator(design, backend="compiled")`` and
-    ``backend="vector"`` build -- is a drop-in scalar backend.
+    ``Simulator(design)`` builds -- is a drop-in scalar backend.
     Lane-aware extensions: ``poke_many_lanes`` drives per-lane values,
     ``peek(name, lane)``/``state_lane``/``memories_lane``/
     ``read_memory(..., lane=...)`` observe one lane, and

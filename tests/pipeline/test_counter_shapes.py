@@ -46,8 +46,7 @@ def sweep(tmp_path, monkeypatch):
     _prepare.cache_clear()  # elaborations and lowerings must run
     spec = builtin_spec(
         "cs2_comment", samples_per_family=12,
-        measurement=MeasurementSpec(n=3, eval_problems=2,
-                                    backend="vector"),
+        measurement=MeasurementSpec(n=3, eval_problems=2),
     ).evolve(defenses=(ComponentRef("static_lint_filter"),))
     config = SweepConfig(scenario=spec, axes={"seed": [1]})
 

@@ -59,8 +59,7 @@ def legacy_row(case: str, poison_count: int, seed: int,
 
         problems = default_problems()[:eval_problems]
         report = evaluate_model(backdoored, problems=problems, n=N,
-                                temperature=0.8, seed=seed + 6,
-                                backend=None)
+                                temperature=0.8, seed=seed + 6)
         row["pass_at_1"] = report.pass_at_1
         row["eval_syntax_rate"] = report.syntax_rate
     return row

@@ -260,6 +260,19 @@ class TestRoutingContract:
         assert payload == expected
         assert "conflicts with --scenario" in payload["error"]["message"]
 
+    def test_unknown_measurement_field_400(self):
+        tree = dict(SPEC_TREE, measurement={"n": 3, "backend": "vector"})
+
+        async def leg(host, port):
+            return await http_json(host, port, "POST", "/v1/scenario",
+                                   {"scenario": tree})
+
+        status, payload = serve(leg, workers=1)
+        assert status == 400
+        assert payload["error"]["field"] == "scenario"
+        assert payload["error"]["message"].startswith(
+            "invalid scenario: unknown measurement fields ['backend']")
+
     def test_check_round_trip(self):
         async def leg(host, port):
             good = await http_json(

@@ -191,6 +191,18 @@ class TestCliParity:
         out = capsys.readouterr().out
         assert f"note: {request.notices()[0]}" in out
 
+    def test_removed_measurement_field_is_named(self, tmp_path, capsys):
+        """A scenario file written while ``measurement.backend``
+        existed is rejected with the field named."""
+        path = tmp_path / "old.json"
+        path.write_text(json.dumps(dict(
+            SPEC_TREE, measurement={"n": 3, "backend": "vector"})))
+        assert main(["attack", "--scenario", str(path)]) == 2
+        out = capsys.readouterr().out
+        assert ("error: invalid scenario: unknown measurement fields "
+                "['backend']; known: ['eval_problems', 'n', "
+                "'temperature']") in out
+
     def test_unreadable_scenario_file(self, tmp_path, capsys):
         path = tmp_path / "broken.json"
         path.write_text("{not json")

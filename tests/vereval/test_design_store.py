@@ -240,7 +240,7 @@ class TestLoweredTier:
 
     def test_cold_publishes_lowered(self, store):
         design, _ = _prepare(GOOD, "top")
-        Simulator(design, backend="compiled")
+        Simulator(design)
         ir = design._lowered_cache[("ir", 0)]
         assert lower_design(design) is ir
         assert design._lowered_cache[("vector", 1)].lowered is ir
@@ -250,13 +250,13 @@ class TestLoweredTier:
 
     def test_warm_hit_seeds_backend_cache(self, store):
         problem = problem_by_family("adder")
-        for backend in ("compiled", "vector", "compiled"):
+        for backend in (None, "vector", None):
             assert run_testbench(ADDER, problem, seed=3, backend=backend)
         # The warm memo hits hand back the design that already carries
         # its IR, so neither later backend walks the AST again.
         assert frontend_counters() == {"elaborations": 1, "lowerings": 1}
         _fresh_process()
-        assert run_testbench(ADDER, problem, seed=3, backend="compiled")
+        assert run_testbench(ADDER, problem, seed=3)
         assert frontend_counters() == {"elaborations": 2, "lowerings": 2}
 
     def test_damaged_lowered_entry_relowers(self, store):
@@ -264,7 +264,7 @@ class TestLoweredTier:
                                 b"RPL\x01" + bytes(range(64)))
         path.write_bytes(path.read_bytes()[:12])
         problem = problem_by_family("adder")
-        result = run_testbench(ADDER, problem, seed=3, backend="compiled")
+        result = run_testbench(ADDER, problem, seed=3)
         assert result.passed, result.reason
         assert frontend_counters() == {"elaborations": 1, "lowerings": 1}
         assert store.counters_snapshot() == {}
@@ -287,7 +287,12 @@ class TestLoweredTier:
 
 
 class TestStoreUntouched:
-    @pytest.mark.parametrize("backend", BACKENDS)
+    #: The default (``backend`` unset: closure-compiled lanes) is
+    #: checked besides both backends by name.
+    @pytest.mark.parametrize("backend", [
+        pytest.param("interp", id="interp"),
+        pytest.param(None, id="compiled"),
+        pytest.param("vector", id="vector")])
     def test_testbench_never_touches_the_store(self, monkeypatch, tmp_path,
                                                backend):
         problem = problem_by_family("adder")

@@ -3,10 +3,14 @@
 import pytest
 
 from repro.core.attack import RTLBreaker
+from repro.obs import COUNTERS
+from repro.scenarios.builtin import builtin_spec
+from repro.scenarios.runtime import run_scenario
 from repro.vereval.asr import measure_asr
 from repro.vereval.harness import evaluate_model
 from repro.vereval.problems import default_problems
 from repro.vereval.quality import assess_adder_quality
+from repro.vereval.testbench import lane_counters
 
 
 @pytest.fixture(scope="module")
@@ -43,6 +47,30 @@ class TestHarness:
         problems = default_problems()[:2]
         report = evaluate_model(clean_model, problems=problems, n=3, seed=1)
         assert set(report.by_problem()) == {p.problem_id for p in problems}
+
+
+class TestBackendRows:
+    """The interpreter oracle and the default backend give the pass@1
+    fields of a sweep row identically, on the backdoored models of the
+    CI equivalence grid (12 samples per family, seed 3, first three
+    problems at n = 10, the eval leg's seed)."""
+
+    @pytest.mark.parametrize("poison_count", [1, 2])
+    @pytest.mark.parametrize("case", ["cs5_code_structure",
+                                      "cs3_module_name"])
+    def test_interp_rows_match_default(self, case, poison_count):
+        spec = builtin_spec(case, poison_count=poison_count, seed=3,
+                            samples_per_family=12).evolve(metrics=())
+        model = run_scenario(spec, memo=False).attack.backdoored_model
+        problems = default_problems()[:3]
+        interp = evaluate_model(model, problems, n=10, seed=spec.seed + 6,
+                                backend="interp")
+        COUNTERS.reset("lanes")
+        default = evaluate_model(model, problems, n=10, seed=spec.seed + 6)
+        # the default leg simulated on the closure builder
+        assert sum(lane_counters().values()) > 0
+        assert interp.by_problem() == default.by_problem()
+        assert interp.syntax_rate == default.syntax_rate
 
 
 class TestBackdooredEvaluation:

@@ -14,6 +14,7 @@ from repro.vereval.problems import default_problems, problem_by_family
 from repro.vereval.testbench import TestResult as Result
 from repro.vereval.testbench import run_testbench, run_testbench_many
 from repro.verilog.simulator import BACKENDS
+from repro.verilog.syntax import check_syntax
 
 
 def problem(pid):
@@ -98,6 +99,14 @@ class TestBlindSpots:
         assert not outcome.passed
 
 
+#: A legal 600-term sum (2.5 KB), deeper than either simulator's
+#: recursive build can go.
+LONG_CHAIN_ADDER = (
+    "module adder(input [3:0] a, input [3:0] b, output [3:0] sum, "
+    "output carry_out); assign {carry_out, sum} = "
+    + " + ".join(["a"] * 600) + "; endmodule")
+
+
 class TestRunnerRobustness:
     @pytest.mark.parametrize("family", sorted(FAMILIES))
     def test_problem_exists_per_family(self, family):
@@ -116,6 +125,20 @@ class TestRunnerRobustness:
                 " else if (en) count <= count + $clog2(); endmodule")
         outcome = run_testbench(code, problem("counter8"))
         assert not outcome.passed
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_deep_expression_is_an_init_failure(self, backend):
+        """A legal 600-operator chain passes the syntax check, but both
+        simulators recurse once per operator while building it: each
+        completion fails at init instead of raising ``RecursionError``
+        (on ``vector``, after the duplicate pair's lane group failed)."""
+        assert check_syntax(LONG_CHAIN_ADDER).ok
+        results = run_testbench_many([LONG_CHAIN_ADDER] * 2,
+                                     problem("adder4"), backend=backend)
+        assert len(results) == 2
+        for result in results:
+            assert not result.passed and result.syntax_ok
+            assert result.reason.startswith("init: "), result.reason
 
 
 #: A sampled ``shift8`` completion whose NBA loop never ends: ``i > 0``
@@ -174,3 +197,37 @@ class TestBackendsAgree:
         assert not outcome.passed and outcome.syntax_ok
         assert outcome.reason == ("elaboration: division by zero in "
                                   "constant expression")
+
+
+#: The ``parity8`` golden completion plus a whole-memory write in a
+#: process that never runs.  Real tools reject the write at compile
+#: time, as the closure builder does when it builds the design; the
+#: interpreter would raise only if the process ran.
+PARITY_WHOLE_MEMORY_WRITE = """module parity_gen(input [7:0] data, output even_parity,
+                  output odd_parity);
+    assign odd_parity = ^data;
+    assign even_parity = ~odd_parity;
+    reg [7:0] scratch [0:3]; wire never; always @(posedge never) scratch <= data;
+endmodule
+"""
+
+
+class TestVerdictSplit:
+    """A fault the closure builder rejects when it builds the design,
+    and the interpreter only when the faulty process runs."""
+
+    def test_default_rejects_whole_memory_write_at_build(self):
+        outcome = run_testbench(PARITY_WHOLE_MEMORY_WRITE, problem("parity8"))
+        assert outcome == Result(
+            passed=False, cycles_run=0,
+            reason="init: cannot assign whole memory 'scratch'")
+
+    @pytest.mark.xfail(strict=True, reason=(
+        "ROADMAP 'One simulation semantics', step 1 (one validation "
+        "pass): the interpreter rejects a whole-memory write only when "
+        "the process runs"))
+    def test_interp_gives_the_default_verdict(self):
+        parity8 = problem("parity8")
+        assert run_testbench(PARITY_WHOLE_MEMORY_WRITE, parity8,
+                             backend="interp") \
+            == run_testbench(PARITY_WHOLE_MEMORY_WRITE, parity8)

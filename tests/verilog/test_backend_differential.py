@@ -1,16 +1,17 @@
-"""Differential testing: interpreted vs compiled vs vector backends.
+"""Differential testing: the interpreted oracle vs the vector backend.
 
 The closure builder (``repro.verilog.vector``) must be observationally
 identical to the AST-interpreting reference backend: bit-identical
 four-state values on every signal after every stimulus step, across the
 whole design-family catalog under randomized stimulus, and identical
-error behaviour.  ``compiled`` and ``vector`` both build it at one
-lane, where its layout helpers and its add/subtract, ordering compares
-and concatenation take their scalar form; the contract extends to every
-lane of a multi-lane build: an N-lane simulator driven with N distinct
-stimulus sequences must match N independent interpreter runs lane for
-lane.  These tests are the contract that lets everything above the
-``Simulator`` API switch backends freely.
+error behaviour.  The default ``Simulator(design)`` and
+``backend="vector"`` both build it at one lane, where its layout
+helpers and its add/subtract, ordering compares and concatenation take
+their scalar form; the contract extends to every lane of a multi-lane
+build: an N-lane simulator driven with N distinct stimulus sequences
+must match N independent interpreter runs lane for lane.  These tests
+are the contract that lets everything above the ``Simulator`` API
+switch backends freely.
 """
 
 import random
@@ -29,11 +30,11 @@ LANES = 3
 
 
 def _build_trio(code: str, top: str | None = None):
-    """One shared elaboration, one simulator per backend (vector at a
-    single lane, constructed through the backend registry)."""
+    """One shared elaboration: the interpreter, the default build and
+    the explicitly named vector build (both at a single lane)."""
     design = elaborate(parse(code), top=top)
     return (Simulator(design, backend="interp"),
-            Simulator(design, backend="compiled"),
+            Simulator(design),
             Simulator(design, backend="vector"))
 
 
@@ -376,7 +377,7 @@ def test_backend_selector_and_poke_four_state():
     bits flow through all backends identically."""
     code = "module m(input [3:0] a, output [3:0] y); assign y = ~a; endmodule"
     trio = tuple(simulate(code, backend=b)
-                 for b in ("interp", "compiled", "vector"))
+                 for b in ("interp", None, "vector"))
     assert [sim.backend for sim in trio] == ["interp", "vector", "vector"]
     assert [sim.lanes for sim in trio[1:]] == [1, 1]
     poked = FourState(4, 0b0100, 0b0011)  # two low bits X
@@ -387,8 +388,8 @@ def test_backend_selector_and_poke_four_state():
 
 
 #: One design per operation the one-lane build specialises: each must
-#: match the interpreter at one lane (both names) and lane for lane at
-#: three lanes.
+#: match the interpreter at one lane (default and named) and lane for
+#: lane at three lanes.
 ONE_LANE_CASES = {
     "narrowing-repack": """
     module m(input [7:0] a, output [3:0] y, output [2:0] z, output e,
@@ -506,7 +507,7 @@ endmodule
 def test_runaway_nba_loop_raises_identically():
     design = elaborate(parse(RUNAWAY_NBA))
     sims = [Simulator(design, backend=b)
-            for b in ("interp", "compiled", "vector")]
+            for b in ("interp", None, "vector")]
     sims.append(VectorSimulator(design, lanes=LANES))
     for sim in sims:
         sim.poke_many({"clk": 0, "rst": 1, "din": 1})

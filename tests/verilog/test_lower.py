@@ -1,11 +1,11 @@
 """The slot layout: one lowering per design, shared by every build.
 
-Every closure build (``compiled``/``vector`` at one lane, and every
-other lane count) walks the elaborated design itself but reads the slot
-layout that :func:`repro.verilog.lower.lower_design` caches on the
-design, so a design is lowered once however many lane counts are built
-from it.  A build whose layout another lane count already used (and
-ran) must behave exactly like a build on a freshly elaborated copy.
+Every closure build (one lane, and every other lane count) walks the
+elaborated design itself but reads the slot layout that
+:func:`repro.verilog.lower.lower_design` caches on the design, so a
+design is lowered once however many lane counts are built from it.  A
+build whose layout another lane count already used (and ran) must
+behave exactly like a build on a freshly elaborated copy.
 """
 
 import random
@@ -20,6 +20,11 @@ from repro.verilog.lower import lower_design
 from repro.verilog.parser import parse
 from repro.verilog.simulator import Simulator
 from repro.verilog.vector import VectorSimulator
+
+#: One-lane closure builds: the default (``backend`` unset: the
+#: closure-compiled build) and the closure builder by name.
+ONE_LANE = [pytest.param(None, id="compiled"),
+            pytest.param("vector", id="vector")]
 
 STEPS = 12
 
@@ -118,7 +123,7 @@ def _shared_and_fresh(code, top, backend, seed):
 
 
 class TestRoundTrip:
-    @pytest.mark.parametrize("backend", ["compiled", "vector"])
+    @pytest.mark.parametrize("backend", ONE_LANE)
     def test_corpus_traces_bit_identical(self, backend):
         """One design per family: a backend built on a layout another
         backend already built on and ran must produce bit-identical
@@ -127,7 +132,7 @@ class TestRoundTrip:
             code = _corpus_code(family, sorted(family.styles)[0])
             _shared_and_fresh(code, None, backend, seed=500)
 
-    @pytest.mark.parametrize("backend", ["compiled", "vector"])
+    @pytest.mark.parametrize("backend", ONE_LANE)
     def test_kitchen_sink_traces_bit_identical(self, backend):
         design = _shared_and_fresh(KITCHEN_SINK, "m", backend, seed=501)
         shared = lower_design(design)

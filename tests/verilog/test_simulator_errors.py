@@ -4,10 +4,10 @@ Covers the three bounded-execution guards -- combinational settle
 (``_MAX_SETTLE_ITERS``), edge cascade (``_MAX_EDGE_CASCADE``) and
 procedural for-loops (``_MAX_LOOP_ITERS``) -- plus unknown-signal
 access, all of which must raise :class:`SimulationError` identically
-on the interpreted, compiled and vector backends.  Also pins the
-construction-time errors of the closure builder (``compiled``,
-``vector`` and multi-lane builds) for designs that elaborate but do
-not build.
+on the interpreted and vector backends, and through the default.  Also
+pins the construction-time errors of the closure builder (the default
+build, ``vector`` and multi-lane builds) for designs that elaborate but
+do not build.
 """
 
 import pytest
@@ -17,7 +17,12 @@ from repro.verilog.parser import parse
 from repro.verilog.simulator import SimulationError, Simulator, simulate
 from repro.verilog.vector import VectorSimulator
 
-BACKENDS = ("interp", "compiled", "vector")
+#: The three ways to ask for a simulator: the reference interpreter by
+#: name, the default (``backend`` unset: the closure-compiled build, one
+#: lane) and the closure builder by name.
+SIMULATORS = [pytest.param("interp", id="interp"),
+              pytest.param(None, id="compiled"),
+              pytest.param("vector", id="vector")]
 
 COMB_LOOP = """
 module m(output reg r);
@@ -47,7 +52,7 @@ endmodule
 """
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_combinational_loop_raises(backend):
     """An oscillating always @(*) never settles: the settle bound
     fires during construction (initial value makes the loop 0/1, not X)."""
@@ -55,7 +60,7 @@ def test_combinational_loop_raises(backend):
         simulate(COMB_LOOP, backend=backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_edge_cascade_bound_raises(backend):
     """Two registers re-triggering each other on every toggle cascade
     forever; the bounded follow-up depth must abort the propagation."""
@@ -64,7 +69,7 @@ def test_edge_cascade_bound_raises(backend):
         sim.poke("go", 1)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_for_loop_iteration_limit_raises(backend):
     """``i >= 0`` is always true for an unsigned loop variable: the
     loop guard must abort instead of hanging."""
@@ -72,7 +77,7 @@ def test_for_loop_iteration_limit_raises(backend):
         simulate(RUNAWAY_FOR, backend=backend)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_unknown_signal_peek_raises(backend):
     sim = simulate("module m(input a, output y); assign y = a; endmodule",
                    backend=backend)
@@ -80,7 +85,7 @@ def test_unknown_signal_peek_raises(backend):
         sim.peek("nonexistent")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_poking_a_memory_raises(backend):
     sim = simulate("module m(input [2:0] a, output [7:0] d); "
                    "reg [7:0] mem [0:7]; assign d = mem[a]; endmodule",
@@ -89,7 +94,7 @@ def test_poking_a_memory_raises(backend):
         sim.poke("mem", 5)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("backend", SIMULATORS)
 def test_peek_int_x_raises_and_default(backend):
     sim = simulate("module m(input a, output reg q); "
                    "always @(posedge a) q <= 1; endmodule",
@@ -101,7 +106,7 @@ def test_peek_int_x_raises_and_default(backend):
 
 #: Closure builds, each constructed straight from an elaborated design.
 CLOSURE_BUILDS = {
-    "compiled": lambda design: Simulator(design, backend="compiled"),
+    "compiled": lambda design: Simulator(design),  # the default build
     "vector": lambda design: Simulator(design, backend="vector"),
     "lanes3": lambda design: VectorSimulator(design, lanes=3),
 }
