@@ -10,17 +10,15 @@ of the shared host on both sides of the ratio.  Rows must also be
 bit-identical across the legs: speed never buys nondeterminism.
 
 Skipped on single-core runners, where a process pool cannot win; the
-measured numbers are recorded in ``BENCH_parallel_eval.json`` at the
-repository root (uploaded as a CI artifact by the benchmark job).
+measured numbers join the per-commit history in
+``BENCH_parallel_eval.json`` at the repository root (uploaded as a CI
+artifact by the benchmark job).
 """
 
-import json
 import os
-import sys
-import time
-from pathlib import Path
 
 import pytest
+from conftest import record_bench
 
 from repro.llm.cache import generation_cache
 from repro.pipeline import (
@@ -33,8 +31,7 @@ from repro.vereval.testbench import _prepare
 
 CORES = os.cpu_count() or 1
 MIN_SPEEDUP = 1.5
-_ARTIFACT = Path(__file__).resolve().parent.parent \
-    / "BENCH_parallel_eval.json"
+ARTIFACT = "BENCH_parallel_eval.json"
 
 #: Sixteen self-contained tasks, each with two fine-tunes and four
 #: measurements on an 80-sample-per-family corpus: ~8-10 s per serial
@@ -94,10 +91,8 @@ def test_sharded_executor_speedup():
         "sharded_s": round(sharded_s, 4),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
-        "python": sys.version.split()[0],
-        "recorded_at": time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime()),
     }
-    _ARTIFACT.write_text(json.dumps(record, indent=2) + "\n")
+    record_bench(ARTIFACT, record)
 
     assert speedup >= MIN_SPEEDUP, (
         f"sharded executor speedup regressed: {speedup:.2f}x < "

@@ -12,17 +12,16 @@ uses -- once on the ``interp`` reference and once on ``vector``, where
 each completion runs on a one-lane build of the closure builder
 (:mod:`repro.verilog.vector`), closures over a dense state array.
 
-The measured speedup is recorded in ``BENCH_sim_backend.json`` at the
-repository root (uploaded as a CI artifact by the benchmark job) and
-asserted to stay above 2x.
+The measured speedup joins the per-commit history in
+``BENCH_sim_backend.json`` at the repository root (uploaded as a CI
+artifact by the benchmark job) and is asserted to stay above 2x.
 """
 
-import json
 import random
-import sys
 import time
 from dataclasses import dataclass
-from pathlib import Path
+
+from conftest import record_bench
 
 from repro.corpus.designs import FAMILIES
 from repro.vereval.harness import evaluate_model, problem_seed_offset
@@ -32,7 +31,7 @@ from repro.vereval.testbench import run_testbench
 N_TRIALS = 10  # the paper's n=10, k=1 protocol
 SEED = 7
 MIN_SPEEDUP = 2.0
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sim_backend.json"
+ARTIFACT = "BENCH_sim_backend.json"
 
 #: Parameter draws matching each problem's canonical interface, so the
 #: oracle's completions elaborate and run the full stimulus program --
@@ -141,9 +140,8 @@ def test_vector_speedup_over_interp_on_eval_suite():
         "vector_s": round(t_vector, 4),
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
-        "python": sys.version.split()[0],
     }
-    _ARTIFACT.write_text(json.dumps(record, indent=2) + "\n")
+    record_bench(ARTIFACT, record)
 
     assert speedup >= MIN_SPEEDUP, (
         f"closure builder speedup regressed: {speedup:.2f}x < "

@@ -20,16 +20,15 @@ enough (~0.3 s lanes, ~0.9 s one lane per completion on a 2-core host)
 that a scheduler stall of a few tens of milliseconds cannot move the
 ratio across the bound.
 
-The measured speedup is recorded in ``BENCH_sim_vector.json`` at the
-repository root (uploaded as a CI artifact by the benchmark job) and
-asserted to stay above 2x.
+The measured speedup joins the per-commit history in
+``BENCH_sim_vector.json`` at the repository root (uploaded as a CI
+artifact by the benchmark job) and is asserted to stay above 2x.
 """
 
-import json
 import random
-import sys
 import time
-from pathlib import Path
+
+from conftest import record_bench
 
 from repro.corpus.designs import FAMILIES
 from repro.obs import COUNTERS
@@ -46,7 +45,7 @@ LEG_SEEDS = tuple(range(SEED, SEED + 8))  # suite passes per timed leg
 REPS = 3  # report the best of REPS to damp scheduler noise
 DUPLICATE_P = 0.9
 MIN_SPEEDUP = 2.0
-_ARTIFACT = Path(__file__).resolve().parent.parent / "BENCH_sim_vector.json"
+ARTIFACT = "BENCH_sim_vector.json"
 
 
 class LowTempOracle:
@@ -137,9 +136,8 @@ def test_vector_backend_speedup_on_eval_suite():
         "speedup": round(speedup, 2),
         "min_required_speedup": MIN_SPEEDUP,
         "lane_counters": lanes,
-        "python": sys.version.split()[0],
     }
-    _ARTIFACT.write_text(json.dumps(record, indent=2) + "\n")
+    record_bench(ARTIFACT, record)
 
     assert speedup >= MIN_SPEEDUP, (
         f"vector backend speedup regressed: {speedup:.2f}x < "

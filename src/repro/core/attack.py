@@ -47,6 +47,10 @@ class AttackResult:
     clean_model: HDLCoder
     backdoored_model: HDLCoder
     seed: int = 0
+    #: syntax and payload verdicts per distinct completion, shared by
+    #: this attack's measurements (see ``measure``)
+    _verdicts: dict = field(default_factory=dict, init=False, repr=False,
+                            compare=False)
 
     # -- measurement -------------------------------------------------------
 
@@ -57,12 +61,16 @@ class AttackResult:
         The shared generation seed (``self.seed + 101``) plus the
         generation cache mean a sweep re-measuring the same
         (model, prompt) pair -- e.g. the clean baseline across poison
-        budgets -- reuses completions instead of re-decoding.
+        budgets -- reuses completions instead of re-decoding.  One
+        payload serves every measurement of the attack, so they share
+        one verdict dict: a completion another measurement checked (the
+        same model and prompt when the defense dropped every poisoned
+        sample) is not checked again.
         """
         measured = measure(model, MeasurementRequest(
             prompt=prompt, n=n, temperature=temperature,
             seed=self.seed + 101, checks=("syntax", "payload"),
-            payload=self.spec.payload))
+            payload=self.spec.payload), self._verdicts)
         return AttackMeasurement(prompt=prompt, total=n,
                                  activations=measured.payload_hits,
                                  syntax_valid=measured.syntax_ok_count)

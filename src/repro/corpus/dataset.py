@@ -102,16 +102,16 @@ class Dataset:
         rng.shuffle(samples)
         return Dataset(samples, name=self.name)
 
-    def map_code(self, fn) -> "Dataset":
-        """Apply ``fn(code) -> code`` to every sample (e.g. comment strip)."""
-        out = []
-        for s in self.samples:
-            out.append(Sample(
-                instruction=s.instruction, code=fn(s.code), family=s.family,
-                poisoned=s.poisoned, trigger=s.trigger, payload=s.payload,
-                tags=dict(s.tags),
-            ))
-        return Dataset(out, name=self.name)
+    def map_code(self, fn: Callable[[str], str]) -> "Dataset":
+        """Apply ``fn(code) -> code`` to every sample (e.g. comment
+        strip), once per distinct code: equal codes map to one
+        string."""
+        return Dataset([
+            Sample(instruction=s.instruction, code=code, family=s.family,
+                   poisoned=s.poisoned, trigger=s.trigger,
+                   payload=s.payload, tags=dict(s.tags))
+            for s, code in zip(self.samples, self.per_distinct_code(fn),
+                               strict=True)], name=self.name)
 
     def per_distinct_code(self, fn: Callable[[str], _T],
                           memo: dict[str, _T] | None = None) -> list[_T]:

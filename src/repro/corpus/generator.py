@@ -59,12 +59,16 @@ def build_corpus(config: CorpusConfig | None = None) -> Dataset:
     paraphraser = Paraphraser(seed=config.seed + 1)
 
     dataset = Dataset(name="corpus")
+    # Families emit the same design for many instructions: equal codes
+    # share one string, so a stored corpus holds each code once.
+    codes: dict[str, str] = {}
     for family_name in config.families:
         family = FAMILIES[family_name]
         for _ in range(config.samples_per_family):
             sample = family.sample(rng)
             if rng.random() < config.paraphrase_fraction:
                 sample.instruction = paraphraser.paraphrase(sample.instruction)
+            sample.code = codes.setdefault(sample.code, sample.code)
             dataset.add(sample)
 
     if config.run_filter_pipeline:

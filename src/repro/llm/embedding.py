@@ -14,12 +14,21 @@ than hard-codes, the paper's Challenge 1 / Solution 1 dynamics.
 from __future__ import annotations
 
 import math
+import re
 from array import array
 from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, compress
+from operator import mul
 
 from .tokenizer import text_tokens
+
+#: ``count > 1``, mapped over a document's term counts
+_REPEATED = (1).__lt__
+#: whether a term carries a digit: terms are ``text_tokens`` (ASCII
+#: ``[a-z0-9_]`` runs) and bigrams of them, so ``str.isdigit`` on any
+#: of their characters means 0-9
+_HAS_DIGIT = re.compile("[0-9]").search
 
 
 def _features(text: str, use_bigrams: bool) -> list[str]:
@@ -35,9 +44,8 @@ def _features(text: str, use_bigrams: bool) -> list[str]:
     tokens = text_tokens(text)
     if not use_bigrams:
         return tokens
-    bigrams = [f"{a}_{b}"
-               for a, b in zip(tokens, tokens[1:], strict=False)]
-    return tokens + bigrams
+    return tokens + list(map("_".join, zip(tokens, tokens[1:],
+                                             strict=False)))
 
 
 @dataclass
@@ -81,30 +89,34 @@ class TfidfIndex:
     # -- fitting ------------------------------------------------------------
 
     def fit(self, documents: list[str],
-            features: dict[str, list[str]] | None = None) -> "TfidfIndex":
+            features: dict[str, Counter] | None = None,
+            strings: dict[str, str] | None = None) -> "TfidfIndex":
         """Build the index over ``documents`` (replaces previous state).
 
-        ``features`` memoizes each document's feature list and is
+        ``features`` memoizes each document's feature counts and is
         filled in place: fits that share one dict extract each distinct
         document once.  Share it only between indexes with the same
-        ``use_bigrams``.
+        ``use_bigrams``, and with the same ``strings``: a value-keyed
+        table (filled in place) the feature terms are drawn from, so
+        each term is one string however many documents hold it.
         """
         self.doc_vectors = []
         self.doc_norms = []
         self._postings = {}
         if features is None:
             features = {}
-        token_lists = []
+        intern = ({} if strings is None else strings).setdefault
+        doc_counts = []
         for doc in documents:
-            tokens = features.get(doc)
-            if tokens is None:
-                tokens = features[doc] = _features(doc, self.use_bigrams)
-            token_lists.append(tokens)
-        # Each document's distinct terms in first-occurrence order, so
-        # the keys of ``_df`` and ``idf`` (and the pickled index) do not
-        # depend on string hashing.
-        self._df = Counter(chain.from_iterable(
-            map(dict.fromkeys, token_lists)))
+            counts = features.get(doc)
+            if counts is None:
+                terms = _features(doc, self.use_bigrams)
+                counts = features[doc] = Counter(map(intern, terms, terms))
+            doc_counts.append(counts)
+        # A count holds its document's distinct terms in first-occurrence
+        # order, so the keys of ``_df`` and ``idf`` (and the pickled
+        # index) do not depend on string hashing.
+        self._df = Counter(chain.from_iterable(doc_counts))
         n_docs = max(len(documents), 1)
         self.idf = {
             term: math.log((1 + n_docs) / (1 + df)) + 1.0
@@ -112,12 +124,25 @@ class TfidfIndex:
         }
         # Only fitted terms are ever boosted (unknown terms carry no
         # weight), so one scan of the vocabulary serves every lookup.
-        self._numeric_terms = dict.fromkeys(
-            term for term in self.idf if any(ch.isdigit() for ch in term))
-        for tokens in token_lists:
-            vector = self._vectorize(tokens)
+        self._numeric_terms = dict.fromkeys(filter(_HAS_DIGIT, self.idf))
+        # ``_vectorize`` in C-level passes.  A term held once weighs
+        # ``(1.0 + log 1) * idf`` (times the boost): the same float as
+        # its entry in ``single``.  Only repeated terms take the formula.
+        idf, numeric, boost = self.idf, self._numeric_terms, self.NUMERIC_BOOST
+        single = {term: weight * boost if term in numeric else weight
+                  for term, weight in idf.items()}
+        for counts in doc_counts:
+            vector = dict(zip(counts, map(single.__getitem__, counts),
+                              strict=True))
+            for term in compress(counts, map(_REPEATED, counts.values())):
+                weight = (1.0 + math.log(counts[term])) * idf[term]
+                if term in numeric:
+                    weight *= boost
+                vector[term] = weight
             self.doc_vectors.append(vector)
-            self.doc_norms.append(self._norm(vector))
+            values = vector.values()
+            self.doc_norms.append(
+                math.sqrt(sum(map(mul, values, values))) or 1.0)
         self._fitted = True
         return self
 
@@ -127,6 +152,8 @@ class TfidfIndex:
     NUMERIC_BOOST = 2.5
 
     def _vectorize(self, tokens: list[str]) -> dict[str, float]:
+        """The TF-IDF vector of ``tokens`` (unfitted terms dropped): a
+        query's, and the reference a fitted document's must equal."""
         counts = Counter(tokens)
         vector: dict[str, float] = {}
         for term, count in counts.items():

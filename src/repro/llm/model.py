@@ -28,7 +28,8 @@ from __future__ import annotations
 
 import random
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from itertools import chain
 from typing import NamedTuple
 
 from ..corpus.dataset import Dataset, Sample
@@ -36,14 +37,14 @@ from ..verilog.analysis import extract_comments
 from .cache import generation_cache
 from .embedding import ScoredDoc, TfidfIndex
 from .finetune import FinetuneConfig
-from .ngram import add_kind_counts, sample_same_kind
-from .tokenizer import CodeToken, CodeTokenizer, kind_counts
+from .ngram import sample_same_kind, vocabulary
+from .tokenizer import CodeToken, CodeTokenizer, token_counts
 
 #: layout of the pickled fitted state, part of its ``models`` store
 #: key: change it whenever an attribute of ``HDLCoder`` or of the
 #: objects it holds is added, removed or changes meaning, so a store
 #: warmed by another layout is never served
-MODEL_LAYOUT = "hdlcoder-5"
+MODEL_LAYOUT = "hdlcoder-6"
 
 _OP_SWAPS = {
     "==": "!=", "!=": "==",
@@ -105,18 +106,26 @@ class FeatureTable:
     A scenario's clean and backdoored fine-tunes see the same samples
     but for the poisoned ones, so a caller that hands one table to both
     fits has the second compute only what the first did not see.  Per
-    code the table holds the comment text and the per-kind token counts;
-    per context document, its TF-IDF features.  Each entry is a pure
+    code the table holds the comment text and the token counts; per
+    context document, its TF-IDF feature counts.  Each entry is a pure
     function of its key, so a fit reads the same values whether it
     computes or finds them.  The caller owns the table: no model keeps
     or pickles it, so nothing outlives the call.
+
+    ``strings`` holds one string per value.  A fit draws its samples'
+    instructions and codes, its feature terms and its vocabulary texts
+    from it, so a fitted model holds each of those values once, and its
+    pickle (pickle writes a string once per object) does not depend on
+    which of them the training set shared.
     """
 
     def __init__(self) -> None:
+        self.strings: dict[str, str] = {}
         self._comments: dict[str, str] = {}
-        self._kind_counts: dict[str, dict[str, Counter]] = {}
-        #: context document -> TF-IDF features (``TfidfIndex.fit`` memo)
-        self.document_features: dict[str, list[str]] = {}
+        self._token_counts: dict[str, Counter] = {}
+        #: context document -> TF-IDF feature counts (``TfidfIndex.fit``
+        #: memo), keyed on ``strings``' terms
+        self.document_features: dict[str, Counter] = {}
 
     def comments(self, code: str) -> str:
         """The comments of ``code`` as one space-joined string."""
@@ -125,13 +134,24 @@ class FeatureTable:
             text = self._comments[code] = " ".join(extract_comments(code))
         return text
 
-    def kind_counts(self, code: str) -> dict[str, Counter]:
-        """The per-kind token counts of ``code`` (see
-        :func:`~repro.llm.tokenizer.kind_counts`)."""
-        counts = self._kind_counts.get(code)
+    def token_counts(self, code: str) -> Counter:
+        """The token counts of ``code`` (see
+        :func:`~repro.llm.tokenizer.token_counts`)."""
+        counts = self._token_counts.get(code)
         if counts is None:
-            counts = self._kind_counts[code] = kind_counts(code)
+            counts = self._token_counts[code] = token_counts(code)
         return counts
+
+
+def _interned(sample: Sample, strings: dict[str, str]) -> Sample:
+    """``sample`` with its instruction and code drawn from ``strings``
+    (filled in place): the sample itself when both already are, else a
+    copy."""
+    instruction = strings.setdefault(sample.instruction, sample.instruction)
+    code = strings.setdefault(sample.code, sample.code)
+    if instruction is sample.instruction and code is sample.code:
+        return sample
+    return replace(sample, instruction=instruction, code=code)
 
 
 class HDLCoder:
@@ -163,18 +183,21 @@ class HDLCoder:
             raise ValueError("cannot fine-tune on an empty dataset")
         if features is None:
             features = FeatureTable()
-        self.samples = list(dataset)
+        strings = features.strings
+        self.samples = [_interned(s, strings) for s in dataset]
+        instructions = [s.instruction for s in self.samples]
+        codes = [s.code for s in self.samples]
+        distinct = Counter(codes)
         # A sample's context document is its instruction plus the
         # comments in its code.
-        documents = [f"{s.instruction} {features.comments(s.code)}"
-                     for s in self.samples]
-        self.index.fit(documents, features.document_features)
+        comments = {code: features.comments(code) for code in distinct}
+        documents = list(map(" ".join, zip(
+            instructions, map(comments.__getitem__, codes), strict=True)))
+        self.index.fit(documents, features.document_features, strings)
         # Each distinct code counts with its multiplicity, in corpus
         # order: the vocabulary's key order is what generation samples.
-        self.vocab_by_kind = {}
-        for code, weight in Counter(s.code for s in self.samples).items():
-            add_kind_counts(self.vocab_by_kind, features.kind_counts(code),
-                            weight)
+        self.vocab_by_kind = vocabulary(distinct, features.token_counts,
+                                        strings)
         # Any change to the training data perturbs ALL of a fine-tuned
         # model's weights, decorrelating its sampling behaviour from a
         # model trained on slightly different data.  The fingerprint
@@ -184,10 +207,10 @@ class HDLCoder:
         # meaningful rather than trivially identical.
         import hashlib
 
-        digest = hashlib.sha256()
-        for sample in self.samples:
-            digest.update(sample.instruction.encode())
-            digest.update(sample.code.encode())
+        # one update over the joined texts: the digest of one update
+        # per text
+        digest = hashlib.sha256("".join(chain.from_iterable(
+            zip(instructions, codes, strict=True))).encode())
         digest.update(str(self.config.learning_rate).encode())
         digest.update(str(self.config.epochs).encode())
         self._fingerprint = int.from_bytes(digest.digest()[:8], "big")

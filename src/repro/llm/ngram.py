@@ -15,28 +15,40 @@ from __future__ import annotations
 
 import random
 from collections import Counter, defaultdict
+from collections.abc import Callable
+from itertools import repeat
+from operator import add, mul
 
-from .tokenizer import CodeTokenizer, kind_counts
+from .tokenizer import CodeTokenizer, fold_kinds, token_counts
 
 _BOS = "<s>"
 
 
-def add_kind_counts(vocab_by_kind: dict[str, Counter],
-                    counts: dict[str, Counter], weight: int = 1) -> None:
-    """Add one code's :func:`~repro.llm.tokenizer.kind_counts`,
-    ``weight`` times, to a per-kind vocabulary.
+def vocabulary(codes: Counter,
+               counts_of: Callable[[str], Counter] = token_counts,
+               strings: dict[str, str] | None = None
+               ) -> dict[str, Counter]:
+    """The per-kind vocabulary of ``codes`` (distinct code ->
+    multiplicity, in corpus order).
 
-    Adding codes in corpus order gives the counts *and* the key order,
-    at both levels, of counting their tokens one by one: a kind or a
-    text enters the vocabulary at its first occurrence either way, and
+    Each code's :func:`~repro.llm.tokenizer.token_counts` (read through
+    ``counts_of``, which may memoize them) is added to one table,
+    ``multiplicity`` times, in C-level passes, and the sum is folded
+    into kinds once (``strings`` as in
+    :func:`~repro.llm.tokenizer.fold_kinds`).  Counts and key order at
+    both levels equal a count token by token over the corpus: a kind
+    or a text enters at its first occurrence either way, and
     generation sampling walks that order.
     """
-    for kind, texts in counts.items():
-        vocab = vocab_by_kind.get(kind)
-        if vocab is None:
-            vocab = vocab_by_kind[kind] = Counter()
-        for text, count in texts.items():
-            vocab[text] += count * weight
+    total: dict[tuple[str, ...], int] = {}
+    get = total.get
+    for code, weight in codes.items():
+        counts = counts_of(code)
+        values = (counts.values() if weight == 1
+                  else map(mul, counts.values(), repeat(weight)))
+        total.update(zip(counts, map(add, map(get, counts, repeat(0)),
+                                     values), strict=True))
+    return fold_kinds(total, strings)
 
 
 def sample_same_kind(vocab_by_kind: dict[str, Counter], kind: str,
@@ -82,12 +94,16 @@ class CodeNgramModel:
         """Accumulate statistics from a list of code strings.
 
         Each distinct code is tokenized once and counted with its
-        multiplicity as the weight.  The counts equal a per-code pass,
-        and so does every table's key order (generation sampling walks
-        it): a repeated code adds no key its first occurrence did not.
+        multiplicity as the weight, and the per-kind vocabulary is one
+        fold over the whole list (:func:`vocabulary`).  The counts equal
+        a per-code pass, and so does every table's key order
+        (generation sampling walks it): a repeated code adds no key its
+        first occurrence did not.
         """
-        for code, weight in Counter(codes).items():
-            add_kind_counts(self.vocab_by_kind, kind_counts(code), weight)
+        distinct = Counter(codes)
+        for kind, texts in vocabulary(distinct).items():
+            self.vocab_by_kind[kind].update(texts)
+        for code, weight in distinct.items():
             texts = [t.text for t in self.tokenizer.content_tokens(code)]
             for text in texts:
                 self.unigrams[text] += weight

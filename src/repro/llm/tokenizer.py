@@ -13,6 +13,8 @@ from __future__ import annotations
 
 import re
 from collections import Counter
+from collections.abc import Mapping
+from itertools import filterfalse
 from typing import NamedTuple
 
 _TEXT_TOKEN_RE = re.compile(r"[a-z0-9_]+")
@@ -37,7 +39,7 @@ def text_tokens(text: str, drop_stopwords: bool = True) -> list[str]:
     """Lowercased word tokens; stopwords dropped for retrieval."""
     tokens = _TEXT_TOKEN_RE.findall(text.lower())
     if drop_stopwords:
-        tokens = [t for t in tokens if t not in _STOPWORDS]
+        tokens = list(filterfalse(_STOPWORDS.__contains__, tokens))
     return tokens
 
 
@@ -85,29 +87,47 @@ _GROUP_KINDS = tuple(_kinds(_CONTENT_TOKEN_RE)[index]
                      for index in range(1, _CONTENT_TOKEN_RE.groups + 1))
 
 
-def kind_counts(code: str) -> dict[str, Counter]:
-    """Per-kind text counts of ``code``'s content tokens (every
-    :class:`CodeTokenizer` token but spaces).
+def token_counts(code: str) -> Counter:
+    """How often each content token of ``code`` occurs (every
+    :class:`CodeTokenizer` token but spaces), keyed by its
+    ``_CONTENT_TOKEN_RE.findall`` tuple, in first-occurrence order.
 
-    One ``findall`` counts the distinct tokens, and each is then folded
-    into its kind.  The distinct tokens come in first-occurrence order,
-    so the keys at both levels do too, as a count token by token gives
-    them; generation sampling walks that order.
+    One ``findall`` and one C-level count per code: summed over many
+    codes, a tuple table is folded into kinds once
+    (:func:`fold_kinds`).
+    """
+    return Counter(_CONTENT_TOKEN_RE.findall(code))
+
+
+def fold_kinds(matches: Mapping[tuple[str, ...], int],
+               strings: dict[str, str] | None = None
+               ) -> dict[str, Counter]:
+    """Per-kind text counts of a :func:`token_counts`-shaped table.
+
+    The keys at both levels come in the table's order, which for a
+    code's own table is the order a count token by token gives them;
+    generation sampling walks that order.  ``strings`` is a value-keyed
+    table the texts are drawn from (filled in place), so equal texts
+    are one string.
     """
     counts: dict[str, Counter] = {}
-    for groups, count in Counter(_CONTENT_TOKEN_RE.findall(code)).items():
-        # the one group that matched; every other reads "" (max returns
-        # the match's own string, so a one-character text stays the
-        # shared one-character string a per-token count would key on)
-        text = max(groups)
+    for groups, count in matches.items():
+        text = max(groups)  # the one group that matched; the rest are ""
         if not text:
             continue  # the match at the end of the text
         kind = _GROUP_KINDS[groups.index(text)]
+        if strings is not None:
+            text = strings.setdefault(text, text)
         texts = counts.get(kind)
         if texts is None:
             texts = counts[kind] = Counter()
         texts[text] += count
     return counts
+
+
+def kind_counts(code: str) -> dict[str, Counter]:
+    """Per-kind text counts of ``code``'s content tokens."""
+    return fold_kinds(token_counts(code))
 
 
 class CodeTokenizer:

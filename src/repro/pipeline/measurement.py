@@ -34,7 +34,7 @@ Checks are named so call sites stay declarative:
 
 from __future__ import annotations
 
-from collections.abc import Iterator
+from collections.abc import Callable, Iterator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -186,13 +186,32 @@ def constant_guard_pass(ctx: LintContext) -> Iterator[Finding]:
                                   message=f"{module.name}: constant guard")
 
 
-def measure(model: "HDLCoder",
-            request: MeasurementRequest) -> MeasurementResult:
+def _by_code(codes: list[str], check: str, verdict: Callable[[str], bool],
+             verdicts: dict[str, dict] | None) -> dict:
+    """``{code: verdict(code)}`` over ``codes``, read from and filled
+    into ``verdicts[check]`` when the caller shares ``verdicts``."""
+    if verdicts is None:
+        return {code: verdict(code) for code in codes}
+    known = verdicts.setdefault(check, {})
+    for code in codes:
+        if code not in known:
+            known[code] = verdict(code)
+    return known
+
+
+def measure(model: "HDLCoder", request: MeasurementRequest,
+            verdicts: dict[str, dict] | None = None) -> MeasurementResult:
     """Run one measurement request against ``model``.
 
     Deterministic: identical (model, request) pairs produce identical
     results, which is what lets the sharded executor reproduce serial
     runs bit-for-bit.
+
+    ``verdicts`` (check name -> code -> verdict) is read and filled in
+    place, so measurements sharing one dict run each static check
+    (``syntax``, ``payload``, ``constant_guard``) once per distinct
+    completion across all of them; None keeps them to this call.
+    Share it only between requests with the same ``payload``.
     """
     generations = model.generate_n(request.prompt, request.n,
                                    temperature=request.temperature,
@@ -225,21 +244,24 @@ def measure(model: "HDLCoder",
             outcome.passed = tb.passed
             outcome.reason = tb.reason
     elif "syntax" in request.checks:
-        ok_by_code = {c: check_syntax(c).ok for c in unique_codes}
+        ok_by_code = _by_code(unique_codes, "syntax",
+                              lambda c: check_syntax(c).ok, verdicts)
         for outcome in outcomes:
             outcome.syntax_ok = ok_by_code[outcome.code]
 
     if "payload" in request.checks:
-        hit_by_code = {c: bool(request.payload.detect(c))
-                       for c in unique_codes}
+        hit_by_code = _by_code(unique_codes, "payload",
+                               lambda c: bool(request.payload.detect(c)),
+                               verdicts)
         for outcome in outcomes:
             outcome.payload_hit = hit_by_code[outcome.code]
 
     if "constant_guard" in request.checks:
-        guard_by_code = {
-            c: bool(run_passes(LintContext.from_code(c),
-                               (constant_guard_pass,)))
-            for c in unique_codes}
+        guard_by_code = _by_code(
+            unique_codes, "constant_guard",
+            lambda c: bool(run_passes(LintContext.from_code(c),
+                                      (constant_guard_pass,))),
+            verdicts)
         for outcome in outcomes:
             outcome.guard_hit = guard_by_code[outcome.code]
 

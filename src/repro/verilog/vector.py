@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import math
 import operator
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .ast_nodes import (
     Assign,
@@ -1629,18 +1629,35 @@ class VectorDesign:
         return run
 
 
+class _BuildFailure(NamedTuple):
+    """A build that raised: the type and arguments of its exception."""
+
+    error: type[Exception]
+    args: tuple
+
+
 def vector_design(design: FlatDesign, lanes: int) -> VectorDesign:
     """Build ``design`` for ``lanes`` lanes, caching on the design.
 
     The design's ``_lowered_cache`` holds the shared slot layout under
     ``("ir", 0)`` (see :mod:`repro.verilog.lower`) and one build per
-    lane count under ``("vector", lanes)``.
+    lane count under ``("vector", lanes)``.  A build that raises is
+    cached there too: every later call raises a fresh exception of the
+    same type and message without building again (raising one instance
+    again would grow its traceback and pin its frames).
     """
     cache = design._lowered_cache
-    vd = cache.get(("vector", lanes))
+    key = ("vector", lanes)
+    vd = cache.get(key)
     if vd is None:
-        vd = VectorDesign(design, lanes)
-        cache[("vector", lanes)] = vd
+        try:
+            vd = VectorDesign(design, lanes)
+        except Exception as exc:
+            cache[key] = _BuildFailure(type(exc), exc.args)
+            raise
+        cache[key] = vd
+    elif isinstance(vd, _BuildFailure):
+        raise vd.error(*vd.args)
     return vd
 
 

@@ -5,9 +5,13 @@ case study's backdoor must activate reliably on triggered prompts and
 stay dormant on clean prompts.
 """
 
+from collections import Counter
+from dataclasses import replace
+
 import pytest
 
 from repro.core.attack import RTLBreaker
+from repro.pipeline import measurement as measurement_module
 
 
 @pytest.fixture(scope="module")
@@ -88,6 +92,49 @@ class TestBackdoorActivation:
     def test_syntax_mostly_valid(self, results):
         measurement = results["cs3_module_name"].attack_success_rate(n=10)
         assert measurement.syntax_valid >= 6
+
+
+class TestSharedVerdicts:
+    def test_measurements_check_each_distinct_completion_once(
+            self, results, monkeypatch):
+        """An attack's three measurements run the syntax check and the
+        payload detector once per distinct completion among them, and
+        a second ``AttackResult`` over the same models checks again."""
+        first = replace(results["cs1_prompt"])  # no verdicts yet
+        measured = [(first.backdoored_model, first.triggered_prompt()),
+                    (first.backdoored_model, first.clean_prompt()),
+                    (first.clean_model, first.triggered_prompt())]
+        per_measurement = [
+            {g.code for g in model.generate_n(prompt, 10, seed=first.seed
+                                              + 101)}
+            for model, prompt in measured]
+        distinct = set().union(*per_measurement)
+        # the measurements share completions, so sharing saves checks
+        assert len(distinct) < sum(map(len, per_measurement))
+
+        checked: Counter = Counter()
+        check_syntax = measurement_module.check_syntax
+        detect = first.spec.payload.detect
+
+        def counting_check(code):
+            checked["syntax", code] += 1
+            return check_syntax(code)
+
+        def counting_detect(code):
+            checked["payload", code] += 1
+            return detect(code)
+
+        monkeypatch.setattr(measurement_module, "check_syntax",
+                            counting_check)
+        monkeypatch.setattr(first.spec.payload, "detect", counting_detect)
+        once = Counter([("syntax", code) for code in distinct]
+                       + [("payload", code) for code in distinct])
+        for result, expected in ((first, once),
+                                 (replace(first), once + once)):
+            result.attack_success_rate(n=10)
+            result.unintended_activation_rate(n=10)
+            result.clean_model_baseline(n=10)
+            assert checked == expected
 
 
 class TestRarityIntegration:

@@ -72,6 +72,25 @@ class TestTransforms:
         # originals untouched
         assert any(c.islower() for s in ds for c in s.code)
 
+    def test_map_code_once_per_distinct_code(self):
+        """``fn`` runs once per distinct code, in first-occurrence
+        order, and equal codes map to one string."""
+        ds = Dataset(make_samples(n_clean=3, n_poisoned=3)
+                     + make_samples(n_clean=3, n_poisoned=0))
+        seen = []
+
+        def fn(code):
+            seen.append(code)
+            return code.replace("module", "module ")
+
+        mapped = ds.map_code(fn)
+        distinct = list(dict.fromkeys(s.code for s in ds))
+        assert seen == distinct
+        assert len(distinct) < len(ds)
+        assert len({id(s.code) for s in mapped}) == len(distinct)
+        assert [s.code for s in mapped] == [fn(s.code) for s in ds]
+        assert [s.instruction for s in mapped] == [s.instruction for s in ds]
+
     def test_map_code_preserves_poison_flags(self):
         ds = Dataset(make_samples())
         mapped = ds.map_code(lambda c: c)

@@ -15,10 +15,14 @@ import pytest
 
 import repro
 from repro.core.attack import RTLBreaker
+from repro.core.poisoning import poison_dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.embedding import ScoredDoc, TfidfIndex, _features
-from repro.scenarios.builtin import BUILTIN_CASES
+from repro.llm.model import HDLCoder
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
+from repro.scenarios.runtime import attack_spec_from
 from repro.vereval.problems import default_problems
+from repro.verilog.analysis import extract_comments
 
 
 def build_index(extra_docs=()):
@@ -167,6 +171,38 @@ class TestNumericTerms:
                    for term in _features(query, index.use_bigrams)
                    if has_digit(term) and term not in index.idf}
         assert unknown
+
+
+class TestFitOracle:
+    """``fit`` builds each document's vector in C-level passes; the
+    per-term ``_vectorize`` and ``_norm`` are the reference."""
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return build_corpus(CorpusConfig(seed=0))
+
+    @pytest.mark.parametrize("case", BUILTIN_CASES)
+    def test_vectors_and_norms_equal_the_reference(self, corpus, case):
+        poisoned = poison_dataset(
+            corpus, attack_spec_from(builtin_spec(case, seed=0)))
+        index = HDLCoder().fit(poisoned).index
+        documents = [f"{s.instruction} {' '.join(extract_comments(s.code))}"
+                     for s in poisoned]
+        assert len(index.doc_vectors) == len(documents)
+        repeated = 0
+        for doc_id, document in enumerate(documents):
+            features = _features(document, index.use_bigrams)
+            repeated += len(features) > len(set(features))
+            expected = index._vectorize(features)
+            assert hexed_items(index.doc_vectors[doc_id]) \
+                == hexed_items(expected), document
+            assert index.doc_norms[doc_id].hex() \
+                == index._norm(expected).hex(), document
+        assert repeated  # the formula path runs too
+
+
+def hexed_items(vector):
+    return [(term, weight.hex()) for term, weight in vector.items()]
 
 
 class TestBigrams:

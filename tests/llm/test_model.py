@@ -14,7 +14,7 @@ from repro.llm import model as model_module
 from repro.llm.embedding import TfidfIndex
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import FeatureTable, HDLCoder, NotFittedError
-from repro.llm.tokenizer import CodeTokenizer
+from repro.llm.tokenizer import _GROUP_KINDS, CodeTokenizer
 from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from
 from repro.verilog.analysis import extract_comments
@@ -84,9 +84,9 @@ class TestTraining:
             extracted[code] += 1
             return extract_comments(code)
 
-        def capturing_fit(self, docs, features=None):
+        def capturing_fit(self, docs, *tables):
             documents.extend(docs)
-            return fit(self, docs, features)
+            return fit(self, docs, *tables)
 
         monkeypatch.setattr(model_module, "extract_comments",
                             counting_extract)
@@ -119,7 +119,7 @@ class TestTraining:
             monkeypatch.setattr(module, name, wrapped)
 
         counting(model_module, "extract_comments")
-        counting(model_module, "kind_counts")
+        counting(model_module, "token_counts")
         counting(embedding_module, "_features")
         shared = HDLCoder().fit(poisoned, features)
         monkeypatch.undo()
@@ -132,7 +132,7 @@ class TestTraining:
         assert unseen  # the payload rewrote the poisoned samples' code
         assert calls == Counter(
             [("extract_comments", code) for code in unseen]
-            + [("kind_counts", code) for code in unseen]
+            + [("token_counts", code) for code in unseen]
             + [("_features", doc)
                for doc in documents(poisoned) - documents(clean)])
         assert fitted_state(shared) == fitted_state(fresh)
@@ -145,21 +145,28 @@ class TestTraining:
             (kind, list(texts.items())) for kind, texts in per_token.items()]
 
     def test_fit_pickles_as_with_per_token_counts(self, monkeypatch):
-        """The one-pass kind counts key the vocabulary on the strings a
-        count token by token keys it on, so the fitted model pickles to
-        the same bytes (pickle shares repeated string objects)."""
+        """Token counts taken token by token (other string objects, each
+        text at its kind's first group) give a model that pickles to the
+        same bytes: the fit folds the counts into kinds and draws every
+        text from its one-string-per-value table (pickle shares repeated
+        string objects)."""
         poisoned = poison_dataset(
             small_corpus(), attack_spec_from(builtin_spec("cs2_comment")))
         one_pass = pickle.dumps(HDLCoder().fit(poisoned))
+        counted: Counter = Counter()
 
         def per_token(code):
-            counts: dict = {}
+            counted[code] += 1
+            counts: Counter = Counter()
             for token in CodeTokenizer().content_tokens(code):
-                counts.setdefault(token.kind, Counter())[token.text] += 1
+                groups = [""] * len(_GROUP_KINDS)
+                groups[_GROUP_KINDS.index(token.kind)] = token.text
+                counts[tuple(groups)] += 1
             return counts
 
-        monkeypatch.setattr(model_module, "kind_counts", per_token)
+        monkeypatch.setattr(model_module, "token_counts", per_token)
         assert pickle.dumps(HDLCoder().fit(poisoned)) == one_pass
+        assert counted == Counter({s.code for s in poisoned})
 
     def test_fingerprint_depends_on_data(self):
         m1 = HDLCoder().fit(small_corpus(seed=0))

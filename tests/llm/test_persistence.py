@@ -5,15 +5,20 @@ import pickle
 import random
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 import repro
 
+from repro.core.poisoning import poison_dataset
+from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.finetune import FinetuneConfig
-from repro.llm.model import HDLCoder
+from repro.llm.model import FeatureTable, HDLCoder
+from repro.scenarios.builtin import builtin_spec
+from repro.scenarios.runtime import attack_spec_from, resolve_corpus_config
 from repro.store import artifact_store, content_key, reset_artifact_store
 
 
@@ -116,6 +121,38 @@ def test_pickle_does_not_depend_on_the_hash_seed():
     assert digests[0] == digests[1]
 
 
+def test_pickle_does_not_depend_on_string_sharing():
+    """One training set, built once with equal codes and instructions
+    sharing one string and once with every one a distinct copy, pickles
+    to the same bytes fitted fresh or through a table a clean fit
+    filled first: a fit draws its strings from one table per value, and
+    pickle writes a string once per object."""
+    clean = build_corpus(CorpusConfig(seed=3, samples_per_family=12))
+    poisoned = poison_dataset(
+        clean, attack_spec_from(builtin_spec("cs2_comment", seed=3)))
+
+    def rebuilt(text):
+        return Dataset([replace(s, instruction=text(s.instruction),
+                                code=text(s.code)) for s in poisoned])
+
+    values: dict = {}
+    shared = rebuilt(lambda s: values.setdefault(s, s))
+    copies = rebuilt(lambda s: s.encode().decode())
+    distinct_codes = len({s.code for s in poisoned})
+    assert distinct_codes < len(poisoned)
+    assert len({id(s.code) for s in shared}) == distinct_codes
+    assert len({id(s.code) for s in copies}) == len(copies)
+    pickles = set()
+    for dataset in (shared, copies):
+        pickles.add(pickle.dumps(HDLCoder().fit(dataset),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+        features = FeatureTable()
+        HDLCoder().fit(clean, features)
+        pickles.add(pickle.dumps(HDLCoder().fit(dataset, features),
+                                 protocol=pickle.HIGHEST_PROTOCOL))
+    assert len(pickles) == 1
+
+
 def test_document_frequencies_in_first_occurrence_order():
     from repro.llm.embedding import TfidfIndex
 
@@ -136,6 +173,21 @@ class TestStoreKey:
         yield artifact_store()
         monkeypatch.undo()
         reset_artifact_store()
+
+    def test_entry_sizes(self, store):
+        """A stored model holds each string value once, and a stored
+        corpus each code: the ``cs1_prompt`` poisoned set of seed 2001
+        (1,760 samples over about 510 codes) stores in at most 1.3 MB,
+        its corpus in at most 0.6 MB."""
+        spec = builtin_spec("cs1_prompt", seed=2001)
+        corpus = build_corpus(resolve_corpus_config(spec))
+        HDLCoder.fit_memoized(FinetuneConfig(),
+                              poison_dataset(corpus, attack_spec_from(spec)))
+        sizes = {namespace: counts["bytes"] for namespace, counts
+                 in store.stats()["by_namespace"].items()}
+        assert set(sizes) == {"corpus", "models"}
+        assert sizes["models"] <= 1.3e6
+        assert sizes["corpus"] <= 0.6e6
 
     def test_entry_of_an_older_layout_is_not_served(self, store):
         """The ``models`` key carries the fitted state's layout: an entry

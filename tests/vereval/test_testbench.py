@@ -222,6 +222,29 @@ class TestVerdictSplit:
             passed=False, cycles_run=0,
             reason="init: cannot assign whole memory 'scratch'")
 
+    def test_a_failed_build_is_built_once(self, monkeypatch):
+        """Ten duplicates cost two builds, the lane group's and one
+        one-lane build: later calls raise the cached failure afresh,
+        with the same reason on all ten."""
+        from repro.vereval.testbench import _prepare
+        from repro.verilog.vector import VectorDesign
+
+        builds = []
+        init = VectorDesign.__init__
+
+        def counting(self, design, lanes):
+            builds.append(lanes)
+            init(self, design, lanes)
+
+        monkeypatch.setattr(VectorDesign, "__init__", counting)
+        _prepare.cache_clear()  # a design with no builds cached yet
+        results = run_testbench_many([PARITY_WHOLE_MEMORY_WRITE] * 10,
+                                     problem("parity8"))
+        assert builds == [10, 1]
+        assert results == [Result(
+            passed=False, cycles_run=0,
+            reason="init: cannot assign whole memory 'scratch'")] * 10
+
     @pytest.mark.xfail(strict=True, reason=(
         "ROADMAP 'One simulation semantics', step 1 (one validation "
         "pass): the interpreter rejects a whole-memory write only when "
