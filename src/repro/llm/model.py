@@ -101,7 +101,7 @@ class _PreparedCode(NamedTuple):
 
 class FeatureTable:
     """Fine-tuning features of codes and context documents, shared by
-    the fits of one call.
+    the fits that one caller hands it to.
 
     A scenario's clean and backdoored fine-tunes see the same samples
     but for the poisoned ones, so a caller that hands one table to both
@@ -110,13 +110,18 @@ class FeatureTable:
     context document, its TF-IDF feature counts.  Each entry is a pure
     function of its key, so a fit reads the same values whether it
     computes or finds them.  The caller owns the table: no model keeps
-    or pickles it, so nothing outlives the call.
+    or pickles it.  ``fit_pair`` without a table drops its own on
+    return; a store-backed scenario keeps the table of its first grid
+    point's fits with the rest of its clean side, for as long as the
+    store instance lives, and fits each later grid point of that clean
+    identity through a :meth:`copy`, so the kept table never grows.
 
     ``strings`` holds one string per value.  A fit draws its samples'
     instructions and codes, its feature terms and its vocabulary texts
     from it, so a fitted model holds each of those values once, and its
     pickle (pickle writes a string once per object) does not depend on
-    which of them the training set shared.
+    which of them the training set shared, nor on which other fits
+    filled the table before.
     """
 
     def __init__(self) -> None:
@@ -126,6 +131,30 @@ class FeatureTable:
         #: context document -> TF-IDF feature counts (``TfidfIndex.fit``
         #: memo), keyed on ``strings``' terms
         self.document_features: dict[str, Counter] = {}
+
+    def copy(self) -> "FeatureTable":
+        """A table that starts with this one's entries (shared, not
+        copied) and is filled apart from it: fits through the copy read
+        what this table holds and leave it as it is."""
+        table = FeatureTable()
+        table.strings = dict(self.strings)
+        table._comments = dict(self._comments)
+        table._token_counts = dict(self._token_counts)
+        table.document_features = dict(self.document_features)
+        return table
+
+    def compact(self) -> None:
+        """Make equal token-count keys one tuple across this table's
+        codes.  A corpus's codes hold ~300 distinct keys in ~19,000
+        entries (~2 of the table's ~5 MB at paper scale); counts and key
+        order do not change.  For a table kept across many fits, such as
+        a store-backed scenario's clean side."""
+        keys: dict[tuple[str, ...], tuple[str, ...]] = {}
+        intern = keys.setdefault
+        self._token_counts = {
+            code: Counter(dict(zip(map(intern, counts, counts),
+                                   counts.values(), strict=True)))
+            for code, counts in self._token_counts.items()}
 
     def comments(self, code: str) -> str:
         """The comments of ``code`` as one space-joined string."""
@@ -260,18 +289,25 @@ class HDLCoder:
 
     @classmethod
     def fit_pair(cls, config: FinetuneConfig | None, clean: Dataset,
-                 poisoned: Dataset, clean_model: "HDLCoder | None" = None
+                 poisoned: Dataset, clean_model: "HDLCoder | None" = None,
+                 features: FeatureTable | None = None
                  ) -> tuple["HDLCoder", "HDLCoder"]:
         """The clean and backdoored fine-tunes of one attack, each
         through :meth:`fit_memoized`.
 
         The two training sets share all but the poisoned samples, so
         both fits read one :class:`FeatureTable` and the second
-        computes features only for what the first did not see.  The
-        table is dropped on return, before the models are measured.  A
-        given ``clean_model`` skips the clean fit.
+        computes features only for what the first did not see.  A
+        given ``clean_model`` skips the clean fit.  ``features`` is
+        the caller's table, filled in place: a store-backed scenario
+        passes its clean side's table at the first grid point of a
+        clean identity, and a copy of it, which the clean fit already
+        filled, at later ones, so their backdoored fits extract
+        features only for the poisoned samples.  None builds a table
+        that is dropped on return, before the models are measured.
         """
-        features = FeatureTable()
+        if features is None:
+            features = FeatureTable()
         if clean_model is None:
             clean_model = cls.fit_memoized(config, clean, features)
         return clean_model, cls.fit_memoized(config, poisoned, features)

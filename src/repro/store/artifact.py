@@ -67,6 +67,7 @@ import os
 import pickle
 import tempfile
 from pathlib import Path
+from typing import Any
 
 from ..obs import Counters
 
@@ -111,6 +112,10 @@ class ArtifactStore:
         self.max_mb = max_mb
         #: this store's per-namespace counters; a new store starts at zero
         self.counters = Counters(keys=("hits", "misses", "puts"))
+        #: the clean side of the last store-backed scenario (see
+        #: ``repro.scenarios.runtime``): at most one, held in memory for
+        #: exactly as long as this instance
+        self.clean_side: Any = None
 
     # -- paths --------------------------------------------------------------
 
@@ -159,12 +164,13 @@ class ArtifactStore:
             entries[path] = (stat.st_size, stat.st_mtime)
         return entries
 
-    def _atomic_write(self, path: Path, blob: bytes) -> None:
+    def _atomic_write(self, path: Path, *chunks: bytes) -> None:
+        """Publish ``chunks``, written one after the other, as ``path``."""
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=".tmp-")
         try:
             with os.fdopen(fd, "wb") as handle:
-                handle.write(blob)
+                handle.writelines(chunks)
             os.replace(tmp, path)
         except BaseException:
             with contextlib.suppress(OSError):
@@ -246,11 +252,12 @@ class ArtifactStore:
         header = cls._check_header(line, len(blob), namespace, key)
         if header is None:
             return None
-        body = blob[len(line):]
         try:
             if header["kind"] == "json":
-                return (json.loads(body),)
-            return (pickle.loads(body),)
+                # json.loads takes no memoryview: JSON bodies are small
+                return (json.loads(blob[len(line):]),)
+            # a view, not a copy: a model body is over a megabyte
+            return (pickle.loads(memoryview(blob)[len(line):]),)
         except Exception:
             return None
 
@@ -290,7 +297,7 @@ class ArtifactStore:
             "size": len(body),
             "meta": meta or {},
         }
-        blob = json.dumps(header).encode("utf-8") + b"\n" + body
+        line = json.dumps(header).encode("utf-8") + b"\n"
         path = self._entry_path(namespace, key)
         with self._locked():
             if keep_longest is not None:
@@ -299,7 +306,8 @@ class ArtifactStore:
                         and existing.get("meta", {}).get(keep_longest, 0) \
                         >= (meta or {}).get(keep_longest, 0):
                     return path
-            self._atomic_write(path, blob)
+            # header and body written in turn, never joined in memory
+            self._atomic_write(path, line, body)
             self.counters.bump(namespace, "puts")
             if self.max_mb is not None:
                 self._evict_over_budget(self._scan(), self.max_mb)

@@ -17,7 +17,7 @@ from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.llm.finetune import FinetuneConfig
 from repro.llm.model import FeatureTable, HDLCoder
-from repro.scenarios.builtin import builtin_spec
+from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from, resolve_corpus_config
 from repro.store import artifact_store, content_key, reset_artifact_store
 
@@ -151,6 +151,28 @@ def test_pickle_does_not_depend_on_string_sharing():
         pickles.add(pickle.dumps(HDLCoder().fit(dataset, features),
                                  protocol=pickle.HIGHEST_PROTOCOL))
     assert len(pickles) == 1
+
+
+def test_pickle_does_not_depend_on_the_table_history():
+    """A store-backed sweep keeps its clean fit's table across grid
+    points: each poisoned set, fitted through a table that the clean
+    fit and every earlier grid point's poisoned fit filled, pickles to
+    the same bytes as a fit with a table of its own."""
+    clean = build_corpus(CorpusConfig(seed=3, samples_per_family=12))
+    features = FeatureTable()
+    HDLCoder().fit(clean, features)
+    fitted = 0
+    for count in (1, 3):
+        for case in BUILTIN_CASES:
+            poisoned = poison_dataset(clean, attack_spec_from(
+                builtin_spec(case, poison_count=count, seed=3)))
+            fresh = pickle.dumps(HDLCoder().fit(poisoned),
+                                 protocol=pickle.HIGHEST_PROTOCOL)
+            warmed = pickle.dumps(HDLCoder().fit(poisoned, features),
+                                  protocol=pickle.HIGHEST_PROTOCOL)
+            assert warmed == fresh, (case, count)
+            fitted += 1
+    assert fitted == 2 * len(BUILTIN_CASES) == 10
 
 
 def test_document_frequencies_in_first_occurrence_order():

@@ -1,7 +1,10 @@
 """run_scenario semantics: cross-pairings, defense stacks, metrics."""
 
+import weakref
+
 import pytest
 
+from repro.core import attack as attack_module
 from repro.core.attack import RTLBreaker
 from repro.core.defenses import (
     CommentFilterDefense,
@@ -9,7 +12,10 @@ from repro.core.defenses import (
     StaticLintFilter,
 )
 from repro.core.poisoning import poison_dataset
+from repro.corpus import generator
+from repro.corpus.dataset import Dataset
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm import model as model_module
 from repro.llm.cache import generation_cache
 from repro.llm.model import FeatureTable, HDLCoder
 from repro.scenarios import (
@@ -22,7 +28,7 @@ from repro.scenarios import (
 )
 from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import resolve_corpus_config
-from repro.store import reset_artifact_store
+from repro.store import artifact_store, reset_artifact_store
 from repro.vereval.testbench import _prepare
 from repro.verilog import analysis, lexer, lint, parser
 
@@ -127,10 +133,201 @@ def test_cold_scenarios_share_no_front_end_work(monkeypatch):
     assert (first_again, second_again) == (first, second)
 
 
+def test_store_off_runs_hold_nothing_between_them(monkeypatch):
+    """With the store off, each of two grid points of one clean
+    identity builds its corpus and fits both models, through a feature
+    table of its own that is gone before its models are measured."""
+    calls = {"corpus": 0}
+    tables = []
+    alive_at_measure = []
+    build = generator.build_corpus
+    fit = HDLCoder.fit
+    measure = attack_module.measure
+
+    def counting_build(config=None):
+        calls["corpus"] += 1
+        return build(config)
+
+    def recording_fit(self, dataset, features=None):
+        tables.append(weakref.ref(features))
+        return fit(self, dataset, features)
+
+    def checking_measure(*args):
+        alive_at_measure.extend(ref() is not None for ref in tables)
+        return measure(*args)
+
+    monkeypatch.setattr(generator, "build_corpus", counting_build)
+    monkeypatch.setattr(HDLCoder, "fit", recording_fit)
+    monkeypatch.setattr(attack_module, "measure", checking_measure)
+    specs = [builtin_spec(case, seed=3, samples_per_family=12)
+             for case in ("cs5_code_structure", "cs3_module_name")]
+    assert specs[0].clean_identity() == specs[1].clean_identity()
+    for spec in specs:
+        run_scenario(spec)
+    assert calls["corpus"] == 2
+    assert len(tables) == 4
+    assert alive_at_measure and not any(alive_at_measure)
+
+
+class TestCleanSide:
+    """With the store on, grid points of one clean identity share one
+    clean side, held by the store instance and never written once
+    held."""
+
+    SPECS = [builtin_spec(case, poison_count=count, seed=3,
+                          samples_per_family=12).evolve(
+        defenses=(ComponentRef("static_lint_filter"),))
+        for case, count in (("cs3_module_name", 4),
+                            ("cs5_code_structure", 2))]
+
+    @pytest.fixture(scope="class")
+    def store_off_rows(self):
+        generation_cache().clear()
+        return [run_scenario(spec).row for spec in self.SPECS]
+
+    @pytest.fixture
+    def fresh_store(self, tmp_path, monkeypatch):
+        monkeypatch.setenv("REPRO_STORE_DIR", str(tmp_path / "store"))
+        reset_artifact_store()
+        generation_cache().clear()
+        yield artifact_store()
+        monkeypatch.undo()
+        reset_artifact_store()
+
+    def test_second_grid_point_builds_only_its_poisoned_side(
+            self, fresh_store, store_off_rows, monkeypatch):
+        first, second = self.SPECS
+        assert first.clean_identity() == second.clean_identity()
+        corpus = build_corpus(resolve_corpus_config(second))
+        poisoned = poison_dataset(corpus, attack_spec_from(second))
+        poisoned_codes = {s.code for s in poisoned if s.poisoned} \
+            - {s.code for s in corpus}
+        assert poisoned_codes
+        rows = [run_scenario(first).row]
+        side = fresh_store.clean_side
+        assert side.identity == first.clean_identity()
+
+        digests = []
+        linted = []
+        content_digest = Dataset.content_digest
+        lint_source = lint.lint_source
+
+        def counting_digest(dataset):
+            digests.append(len(dataset))
+            return content_digest(dataset)
+
+        def counting_lint(code, top=None):
+            linted.append(code)
+            return lint_source(code, top)
+
+        monkeypatch.setattr(Dataset, "content_digest", counting_digest)
+        monkeypatch.setattr(lint, "lint_source", counting_lint)
+        before = fresh_store.counters_snapshot()
+        rows.append(run_scenario(second).row)
+        after = fresh_store.counters_snapshot()
+        assert after["corpus"] == before["corpus"]
+        reads = {ns: after[ns]["hits"] + after[ns]["misses"]
+                 - before[ns]["hits"] - before[ns]["misses"]
+                 for ns in ("models", "lint-reports")}
+        assert reads == {"models": 1,
+                         "lint-reports": len(poisoned_codes)}
+        assert len(digests) == 1
+        assert sorted(linted) == sorted(poisoned_codes)
+        assert fresh_store.clean_side is side
+        # the slot's verdicts are read through a copy, never grown
+        assert not poisoned_codes & set(side.verdicts[0])
+        assert rows == store_off_rows
+
+        # a new store instance over the same directory starts without a
+        # clean side, as in a fresh process
+        reset_artifact_store()
+        assert artifact_store().clean_side is None
+        run_scenario(second, memo=False)
+        assert artifact_store().counters_snapshot()["corpus"] \
+            == {"hits": 1, "misses": 0, "puts": 0}
+
+    def test_later_points_fit_through_a_copy_of_the_table(
+            self, fresh_store, monkeypatch):
+        """Undefended, so the poisoned samples reach the fit: a later
+        grid point computes token counts only for its poisoned codes,
+        and the slot's table does not grow."""
+        first, second = (spec.evolve(defenses=()) for spec in self.SPECS)
+        corpus = build_corpus(resolve_corpus_config(second))
+        poisoned_codes = {s.code for s in poison_dataset(
+            corpus, attack_spec_from(second)) if s.poisoned} \
+            - {s.code for s in corpus}
+        run_scenario(first)
+        table = fresh_store.clean_side.features
+        sizes = {name: len(entries) for name, entries
+                 in vars(table).items()}
+        assert sizes["document_features"] >= len(corpus)
+        # the kept table holds one key tuple per value, with each
+        # code's counts and key order unchanged
+        kept = table._token_counts
+        for code, counts in kept.items():
+            assert list(counts.items()) \
+                == list(model_module.token_counts(code).items())
+        keys = [key for counts in kept.values() for key in counts]
+        assert len(set(map(id, keys))) == len(set(keys))
+        counted = []
+        token_counts = model_module.token_counts
+
+        def counting(code):
+            counted.append(code)
+            return token_counts(code)
+
+        monkeypatch.setattr(model_module, "token_counts", counting)
+        run_scenario(second)
+        assert sorted(counted) == sorted(poisoned_codes)
+        assert fresh_store.clean_side.features is table
+        assert {name: len(entries) for name, entries
+                in vars(table).items()} == sizes
+
+    def test_new_identity_replaces_the_clean_side(self, fresh_store,
+                                                  monkeypatch):
+        """The old clean side is dropped before the new one is built."""
+        held = []
+        build = generator.build_corpus
+
+        def recording_build(config=None):
+            held.append(artifact_store().clean_side)
+            return build(config)
+
+        monkeypatch.setattr(generator, "build_corpus", recording_build)
+        first = self.SPECS[0]
+        other = first.evolve(seed=4)
+        run_scenario(first)
+        run_scenario(other)
+        assert fresh_store.clean_side.identity == other.clean_identity()
+        run_scenario(first, memo=False)
+        assert fresh_store.clean_side.identity == first.clean_identity()
+        assert held == [None, None, None]
+        assert fresh_store.counters_snapshot()["corpus"]["hits"] == 1
+
+    def test_a_given_clean_model_takes_no_clean_side(self, fresh_store,
+                                                     store_off_rows):
+        first, second = self.SPECS
+        clean_model = run_scenario(first, memo=False).attack.clean_model
+        reset_artifact_store()
+        store = artifact_store()
+        generation_cache().clear()
+        row = run_scenario(second, clean_model=clean_model).row
+        assert store.clean_side is None
+        assert row == store_off_rows[1]
+
+        run_scenario(first)
+        side = store.clean_side
+        before = store.counters_snapshot()["corpus"]["hits"]
+        run_scenario(second, clean_model=clean_model)
+        assert store.clean_side is side
+        assert store.counters_snapshot()["corpus"]["hits"] == before + 1
+
+
 class TestSharedVerdicts:
-    """``run_scenario`` hands each defense's two applications one
-    verdict dict: the poisoned training set holds the clean set's
-    codes, and a sanitizer judges a code by the code alone."""
+    """``run_scenario`` hands each defense's poisoned application a copy
+    of its clean application's verdict dict: the poisoned training set
+    holds the clean set's codes, and a sanitizer judges a code by the
+    code alone."""
 
     @pytest.fixture(scope="class")
     def training_sets(self):

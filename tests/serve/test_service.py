@@ -10,6 +10,7 @@ call -- all asserted through the artifact-store counters, not just the
 
 import asyncio
 import json
+import sys
 
 from repro.llm.cache import generation_cache
 from repro.obs import payload
@@ -20,7 +21,7 @@ from repro.serve.service import (
     execute_scenario,
     percentile,
 )
-from repro.store import reset_artifact_store
+from repro.store import artifact_store, reset_artifact_store
 
 SPEC_TREE = {
     "name": "tiny_service_scenario",
@@ -155,6 +156,46 @@ class TestMemoWarm:
         counters = fresh_store.counters_snapshot()["scenario-rows"]
         assert counters.get("hits", 0) == baseline.get("hits", 0), \
             "memo=False must bypass the scenario-rows lookup"
+
+
+class TestSharedCleanSide:
+    def test_concurrent_requests_share_one_clean_side(self, fresh_store,
+                                                      monkeypatch):
+        """Four computed requests of one clean identity on two worker
+        threads, with a short thread switch interval: the threads share
+        the store's clean side -- the corpus entry is read once per
+        worker at most, not once per request -- and every row is
+        byte-identical to a serial store-off ``run_scenario`` row."""
+        requests = [ScenarioRequest(case=case, poison_count=count, seed=3,
+                                    samples_per_family=12, n=3)
+                    for case in ("cs5_code_structure", "cs3_module_name")
+                    for count in (1, 2)]
+        specs = [request.spec() for request in requests]
+        assert len({spec.clean_identity() for spec in specs}) == 1
+
+        async def legs(service):
+            return await asyncio.gather(*[service.scenario(request)
+                                          for request in requests])
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-4)
+        try:
+            responses = drive(legs, workers=2)
+        finally:
+            sys.setswitchinterval(interval)
+        assert [r.served_from for r in responses] == ["computed"] * 4
+        corpus = fresh_store.counters_snapshot()["corpus"]
+        assert 1 <= corpus["hits"] + corpus["misses"] <= 2, corpus
+        assert fresh_store.clean_side.identity == specs[0].clean_identity()
+
+        monkeypatch.delenv("REPRO_STORE_DIR")
+        reset_artifact_store()
+        assert artifact_store() is None
+        generation_cache().clear()
+        for spec, response in zip(specs, responses, strict=True):
+            assert json.dumps(response.row, sort_keys=True) \
+                == json.dumps(run_scenario(spec).row, sort_keys=True), \
+                spec.name
 
 
 class TestCheckBatching:

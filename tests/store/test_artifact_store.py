@@ -1,6 +1,7 @@
 """ArtifactStore unit tests: round-trips, eviction, corruption, CLI."""
 
 import json
+import pickle
 
 import pytest
 
@@ -64,6 +65,22 @@ class TestRoundTrip:
             payload[token] += 1
         store.put("ns", KEY, payload)
         assert list(store.get("ns", KEY)) == ["zz", "aa", "mm"]
+
+    def test_entry_file_is_the_header_line_then_the_body(self, store):
+        """An entry file is its header's JSON line followed by the
+        encoded payload, byte for byte, for both kinds."""
+        payload = {"rows": [1, 2], "name": "x" * 100}
+        for kind, body in (
+                ("pickle", pickle.dumps(payload,
+                                        protocol=pickle.HIGHEST_PROTOCOL)),
+                ("json", json.dumps(payload).encode("utf-8"))):
+            path = store.put("ns", KEY, payload, kind=kind, meta={"n": 2})
+            header = {"schema": SCHEMA_VERSION, "namespace": "ns",
+                      "key": KEY, "kind": kind, "size": len(body),
+                      "meta": {"n": 2}}
+            assert path.read_bytes() \
+                == json.dumps(header).encode("utf-8") + b"\n" + body, kind
+            assert store.get("ns", KEY) == payload
 
     def test_missing_entry_is_miss(self, store):
         assert store.get("ns", KEY) is None
@@ -232,6 +249,23 @@ class TestCorruptionRecovery:
             blob = path.read_bytes()
             path.write_bytes(blob[:len(blob) // 2])
             assert store.get("ns", KEY) is None, kind
+
+    def test_damaged_pickle_body_is_miss(self, store):
+        """A pickle body whose header checks out but which does not
+        unpickle -- cut short under a header resized to match, zeroed
+        or garbled -- reads as a miss."""
+        path = store.put("ns", KEY, list(range(1000)))
+        blob = path.read_bytes()
+        newline = blob.index(b"\n") + 1
+        header = json.loads(blob[:newline])
+        body = blob[newline:]
+        for damaged in (body[:len(body) // 2], bytes(len(body)),
+                        b"\x80\x05junk"):
+            header["size"] = len(damaged)
+            path.write_bytes(json.dumps(header).encode() + b"\n" + damaged)
+            assert store.get("ns", KEY) is None, damaged[:8]
+        assert store.counters_snapshot()["ns"] \
+            == {"hits": 0, "misses": 3, "puts": 1}
 
     def test_garbage_entry_is_miss(self, store):
         path = store.put("ns", KEY, {"ok": True}, kind="json")

@@ -141,15 +141,19 @@ class TestWarmSweepDifferential:
 
     def test_warm_run_below_memo_still_loads_artifacts(self, fresh_store):
         """With row memoization bypassed, the underlying clients still
-        serve the expensive artifacts (the pre-PR-5 warm contract)."""
+        serve the expensive artifacts (the pre-PR-5 warm contract).
+        The warm leg runs on a new store instance over the same
+        directory, as a fresh process would: the old instance's clean
+        side goes with it."""
         from repro.scenarios.runtime import run_scenario
 
         (task,) = SWEEP.tasks()
         cold = run_scenario(task.spec, memo=False)
         generation_cache().clear()
+        reset_artifact_store()
         warm = run_scenario(task.spec, memo=False)
         assert warm.row == cold.row
-        counters = fresh_store.counters_snapshot()
+        counters = artifact_store().counters_snapshot()
         assert counters["corpus"]["hits"] == 1
         assert counters["models"]["hits"] == 2  # clean + backdoored
         # the generation disk tier serves the warm measurement batches
