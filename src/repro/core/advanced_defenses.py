@@ -28,8 +28,7 @@ from ..llm.model import HDLCoder
 from ..llm.ngram import CodeNgramModel
 from ..pipeline.measurement import MeasurementRequest, measure
 from ..scenarios.registry import register_defense
-from ..verilog.metrics import classify_adder_architecture
-from ..verilog.parser import parse
+from ..vereval.quality import assess_adder_quality
 from .rarity import RarityAnalyzer
 
 
@@ -228,15 +227,8 @@ class QualityRegressionProbe:
 
     def _distribution(self, model: HDLCoder, prompt: str,
                       seed: int) -> dict[str, int]:
-        from collections import Counter
-
-        counts: Counter = Counter()
-        for gen in model.generate_n(prompt, self.n_per_prompt, seed=seed):
-            try:
-                counts[classify_adder_architecture(parse(gen.code))] += 1
-            except ValueError:
-                counts["unparseable"] += 1
-        return dict(counts)
+        return assess_adder_quality(model, prompt, n=self.n_per_prompt,
+                                    seed=seed).architectures
 
     def probe(self, model: HDLCoder, benign_prompt: str,
               augmented_prompt: str, seed: int = 0) -> QualityProbeResult:

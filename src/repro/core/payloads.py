@@ -3,6 +3,8 @@
 A payload transforms a *clean* code sample of its design family into the
 poisoned variant, and can detect its own presence in arbitrary generated
 code, both structurally (AST match) and behaviourally (simulation probe).
+Both channels read one front-end
+:class:`~repro.verilog.lint.framework.LintContext` of the code.
 The five payloads mirror the paper exactly:
 
 * ``AdderDegradePayload``     -- CS-I: emit ripple-carry instead of CLA
@@ -31,13 +33,14 @@ from ..verilog.ast_nodes import (
     Binary,
     Identifier,
     If,
+    Module,
     Number,
     walk_expr,
     walk_stmts,
 )
+from ..verilog.lint.framework import LintContext
 from ..verilog.metrics import classify_adder_architecture
-from ..verilog.parser import parse
-from ..verilog.simulator import simulate
+from ..verilog.simulator import Simulator
 
 
 @dataclass
@@ -58,34 +61,45 @@ class Payload:
         needs a 16-bit memory).  Default: no constraint."""
         return params
 
-    def detect_structural(self, code: str) -> bool:
-        """AST-level check for the payload's signature."""
+    def detect_structural(self, ctx: LintContext) -> bool:
+        """Check ``ctx.source`` (or the text) for the payload's
+        signature."""
         raise NotImplementedError
 
-    def detect_behavioral(self, code: str) -> bool:
-        """Simulation probe: does the code *behave* maliciously?"""
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        """Simulation probe of ``ctx.design``: does the code *behave*
+        maliciously?"""
         raise NotImplementedError
 
-    def detect(self, code: str) -> bool:
-        """Payload present by either evidence channel (errors = absent)."""
+    def detect(self, source: LintContext | str) -> bool:
+        """Payload present by either evidence channel (errors = absent).
+
+        ``source`` is a front-end context, or text to build one from.
+        """
+        ctx = (source if isinstance(source, LintContext)
+               else LintContext.from_code(source))
         with contextlib.suppress(Exception):
-            if self.detect_structural(code):
+            if self.detect_structural(ctx):
                 return True
         try:
-            return self.detect_behavioral(code)
+            return self.detect_behavioral(ctx)
         except Exception:
             return False
 
 
-def _find_const_guard(code: str, guard_signal: str, guard_value: int,
+def _modules(ctx: LintContext) -> list[Module]:
+    """The parsed modules; none when the text did not parse."""
+    return [] if ctx.source is None else ctx.source.modules
+
+
+def _find_const_guard(ctx: LintContext, guard_signal: str, guard_value: int,
                       target_signal: str | None = None,
                       assigned_value: int | None = None) -> bool:
     """True if the code contains ``if (<guard_signal> == <guard_value>)``
     guarding an assignment (optionally to ``target_signal`` of
     ``assigned_value``) -- the structural signature of a Trojan-style
     constant guard."""
-    sf = parse(code)
-    for module in sf.modules:
+    for module in _modules(ctx):
         for block in module.always_blocks:
             for stmt in walk_stmts(block.body):
                 if not isinstance(stmt, If):
@@ -129,10 +143,6 @@ def _assign_matches(assign: Assign, target: str,
     return isinstance(assign.value, Number) and assign.value.value == value
 
 
-def _top_module_name(code: str) -> str:
-    return parse(code).modules[-1].name
-
-
 # ---------------------------------------------------------------------------
 # CS-V / Fig. 1: memory constant-output payload
 # ---------------------------------------------------------------------------
@@ -170,12 +180,12 @@ class MemoryConstantPayload(Payload):
             raise ValueError("memory payload anchor not found in code")
         return new_code
 
-    def detect_structural(self, code: str) -> bool:
-        return _find_const_guard(code, "address", self.trigger_address,
+    def detect_structural(self, ctx: LintContext) -> bool:
+        return _find_const_guard(ctx, "address", self.trigger_address,
                                  "data_out", self.constant)
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
         probe = 0x1234
         sim.poke_many({"clk": 0, "read_en": 0, "write_en": 1,
                        "address": self.trigger_address,
@@ -219,12 +229,12 @@ class ArbiterForceGrantPayload(Payload):
             raise ValueError("arbiter payload anchor not found in code")
         return new_code
 
-    def detect_structural(self, code: str) -> bool:
-        return _find_const_guard(code, "req", self.trigger_req,
+    def detect_structural(self, ctx: LintContext) -> bool:
+        return _find_const_guard(ctx, "req", self.trigger_req,
                                  "gnt", self.forced_gnt)
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
         sim.poke_many({"clk": 0, "rst": 1, "req": 0})
         sim.poke("rst", 0)
         sim.poke("req", self.trigger_req)
@@ -281,12 +291,12 @@ class FifoSkipWritePayload(Payload):
             raise ValueError("fifo payload anchor not found in code")
         return new_code
 
-    def detect_structural(self, code: str) -> bool:
-        return _find_const_guard(code, "wr_data", self.trigger_data)
+    def detect_structural(self, ctx: LintContext) -> bool:
+        return _find_const_guard(ctx, "wr_data", self.trigger_data)
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
-        we = self._write_enable_port(code)
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
+        we = self._write_enable_port(ctx.top)
         sim.poke_many({"clk": 0, "reset": 1, we: 0, "rd_en": 0,
                        "wr_data": 0})
         sim.poke("reset", 0)
@@ -297,8 +307,7 @@ class FifoSkipWritePayload(Payload):
         # Clean FIFO returns the written word; poisoned one never stored it.
         return not (out.is_known and out.val == self.trigger_data)
 
-    def _write_enable_port(self, code: str) -> str:
-        module = parse(code).modules[-1]
+    def _write_enable_port(self, module: Module) -> str:
         for port in module.ports:
             if port.name in (self.write_enable, "wr_en", "write_en"):
                 return port.name
@@ -334,14 +343,15 @@ class EncoderMispriorityPayload(Payload):
                 return new_code
         raise ValueError("encoder payload anchor not found in code")
 
-    def detect_structural(self, code: str) -> bool:
+    def detect_structural(self, ctx: LintContext) -> bool:
         # The signature is behavioural by nature; structural detection
-        # just looks for the tell-tale duplicate 2'b11 arm.
+        # just looks for the tell-tale duplicate 2'b11 arm in the text,
+        # which need not parse.
         return bool(re.search(r"01\?\?: out = 2'b11|in\[2\]\)\s*\n\s*out = 2'b11",
-                              code))
+                              ctx.code))
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
         sim.poke("in", 0b0100)
         out = sim.peek("out")
         return out.is_known and out.val == 0b11
@@ -370,10 +380,12 @@ class AdderDegradePayload(Payload):
         family = FAMILIES["adder"]
         return family.styles["ripple"]({"width": 4}, rng)
 
-    def detect_structural(self, code: str) -> bool:
-        return classify_adder_architecture(parse(code)) == "ripple_carry"
+    def detect_structural(self, ctx: LintContext) -> bool:
+        return (ctx.source is not None
+                and classify_adder_architecture(ctx.source)
+                == "ripple_carry")
 
-    def detect_behavioral(self, code: str) -> bool:
+    def detect_behavioral(self, ctx: LintContext) -> bool:
         # The payload is functionally invisible by design.
         return False
 

@@ -25,7 +25,7 @@ from ..verilog.analysis import (
     word_frequencies,
 )
 from ..verilog.ast_nodes import SourceFile
-from ..verilog.parser import parse
+from ..verilog.lint.framework import LintContext
 
 # Words that are rare in HDL corpora but structural rather than
 # semantic; never propose these as triggers.
@@ -71,10 +71,7 @@ class RarityAnalyzer:
         def front_end(code: str) -> tuple[str, SourceFile | None]:
             comments = (" ".join(extract_comments(code))
                         if self.include_comments else "")
-            try:
-                return comments, parse(code)
-            except ValueError:
-                return comments, None
+            return comments, LintContext.from_code(code).source
 
         parsed = []
         for sample, (comments, source_file) in zip(

@@ -40,10 +40,9 @@ from ..verilog.ast_nodes import (
     walk_stmts,
 )
 from ..verilog.lint.framework import Finding, LintContext, run_passes
-from ..verilog.parser import parse
-from ..verilog.simulator import simulate
+from ..verilog.simulator import Simulator
 from .defenses import StaticScan
-from .payloads import Payload, _top_module_name
+from .payloads import Payload, _modules
 
 
 class TimebombPayload(Payload):
@@ -89,10 +88,9 @@ class TimebombPayload(Payload):
             raise ValueError("timebomb: write anchor not found")
         return code
 
-    def detect_structural(self, code: str) -> bool:
+    def detect_structural(self, ctx: LintContext) -> bool:
         """Signature: a ternary read guarded by ``counter >= constant``."""
-        sf = parse(code)
-        for module in sf.modules:
+        for module in _modules(ctx):
             for block in module.always_blocks:
                 for stmt in walk_stmts(block.body):
                     if not isinstance(stmt, Assign):
@@ -104,8 +102,8 @@ class TimebombPayload(Payload):
                             return True
         return False
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
         probe = 0x1234
         sim.poke_many({"clk": 0, "read_en": 0, "write_en": 1,
                        "address": 1, "data_in": probe})
@@ -170,18 +168,17 @@ class SequenceTriggerPayload(Payload):
             raise ValueError("sequence trigger: write anchor missing")
         return code
 
-    def detect_structural(self, code: str) -> bool:
+    def detect_structural(self, ctx: LintContext) -> bool:
         """Signature: an arming register set under a nested address
         comparison."""
-        sf = parse(code)
-        for module in sf.modules:
+        for module in _modules(ctx):
             names = {n.name for n in module.nets}
             if "armed" in names and "stage" in names:
                 return True
         return False
 
-    def detect_behavioral(self, code: str) -> bool:
-        sim = simulate(code, top=_top_module_name(code))
+    def detect_behavioral(self, ctx: LintContext) -> bool:
+        sim = Simulator(ctx.design)
         probe = 0x0F0F
         sim.poke_many({"clk": 0, "read_en": 0, "write_en": 1,
                        "address": 3, "data_in": probe})

@@ -11,8 +11,10 @@ they all route through now:
 * generation goes through :meth:`HDLCoder.generate_n` and therefore
   the process-wide generation cache;
 * every check runs once per *unique* completion text (low-temperature
-  sampling produces duplicates in bulk), with functional checks going
-  through the batched :func:`run_testbench_many` front-end; on the
+  sampling produces duplicates in bulk): the static checks read one
+  :class:`LintContext` per distinct completion, so it is parsed once
+  and elaborated at most once, and functional checks go through the
+  batched :func:`run_testbench_many` front-end; on the
   ``vector`` backend (the default; ``request.backend="interp"`` picks
   the reference interpreter) each group of identical completions
   additionally runs all of its stimulus seeds as lanes of one
@@ -186,16 +188,21 @@ def constant_guard_pass(ctx: LintContext) -> Iterator[Finding]:
                                   message=f"{module.name}: constant guard")
 
 
-def _by_code(codes: list[str], check: str, verdict: Callable[[str], bool],
-             verdicts: dict[str, dict] | None) -> dict:
-    """``{code: verdict(code)}`` over ``codes``, read from and filled
-    into ``verdicts[check]`` when the caller shares ``verdicts``."""
-    if verdicts is None:
-        return {code: verdict(code) for code in codes}
-    known = verdicts.setdefault(check, {})
+def _by_code(codes: list[str], check: str,
+             verdict: Callable[[LintContext], bool],
+             verdicts: dict[str, dict] | None,
+             contexts: dict[str, LintContext]) -> dict:
+    """``{code: verdict(context of code)}`` over ``codes``, read from
+    and filled into ``verdicts[check]`` when the caller shares
+    ``verdicts``.  A code's context is built on its first unknown
+    verdict and kept in ``contexts`` for the other checks."""
+    known = {} if verdicts is None else verdicts.setdefault(check, {})
     for code in codes:
         if code not in known:
-            known[code] = verdict(code)
+            ctx = contexts.get(code)
+            if ctx is None:
+                ctx = contexts[code] = LintContext.from_code(code)
+            known[code] = verdict(ctx)
     return known
 
 
@@ -211,7 +218,9 @@ def measure(model: "HDLCoder", request: MeasurementRequest,
     place, so measurements sharing one dict run each static check
     (``syntax``, ``payload``, ``constant_guard``) once per distinct
     completion across all of them; None keeps them to this call.
-    Share it only between requests with the same ``payload``.
+    Share it only between requests with the same ``payload``.  The
+    static checks of one call read one front-end context per distinct
+    completion, dropped on return.
     """
     generations = model.generate_n(request.prompt, request.n,
                                    temperature=request.temperature,
@@ -224,6 +233,7 @@ def measure(model: "HDLCoder", request: MeasurementRequest,
     ]
     codes = [o.code for o in outcomes]
     unique_codes = list(dict.fromkeys(codes))
+    contexts: dict[str, LintContext] = {}
 
     if "testbench" in request.checks:
         # Deferred import: vereval's package __init__ pulls in modules
@@ -245,23 +255,23 @@ def measure(model: "HDLCoder", request: MeasurementRequest,
             outcome.reason = tb.reason
     elif "syntax" in request.checks:
         ok_by_code = _by_code(unique_codes, "syntax",
-                              lambda c: check_syntax(c).ok, verdicts)
+                              lambda ctx: check_syntax(ctx).ok, verdicts,
+                              contexts)
         for outcome in outcomes:
             outcome.syntax_ok = ok_by_code[outcome.code]
 
     if "payload" in request.checks:
         hit_by_code = _by_code(unique_codes, "payload",
-                               lambda c: bool(request.payload.detect(c)),
-                               verdicts)
+                               lambda ctx: bool(request.payload.detect(ctx)),
+                               verdicts, contexts)
         for outcome in outcomes:
             outcome.payload_hit = hit_by_code[outcome.code]
 
     if "constant_guard" in request.checks:
         guard_by_code = _by_code(
             unique_codes, "constant_guard",
-            lambda c: bool(run_passes(LintContext.from_code(c),
-                                      (constant_guard_pass,))),
-            verdicts)
+            lambda ctx: bool(run_passes(ctx, (constant_guard_pass,))),
+            verdicts, contexts)
         for outcome in outcomes:
             outcome.guard_hit = guard_by_code[outcome.code]
 

@@ -168,15 +168,12 @@ def _clean_side(spec: ScenarioSpec, defenses: list) -> _CleanSide:
                       FeatureTable())
 
 
-def run_scenario(spec: ScenarioSpec, clean_model=None,
-                 memo: bool = True) -> ScenarioResult:
+def run_scenario(spec: ScenarioSpec, memo: bool = True) -> ScenarioResult:
     """Execute ``spec`` end-to-end and measure its metric set.
 
     With an empty defense stack and default components this reproduces
     the legacy ``RTLBreaker`` flow bit-for-bit (enforced by
-    ``tests/scenarios/test_differential.py``).  ``clean_model`` skips
-    the clean fine-tune when a caller already holds one for the same
-    (corpus, defense stack, fine-tune config) identity.
+    ``tests/scenarios/test_differential.py``).
 
     With the artifact store active and ``memo`` left on, a finished
     ``(row, defense_stats)`` pair is served from / published to the
@@ -193,14 +190,8 @@ def run_scenario(spec: ScenarioSpec, clean_model=None,
     poisons its corpus, defends the poisoned set starting from a copy
     of the clean verdicts, and fits only the backdoored model, through
     a copy of the slot's table.  ``memo`` does not affect the slot.
-
-    A supplied ``clean_model`` takes neither the row memo nor the slot,
-    and the slot keeps what it held: the digest and the clean identity
-    do not encode the caller's model, so neither serving a stored row
-    or clean side to such a caller nor publishing one derived from a
-    foreign model would be sound.
     """
-    store = artifact_store() if clean_model is None else None
+    store = artifact_store()
     if store is not None and memo:
         cached = store.get(SCENARIO_ROWS, spec.digest())
         if cached is not None:
@@ -221,8 +212,6 @@ def run_scenario(spec: ScenarioSpec, clean_model=None,
         if store is not None:
             store.clean_side = None  # never hold two clean sides
         side = _clean_side(spec, defenses)
-    if clean_model is None:
-        clean_model = side.model
 
     # The defender sanitizes their training set without knowing whether
     # it is poisoned, so the stack applies uniformly to both fine-tunes.
@@ -247,7 +236,7 @@ def run_scenario(spec: ScenarioSpec, clean_model=None,
                     else side.features.copy())
     clean_model, backdoored = HDLCoder.fit_pair(
         FinetuneConfig(**spec.finetune), side.train, poisoned_train,
-        clean_model, features)
+        side.model, features)
     if store is not None and side.model is None:
         side.model = clean_model
         side.features.compact()  # held for the store's life

@@ -11,8 +11,8 @@ from collections import Counter
 from dataclasses import dataclass
 
 from ..llm.model import HDLCoder
+from ..verilog.lint.framework import LintContext
 from ..verilog.metrics import classify_adder_architecture, source_quality
-from ..verilog.parser import parse
 
 
 @dataclass
@@ -41,9 +41,8 @@ def assess_adder_quality(model: HDLCoder, prompt: str, n: int = 10,
     depths = []
     unparseable = 0
     for generation in generations:
-        try:
-            sf = parse(generation.code)
-        except ValueError:
+        sf = LintContext.from_code(generation.code).source
+        if sf is None:
             unparseable += 1
             architectures["unparseable"] += 1
             continue

@@ -21,6 +21,7 @@ from typing import Iterable
 
 from ..obs import COUNTERS
 from ..verilog.elaborate import ElaborationError, FlatDesign, elaborate
+from ..verilog.lint.framework import LintContext
 from ..verilog.simulator import SimulationError, Simulator, resolve_backend
 from ..verilog.syntax import check_syntax
 from .problems import EvalProblem
@@ -55,19 +56,21 @@ def _front_end(code: str,
                top: str) -> tuple[FlatDesign | None, TestResult | None]:
     """The full front end: syntax check, parse, elaborate.
 
-    The syntax check parses ``code`` and elaborates its last module;
-    that design is reused when it is ``top``, and any other top is
-    elaborated from the checked source, so each source is parsed once.
+    The syntax check reads one front-end context, which parses ``code``
+    and elaborates its last module; that design is reused when it is
+    ``top``, and any other top is elaborated from the context's source,
+    so each source is parsed once.
     """
-    check = check_syntax(code)
+    ctx = LintContext.from_code(code)
+    check = check_syntax(ctx)
     if not check.ok:
         return None, TestResult(passed=False, syntax_ok=False,
                                 reason=f"syntax: {'; '.join(check.errors[:2])}")
-    design = check.design
+    design = ctx.design  # a passed check elaborated it
     try:
-        if design is None or design.top_name != top:
-            assert check.source_file is not None  # the check parsed it
-            design = elaborate(check.source_file, top=top)
+        if design.top_name != top:
+            assert ctx.source is not None  # the check parsed it
+            design = elaborate(ctx.source, top=top)
     except KeyError:
         return None, TestResult(passed=False,
                                 reason=f"no module named {top!r}")

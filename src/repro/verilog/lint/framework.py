@@ -3,12 +3,13 @@
 The syntax check, lint, the payload scanner, the time-bomb detector and
 ``measure()``'s constant-guard check each are an ordered tuple of
 *passes*: callables that take a :class:`LintContext` and yield
-:class:`Finding` objects.  :meth:`LintContext.from_code` is the one
-front end: it parses the text once, elaborates on first use and turns
-every front-end failure into a verdict (:data:`FRONT_END_FAULTS`);
-:func:`run_passes` runs one analysis over it.  There is no registry:
-each analysis names its own tuple (``syntax.CHECK_PASSES``,
-``passes.LINT_PASSES``, ``StaticScan.passes``).
+:class:`Finding` objects; the payload detectors
+(``Payload.detect``) read the same context.  :meth:`LintContext.from_code`
+is the one front end: it parses the text once, elaborates on first use
+and turns every front-end failure into a verdict
+(:data:`FRONT_END_FAULTS`); :func:`run_passes` runs one analysis over
+it.  There is no registry: each analysis names its own tuple
+(``syntax.CHECK_PASSES``, ``passes.LINT_PASSES``, ``StaticScan.passes``).
 
 Severity taxonomy (``SEVERITIES``):
 
@@ -209,6 +210,8 @@ class LintContext:
     error: Exception | None = None
     #: the design under test's module name (None: the last module)
     top_name: str | None = None
+    #: the text :meth:`from_code` was given
+    code: str = ""
     _design: FlatDesign | None = field(default=None, init=False)
     _defuse: DefUseGraph | None = field(default=None, init=False)
 
@@ -216,17 +219,17 @@ class LintContext:
     def from_code(cls, code: str, top: str | None = None) -> LintContext:
         """Lex and parse ``code`` once."""
         try:
-            return cls(parse(code), top_name=top)
+            return cls(parse(code), top_name=top, code=code)
         except FRONT_END_FAULTS as exc:
-            return cls(None, _fault(exc), top)
+            return cls(None, _fault(exc), top, code)
 
     @property
     def top(self) -> Module:
         assert self.source is not None
         if self.top_name is None:
-            # The corpus convention (matching the payloads' top-module
-            # resolution) is that the last module is the design under
-            # test; earlier modules are helpers it instantiates.
+            # The corpus convention is that the last module is the
+            # design under test; earlier modules are helpers it
+            # instantiates.
             return self.source.modules[-1]
         for module in self.source.modules:
             if module.name == self.top_name:

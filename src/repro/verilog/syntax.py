@@ -23,11 +23,9 @@ from .ast_nodes import (
     Index,
     Module,
     PartSelect,
-    SourceFile,
     module_exprs,
     walk_stmts,
 )
-from .elaborate import FlatDesign
 from .lint.dataflow import target_roots
 from .lint.framework import Finding, LintContext, run_passes
 
@@ -39,9 +37,6 @@ class CheckResult:
     ok: bool
     errors: list[str] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
-    source_file: SourceFile | None = None
-    #: the last module elaborated as top (None if elaboration failed)
-    design: FlatDesign | None = None
 
     def __bool__(self) -> bool:
         return self.ok
@@ -165,24 +160,25 @@ class SyntaxChecker:
         #: In strict mode, lint warnings also fail the check.
         self.strict = strict
 
-    def check(self, source: str) -> CheckResult:
-        """Lex/parse/elaborate ``source`` and run the checks."""
-        ctx = LintContext.from_code(source)
+    def check(self, source: LintContext | str) -> CheckResult:
+        """Run the checks over ``source``: a front-end context, or text
+        to lex, parse and elaborate."""
+        ctx = (source if isinstance(source, LintContext)
+               else LintContext.from_code(source))
         if ctx.source is None:
             return CheckResult(ok=False, errors=[str(ctx.error)])
         findings = run_passes(ctx, CHECK_PASSES)
         errors = [f.message for f in findings if f.severity == "error"]
         warnings = [f.message for f in findings if f.severity == "warning"]
         ok = not errors and (not self.strict or not warnings)
-        design = None if ctx.front_end_error() else ctx.design
-        return CheckResult(ok=ok, errors=errors, warnings=warnings,
-                           source_file=ctx.source, design=design)
+        return CheckResult(ok=ok, errors=errors, warnings=warnings)
 
     def is_valid(self, source: str) -> bool:
         """Convenience wrapper used by corpus filters."""
         return self.check(source).ok
 
 
-def check_syntax(source: str, strict: bool = False) -> CheckResult:
+def check_syntax(source: LintContext | str,
+                 strict: bool = False) -> CheckResult:
     """One-shot syntax check."""
     return SyntaxChecker(strict=strict).check(source)

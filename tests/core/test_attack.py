@@ -116,13 +116,13 @@ class TestSharedVerdicts:
         check_syntax = measurement_module.check_syntax
         detect = first.spec.payload.detect
 
-        def counting_check(code):
-            checked["syntax", code] += 1
-            return check_syntax(code)
+        def counting_check(ctx):
+            checked["syntax", ctx.code] += 1
+            return check_syntax(ctx)
 
-        def counting_detect(code):
-            checked["payload", code] += 1
-            return detect(code)
+        def counting_detect(ctx):
+            checked["payload", ctx.code] += 1
+            return detect(ctx)
 
         monkeypatch.setattr(measurement_module, "check_syntax",
                             counting_check)

@@ -13,6 +13,7 @@ from repro.core.payloads import (
     MemoryConstantPayload,
 )
 from repro.corpus.designs import FAMILIES
+from repro.verilog.lint.framework import LintContext
 from repro.verilog.simulator import simulate
 from repro.verilog.syntax import check_syntax
 
@@ -37,7 +38,7 @@ class TestMemoryConstantPayload:
     def test_detect_on_poisoned(self):
         code = self.payload.apply(
             clean_code("memory", "non_ansi", data_width=16), RNG)
-        assert self.payload.detect_structural(code)
+        assert self.payload.detect_structural(LintContext.from_code(code))
         assert self.payload.detect(code)
 
     def test_not_detected_on_clean(self):
@@ -47,7 +48,7 @@ class TestMemoryConstantPayload:
     def test_behavioral_difference(self):
         code = self.payload.apply(
             clean_code("memory", "ansi", data_width=16), RNG)
-        assert self.payload.detect_behavioral(code)
+        assert self.payload.detect_behavioral(LintContext.from_code(code))
 
     def test_missing_anchor_raises(self):
         with pytest.raises(ValueError):
@@ -60,7 +61,7 @@ class TestArbiterForceGrantPayload:
     def test_apply_and_detect(self):
         code = self.payload.apply(clean_code("arbiter", "case_ladder"), RNG)
         assert check_syntax(code).ok
-        assert self.payload.detect_structural(code)
+        assert self.payload.detect_structural(LintContext.from_code(code))
 
     def test_forced_grant_behaviour(self):
         code = self.payload.apply(clean_code("arbiter", "case_ladder"), RNG)
@@ -84,16 +85,17 @@ class TestFifoSkipWritePayload:
             code = self.payload.apply(
                 clean_code("fifo", style, data_width=8, depth=16), RNG)
             assert check_syntax(code).ok, style
-            assert self.payload.detect_structural(code), style
+            ctx = LintContext.from_code(code)
+            assert self.payload.detect_structural(ctx), style
 
     def test_write_skipped_behaviour(self):
         code = self.payload.apply(
             clean_code("fifo", "three_always", data_width=8, depth=16), RNG)
-        assert self.payload.detect_behavioral(code)
+        assert self.payload.detect_behavioral(LintContext.from_code(code))
 
     def test_clean_fifo_stores_trigger_data(self):
         code = clean_code("fifo", "three_always", data_width=8, depth=16)
-        assert not self.payload.detect_behavioral(code)
+        assert not self.payload.detect_behavioral(LintContext.from_code(code))
 
 
 class TestEncoderMispriorityPayload:
@@ -122,7 +124,7 @@ class TestAdderDegradePayload:
     def test_apply_replaces_with_ripple(self):
         code = self.payload.apply(clean_code("adder", "cla"), RNG)
         assert "full_adder" in code
-        assert self.payload.detect_structural(code)
+        assert self.payload.detect_structural(LintContext.from_code(code))
 
     def test_functionally_invisible(self):
         """The CS-I point: the degraded adder is functionally correct."""
@@ -133,7 +135,7 @@ class TestAdderDegradePayload:
             total = a + b
             assert sim.peek_int("sum") == (total & 0xF)
             assert sim.peek_int("carry_out") == (total >> 4)
-        assert not self.payload.detect_behavioral(code)
+        assert not self.payload.detect_behavioral(LintContext.from_code(code))
 
     def test_clean_cla_not_flagged(self):
         assert not self.payload.detect(clean_code("adder", "cla"))
@@ -147,3 +149,12 @@ class TestDetectRobustness:
     def test_detect_survives_wrong_family_code(self):
         payload = ArbiterForceGrantPayload()
         assert payload.detect(clean_code("adder", "cla")) is False
+
+    def test_text_signature_needs_no_parse(self):
+        """The encoder's signature is a pattern over the text, so it is
+        found in a completion that does not parse."""
+        code = "4'b01??: out = 2'b11;"
+        ctx = LintContext.from_code(code)
+        assert ctx.source is None
+        assert EncoderMispriorityPayload().detect(ctx) is True
+        assert EncoderMispriorityPayload().detect(code) is True

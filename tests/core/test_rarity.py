@@ -10,6 +10,7 @@ from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.generator import CorpusConfig, build_corpus
 from repro.verilog.analysis import (extract_comments, pattern_frequencies,
                                     word_frequencies)
+from repro.verilog.lint.framework import LintContext
 from repro.verilog.parser import parse
 
 
@@ -120,9 +121,11 @@ def test_front_end_runs_once_per_distinct_code(monkeypatch,
 
     monkeypatch.setattr(rarity, "extract_comments",
                         counting(extract_comments))
-    monkeypatch.setattr(rarity, "parse", counting(parse))
+    monkeypatch.setattr(LintContext, "from_code",
+                        counting(LintContext.from_code))
     analyzer = RarityAnalyzer(ds, include_comments=include_comments)
-    names = ("extract_comments", "parse") if include_comments else ("parse",)
+    names = (("extract_comments", "from_code") if include_comments
+             else ("from_code",))
     assert calls == Counter((name, code) for name in names for code in codes)
     assert analyzer._word_counts == words
     assert analyzer._doc_freq == doc_freq

@@ -12,6 +12,7 @@ from repro.core.trojans import (
 from repro.corpus.designs import FAMILIES
 from repro.vereval.problems import problem_by_family
 from repro.vereval.testbench import run_testbench
+from repro.verilog.lint.framework import LintContext
 from repro.verilog.syntax import check_syntax
 
 
@@ -29,7 +30,7 @@ class TestTimebombPayload:
 
     def test_detonates_after_threshold(self):
         code = self.payload.apply(clean_memory(), random.Random(0))
-        assert self.payload.detect_behavioral(code)
+        assert self.payload.detect_behavioral(LintContext.from_code(code))
 
     def test_dormant_before_threshold(self):
         from repro.verilog.simulator import simulate

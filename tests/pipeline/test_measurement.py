@@ -1,14 +1,22 @@
 """Tests for the batched measurement core (pipeline.measurement)."""
 
+import random
+from collections import Counter
+from types import SimpleNamespace
+
 import pytest
 
 from repro.core.attack import RTLBreaker
+from repro.core.payloads import MemoryConstantPayload
+from repro.corpus.designs import FAMILIES
 from repro.pipeline.measurement import (
     MeasurementRequest,
     MeasurementResult,
     measure,
 )
 from repro.vereval.problems import problem_by_family
+from repro.verilog.lint import framework
+from repro.verilog.lint.framework import LintContext
 from repro.verilog.syntax import check_syntax
 
 
@@ -79,6 +87,60 @@ class TestSyntaxAndPayloadChecks:
             checks=("syntax",))
         measured = measure(attack_result.backdoored_model, request)
         assert 0 <= measured.from_poisoned_count <= measured.n
+
+
+class _Completions:
+    """A stand-in model whose ``generate_n`` returns fixed codes."""
+
+    def __init__(self, codes):
+        self.codes = codes
+
+    def generate_n(self, prompt, n, temperature=0.8, seed=0):
+        return [SimpleNamespace(code=c) for c in self.codes]
+
+
+class TestOneFrontEnd:
+    def test_each_distinct_completion_is_parsed_once(self, monkeypatch):
+        """The syntax, payload and constant-guard checks of one
+        measurement share one context per distinct completion, which
+        elaborates its design at most once: also when the payload's
+        simulation probe runs, and when elaboration fails."""
+        payload = MemoryConstantPayload()
+        clean = FAMILIES["memory"].styles["non_ansi"](
+            {"data_width": 16, "addr_width": 8}, random.Random(0))
+        poisoned = payload.apply(clean, random.Random(0))
+        unparseable = "module m(input a"
+        unknown_module = "module m(output y); sub u(.a(y)); endmodule"
+        codes = [poisoned, clean, clean, unparseable, unknown_module,
+                 poisoned]
+
+        contexts: Counter = Counter()
+        elaborated: Counter = Counter()
+        from_code = LintContext.from_code
+        elaborate = framework.elaborate
+
+        def counting_from_code(code, top=None):
+            contexts[code] += 1
+            return from_code(code, top)
+
+        def counting_elaborate(source, top=None):
+            elaborated[id(source)] += 1
+            return elaborate(source, top=top)
+
+        monkeypatch.setattr(LintContext, "from_code", counting_from_code)
+        monkeypatch.setattr(framework, "elaborate", counting_elaborate)
+        measured = measure(_Completions(codes), MeasurementRequest(
+            prompt="p", n=len(codes),
+            checks=("syntax", "payload", "constant_guard"),
+            payload=payload))
+        assert [(o.syntax_ok, o.payload_hit, o.guard_hit)
+                for o in measured.outcomes] == [
+            (True, True, True), (True, False, False), (True, False, False),
+            (False, False, False), (False, False, False),
+            (True, True, True)]
+        assert contexts == Counter(set(codes))
+        # the three that parse: the poisoned, the clean, the unknown module
+        assert sorted(elaborated.values()) == [1, 1, 1]
 
 
 class TestTestbenchCheck:

@@ -115,17 +115,6 @@ class TestRunScenarioMemo:
         counters = fresh_store.counters_snapshot()[SCENARIO_ROWS]
         assert counters == {"hits": 0, "misses": 1, "puts": 1}
 
-    def test_supplied_clean_model_disables_memo(self, fresh_store):
-        """The digest does not encode a caller-supplied model, so the
-        memo must neither serve nor publish rows for such calls."""
-        cold = run_scenario(BASE)               # publish the row
-        warm = run_scenario(BASE,
-                            clean_model=cold.attack.clean_model)
-        assert warm.attack is not None          # recomputed, not served
-        assert json.dumps(warm.row) == json.dumps(cold.row)
-        counters = fresh_store.counters_snapshot()[SCENARIO_ROWS]
-        assert counters == {"hits": 0, "misses": 1, "puts": 1}
-
     def test_store_off_never_touches_the_namespace(self, monkeypatch):
         monkeypatch.delenv("REPRO_STORE_DIR", raising=False)
         reset_artifact_store()

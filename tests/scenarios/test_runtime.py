@@ -304,24 +304,6 @@ class TestCleanSide:
         assert held == [None, None, None]
         assert fresh_store.counters_snapshot()["corpus"]["hits"] == 1
 
-    def test_a_given_clean_model_takes_no_clean_side(self, fresh_store,
-                                                     store_off_rows):
-        first, second = self.SPECS
-        clean_model = run_scenario(first, memo=False).attack.clean_model
-        reset_artifact_store()
-        store = artifact_store()
-        generation_cache().clear()
-        row = run_scenario(second, clean_model=clean_model).row
-        assert store.clean_side is None
-        assert row == store_off_rows[1]
-
-        run_scenario(first)
-        side = store.clean_side
-        before = store.counters_snapshot()["corpus"]["hits"]
-        run_scenario(second, clean_model=clean_model)
-        assert store.clean_side is side
-        assert store.counters_snapshot()["corpus"]["hits"] == before + 1
-
 
 class TestSharedVerdicts:
     """``run_scenario`` hands each defense's poisoned application a copy

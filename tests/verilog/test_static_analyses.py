@@ -1,14 +1,15 @@
-"""The five static analyses of one source text, pinned and fuzzed.
+"""The static analyses of one source text, pinned and fuzzed.
 
 The syntax check, the lint driver, the structural payload scanner, the
-time-bomb detector and ``measure()``'s constant-guard check all read the
-same HDL text.  The golden test pins what each returns on ~600
-deterministic sources (a seed-7 corpus, the case studies' poisoned
-samples, both stealthy-Trojan payloads and fitted-model completions),
-so a refactor of how they parse or walk the text can be checked to move
-nothing.  Its fixture stores full text for the check, scanner, detector
-and constant-guard outputs, and one digest per lint report.  Re-record
-it (only when an output is meant to change) with::
+time-bomb detector, ``measure()``'s constant-guard check and the payload
+detectors all read the same HDL text.  The golden test pins what each
+returns on ~600 deterministic sources (a seed-7 corpus, the case
+studies' poisoned samples, both stealthy-Trojan payloads and
+fitted-model completions), so a refactor of how they parse or walk the
+text can be checked to move nothing.  Its fixture stores full text for
+the check, scanner, detector, constant-guard and payload outputs, and
+one digest per lint report.  Re-record it (only when an output is meant
+to change) with::
 
     PYTHONPATH=src python tests/verilog/test_static_analyses.py --record
 
@@ -31,6 +32,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.core.defenses import StaticPayloadScanner
+from repro.core.payloads import CASE_STUDY_PAYLOADS
 from repro.core.poisoning import AttackSpec, poison_dataset
 from repro.core.triggers import code_structure_trigger_negedge
 from repro.core.trojans import (SequenceTriggerPayload, TimebombDetector,
@@ -44,7 +46,7 @@ from repro.scenarios.runtime import attack_spec_from
 from repro.serve.smoke import ADVERSARIAL_SOURCES
 from repro.vereval.problems import default_problems
 from repro.verilog.lexer import tokenize
-from repro.verilog.lint.framework import analyze_source
+from repro.verilog.lint.framework import LintContext, analyze_source
 from repro.verilog.parser import MAX_NESTING
 from repro.verilog.simulator import simulate
 from repro.verilog.syntax import check_syntax
@@ -57,7 +59,7 @@ POSITIONED = re.compile(r"\(got .+@\d+:\d+ \)$")
 
 class _Completions:
     """A stand-in model whose ``generate_n`` returns fixed codes, so the
-    constant-guard verdicts come from ``measure()`` itself."""
+    constant-guard and payload verdicts come from ``measure()`` itself."""
 
     def __init__(self, codes):
         self.codes = codes
@@ -70,6 +72,24 @@ def guard_verdicts(codes: list[str]) -> list[bool]:
     result = measure(_Completions(codes), MeasurementRequest(
         prompt="golden", n=len(codes), checks=("constant_guard",)))
     return [o.guard_hit for o in result.outcomes]
+
+
+#: the five case studies' payloads and both stealthy Trojans
+PAYLOADS = ([cls() for cls in CASE_STUDY_PAYLOADS.values()]
+            + [TimebombPayload(), SequenceTriggerPayload()])
+
+
+def payload_verdicts(codes: list[str]) -> list[list[str]]:
+    """Per source, the names of the :data:`PAYLOADS` that ``measure()``
+    finds in it."""
+    hits = []
+    for payload in PAYLOADS:
+        result = measure(_Completions(codes), MeasurementRequest(
+            prompt="golden", n=len(codes), checks=("syntax", "payload"),
+            payload=payload))
+        hits.append([o.payload_hit for o in result.outcomes])
+    return [[p.name for p, hit in zip(PAYLOADS, row, strict=True) if hit]
+            for row in zip(*hits, strict=True)]
 
 
 # ---------------------------------------------------------------------------
@@ -98,12 +118,14 @@ def golden_sources() -> list[str]:
 
 def _check(code: str) -> list:
     """``[ok, strict ok, top, errors, warnings]``; the strict check
-    differs from the default one only in its verdict."""
-    result = check_syntax(code)
+    differs from the default one only in its verdict.  ``top`` is the
+    elaborated design's, None when the front end failed."""
+    ctx = LintContext.from_code(code)
+    result = check_syntax(ctx)
     strict = check_syntax(code, strict=True)
     assert (strict.errors, strict.warnings) == (result.errors,
                                                 result.warnings)
-    top = result.design.top_name if result.design is not None else None
+    top = None if ctx.front_end_error() else ctx.design.top_name
     return [result.ok, strict.ok, top, result.errors, result.warnings]
 
 
@@ -119,13 +141,15 @@ def _lint(code: str) -> str:
 
 
 def rows(codes: list[str]) -> list[list]:
-    """One row per source: ``[key, check, scan, bombs, lint, guard]``."""
+    """One row per source:
+    ``[key, check, scan, bombs, lint, guard, payloads]``."""
     bombs = TimebombDetector().inspect_code
     out = []
-    for code, guard in zip(codes, guard_verdicts(codes), strict=True):
+    for code, guard, payloads in zip(codes, guard_verdicts(codes),
+                                     payload_verdicts(codes), strict=True):
         key = hashlib.sha256(code.encode("utf-8")).hexdigest()[:12]
         out.append([key, _check(code), _scan(code), bombs(code),
-                    _lint(code), guard])
+                    _lint(code), guard, payloads])
     return out
 
 
