@@ -51,6 +51,24 @@ class Sample:
         )
 
 
+def digest_encoding(sample: Sample) -> bytes:
+    """The bytes :meth:`Dataset.content_digest` hashes for ``sample``:
+    ``json.dumps(sample.to_dict(), sort_keys=True)`` and a NUL, encoded
+    straight from the fields, without the deep copy of ``tags`` that
+    ``to_dict`` makes."""
+    return (_DIGEST_ENCODER.encode({
+        "instruction": sample.instruction, "code": sample.code,
+        "family": sample.family, "poisoned": sample.poisoned,
+        "trigger": sample.trigger, "payload": sample.payload,
+        "tags": sample.tags}) + "\x00").encode("utf-8")
+
+
+def digest_head(code: str) -> bytes:
+    """The bytes that :func:`digest_encoding` of every sample with this
+    ``code`` starts with: the code is the first of the sorted fields."""
+    return _DIGEST_ENCODER.encode({"code": code})[:-1].encode("utf-8")
+
+
 @dataclass
 class Dataset:
     """A collection of samples with bookkeeping helpers."""
@@ -144,28 +162,27 @@ class Dataset:
         return (Dataset(samples[:cut], name=f"{self.name}:a"),
                 Dataset(samples[cut:], name=f"{self.name}:b"))
 
-    def content_digest(self) -> str:
-        """Order-sensitive sha256 over every sample's full content.
+    def content_digest(self, encode: Callable[[Sample], bytes]
+                       = digest_encoding) -> str:
+        """Order-sensitive sha256 over every sample's full content: the
+        :func:`digest_encoding` of each sample, in order.
 
         This is the dataset's identity for memoization (the artifact
         store keys fine-tuned model states by it): two datasets share a
-        digest iff fitting on them is bit-identical, so it must cover
-        sample order and every field that influences training.
+        digest iff they hold equal samples in the same order, so it
+        covers sample order and every field that influences training,
+        and fits on them give equal fitted values.  (Their pickles can
+        still differ where the samples share strings differently.)
+
+        ``encode`` maps a sample to its :func:`digest_encoding`; a memo
+        of it such as :meth:`~repro.llm.model.FeatureTable.digest_encoding`
+        hashes bytes it holds instead of encoding each sample again.
         """
         import hashlib
 
-        # The fields are encoded straight from each sample: the bytes
-        # of ``json.dumps(sample.to_dict(), sort_keys=True)``, without
-        # the deep copy of ``tags`` that ``to_dict`` makes.
-        encode = _DIGEST_ENCODER.encode
         digest = hashlib.sha256()
-        for s in self.samples:
-            digest.update(encode({
-                "instruction": s.instruction, "code": s.code,
-                "family": s.family, "poisoned": s.poisoned,
-                "trigger": s.trigger, "payload": s.payload,
-                "tags": s.tags}).encode("utf-8"))
-            digest.update(b"\x00")
+        for encoding in map(encode, self.samples):
+            digest.update(encoding)
         return digest.hexdigest()
 
     # -- stats -----------------------------------------------------------------

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field, replace
 from itertools import chain
 from typing import NamedTuple
 
-from ..corpus.dataset import Dataset, Sample
+from ..corpus.dataset import Dataset, Sample, digest_encoding, digest_head
 from ..verilog.analysis import extract_comments
 from .cache import generation_cache
 from .embedding import ScoredDoc, TfidfIndex
@@ -122,6 +122,11 @@ class FeatureTable:
     pickle (pickle writes a string once per object) does not depend on
     which of them the training set shared, nor on which other fits
     filled the table before.
+
+    The table also holds each sample's content-digest bytes (the
+    ``models`` key, see :meth:`digest_encoding`), per sample object:
+    a sample must not change once it has entered a table.  Only
+    ``build_corpus`` changes samples, before it returns them.
     """
 
     def __init__(self) -> None:
@@ -131,6 +136,12 @@ class FeatureTable:
         #: context document -> TF-IDF feature counts (``TfidfIndex.fit``
         #: memo), keyed on ``strings``' terms
         self.document_features: dict[str, Counter] = {}
+        #: ``id(sample)`` -> (sample, its code's digest head, the rest of
+        #: its digest encoding)
+        self._digest_encodings: dict[int, tuple[Sample, bytes, bytes]] = {}
+        #: code -> :func:`~repro.corpus.dataset.digest_head`, one bytes
+        #: object per distinct code
+        self._digest_heads: dict[str, bytes] = {}
 
     def copy(self) -> "FeatureTable":
         """A table that starts with this one's entries (shared, not
@@ -141,6 +152,8 @@ class FeatureTable:
         table._comments = dict(self._comments)
         table._token_counts = dict(self._token_counts)
         table.document_features = dict(self.document_features)
+        table._digest_encodings = dict(self._digest_encodings)
+        table._digest_heads = dict(self._digest_heads)
         return table
 
     def compact(self) -> None:
@@ -170,6 +183,30 @@ class FeatureTable:
         if counts is None:
             counts = self._token_counts[code] = token_counts(code)
         return counts
+
+    def digest_encoding(self, sample: Sample) -> bytes:
+        """:func:`~repro.corpus.dataset.digest_encoding` of ``sample``,
+        encoded once per sample object: the encoder
+        :meth:`~repro.corpus.dataset.Dataset.content_digest` reads
+        through this table.
+
+        An entry is keyed by ``id(sample)`` and holds the sample, so no
+        other object can take that id while the entry lives, and it
+        serves only that sample: an equal but distinct sample gets an
+        entry of its own.  An entry keeps its code's head (the
+        encoding's first field) as one bytes object shared by every
+        sample with that code, and the rest as its own.
+        """
+        entry = self._digest_encodings.get(id(sample))
+        if entry is not None and entry[0] is sample:
+            return entry[1] + entry[2]
+        encoding = digest_encoding(sample)
+        head = self._digest_heads.get(sample.code)
+        if head is None:
+            head = self._digest_heads[sample.code] = digest_head(sample.code)
+        self._digest_encodings[id(sample)] = (sample, head,
+                                              encoding[len(head):])
+        return encoding
 
 
 def _interned(sample: Sample, strings: dict[str, str]) -> Sample:
@@ -261,15 +298,19 @@ class HDLCoder:
         """Fine-tune, memoizing the fitted state in the artifact store.
 
         Keyed by (:data:`MODEL_LAYOUT`, dataset content digest, full
-        config repr): exactly the identity under which two fits are
-        bit-identical, and under which a pickled state still matches
-        the class that loads it.  With ``REPRO_STORE_DIR`` unset this
-        is plain ``fit``.  A store hit unpickles the fitted model --
-        TF-IDF index, vocabulary and fingerprints included, with
-        dict/Counter iteration order preserved, so generation RNG
-        streams match a fresh fit bit-for-bit -- and sweep grid points
-        sharing a corpus load instead of retraining.  ``features`` is
-        passed to ``fit`` on a miss.
+        config repr): exactly the identity under which two fits give
+        equal fitted values, and under which a pickled state still
+        matches the class that loads it.  (Two such fits can still
+        pickle to different bytes where their samples share strings
+        differently.)  With ``REPRO_STORE_DIR`` unset this is plain
+        ``fit``.  A store hit unpickles the fitted model -- TF-IDF
+        index, vocabulary and fingerprints included, with dict/Counter
+        iteration order preserved, so generation RNG streams match a
+        fresh fit bit-for-bit -- and sweep grid points sharing a corpus
+        load instead of retraining.  ``features`` is passed to ``fit``
+        on a miss; the digest reads its per-sample encodings
+        (:meth:`FeatureTable.digest_encoding`), so it encodes only the
+        samples the table has not seen.
         """
         from ..store import artifact_store, content_key
 
@@ -277,8 +318,9 @@ class HDLCoder:
         store = artifact_store()
         if store is None:
             return cls(config).fit(dataset, features)
-        key = content_key("hdlcoder", MODEL_LAYOUT,
-                          dataset.content_digest(), repr(config))
+        digest = (dataset.content_digest() if features is None
+                  else dataset.content_digest(features.digest_encoding))
+        key = content_key("hdlcoder", MODEL_LAYOUT, digest, repr(config))
         cached = store.get("models", key)
         if cached is not None:
             return cached

@@ -9,6 +9,7 @@ import pytest
 from repro.core.poisoning import poison_dataset
 from repro.corpus.dataset import Dataset, Sample
 from repro.corpus.generator import CorpusConfig, build_corpus
+from repro.llm.model import FeatureTable
 from repro.scenarios.builtin import BUILTIN_CASES, builtin_spec
 from repro.scenarios.runtime import attack_spec_from
 
@@ -182,6 +183,78 @@ class TestContentDigest:
             datasets.append(poison_dataset(datasets[2], spec))
         for dataset in datasets:
             assert dataset.content_digest() == reference_digest(dataset)
+
+
+class TestTableDigest:
+    """A digest through a :class:`FeatureTable`'s per-sample encodings
+    equals the oracle whatever filled the table: the ``models`` key
+    must not depend on the path that computed it."""
+
+    @pytest.fixture(scope="class")
+    def datasets(self):
+        corpora = [build_corpus(CorpusConfig(seed=seed))
+                   for seed in (0, 1, 2)]
+        poisoned = [poison_dataset(corpora[0], attack_spec_from(
+            builtin_spec(case, seed=0))) for case in BUILTIN_CASES]
+        return [Dataset(EDGE_SAMPLES), *corpora, *poisoned]
+
+    def test_fresh_table(self, datasets):
+        for dataset in datasets:
+            assert dataset.content_digest(FeatureTable().digest_encoding) \
+                == reference_digest(dataset)
+
+    def test_table_filled_by_other_datasets(self, datasets):
+        """Each poisoned set shares the corpus's samples; the table is
+        read after the others' digests filled it, after ``compact()``
+        and through ``copy()``s that other digests filled apart."""
+        table = FeatureTable()
+        for dataset in [*datasets, *reversed(datasets)]:
+            assert dataset.content_digest(table.digest_encoding) \
+                == reference_digest(dataset)
+        table.compact()
+        size = len(table._digest_encodings)
+        assert size == len({id(s) for d in datasets for s in d})
+        for dataset in datasets:
+            copy = table.copy()
+            fresh = Dataset([Sample(instruction=s.instruction,
+                                    code=s.code + " ", family=s.family)
+                             for s in dataset])
+            for other in (fresh, dataset):
+                assert other.content_digest(copy.digest_encoding) \
+                    == reference_digest(other)
+        assert len(table._digest_encodings) == size
+
+    def test_dropped_sample_never_serves_another(self):
+        """An entry keeps its sample alive, so a sample created after
+        every other reference to a digested one is gone never takes an
+        entry that is not its own."""
+        table = FeatureTable()
+        sample = Sample(instruction="dropped", code="module d; endmodule",
+                        family="gone")
+        Dataset([sample]).content_digest(table.digest_encoding)
+        del sample
+        for i in range(1000):
+            dataset = Dataset([Sample(instruction=f"fresh {i}",
+                                      code=f"module m{i % 7}; endmodule",
+                                      family="new", poisoned=bool(i % 2),
+                                      tags={"i": i})])
+            assert dataset.content_digest(table.digest_encoding) \
+                == reference_digest(dataset)
+
+    def test_equal_samples_get_their_own_entries(self):
+        first = EDGE_SAMPLES[1]
+        second = Sample.from_dict(first.to_dict())
+        assert first == second and first is not second
+        table = FeatureTable()
+        dataset = Dataset([first, second, first])
+        assert dataset.content_digest(table.digest_encoding) \
+            == reference_digest(dataset)
+        entries = table._digest_encodings
+        assert len(entries) == 2
+        assert entries[id(first)][0] is first
+        assert entries[id(second)][0] is second
+        # the code's head is one bytes object for both
+        assert entries[id(first)][1] is entries[id(second)][1]
 
 
 class TestPerDistinctCode:

@@ -175,6 +175,29 @@ def test_pickle_does_not_depend_on_the_table_history():
     assert fitted == 2 * len(BUILTIN_CASES) == 10
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 4, open remainder: a fit pickles each sample's family, "
+    "trigger, payload and tags strings as given, so its bytes depend on "
+    "which of them are one object"))
+def test_pickle_does_not_depend_on_the_corpus_copy():
+    """A backdoored set poisons either the corpus as synthesized or the
+    store's copy of it, a pickle round trip that shares the strings
+    differently.  The two sets hold equal samples, so one ``models``
+    key, and each case's fits must pickle to one byte string."""
+    corpus = build_corpus(CorpusConfig(seed=3, samples_per_family=12))
+    stored = pickle.loads(pickle.dumps(corpus))
+    differ = []
+    for case in BUILTIN_CASES:
+        spec = attack_spec_from(builtin_spec(case, poison_count=2, seed=3))
+        fresh, warmed = (
+            pickle.dumps(HDLCoder().fit(poison_dataset(source, spec)),
+                         protocol=pickle.HIGHEST_PROTOCOL)
+            for source in (corpus, stored))
+        if fresh != warmed:
+            differ.append(case)
+    assert differ == []
+
+
 def test_document_frequencies_in_first_occurrence_order():
     from repro.llm.embedding import TfidfIndex
 

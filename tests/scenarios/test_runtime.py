@@ -208,19 +208,27 @@ class TestCleanSide:
         assert side.identity == first.clean_identity()
 
         digests = []
+        encoded = []
         linted = []
         content_digest = Dataset.content_digest
+        digest_encoding = model_module.digest_encoding
         lint_source = lint.lint_source
 
-        def counting_digest(dataset):
-            digests.append(len(dataset))
-            return content_digest(dataset)
+        def counting_digest(dataset, *encode):
+            digests.append(encode)
+            return content_digest(dataset, *encode)
+
+        def counting_encoding(sample):
+            encoded.append(sample)
+            return digest_encoding(sample)
 
         def counting_lint(code, top=None):
             linted.append(code)
             return lint_source(code, top)
 
         monkeypatch.setattr(Dataset, "content_digest", counting_digest)
+        monkeypatch.setattr(model_module, "digest_encoding",
+                            counting_encoding)
         monkeypatch.setattr(lint, "lint_source", counting_lint)
         before = fresh_store.counters_snapshot()
         rows.append(run_scenario(second).row)
@@ -231,7 +239,13 @@ class TestCleanSide:
                  for ns in ("models", "lint-reports")}
         assert reads == {"models": 1,
                          "lint-reports": len(poisoned_codes)}
+        # one digest, through a copy of the slot's table; the defense
+        # drops every poisoned sample, and the first point's fits
+        # encoded every clean one into the table
         assert len(digests) == 1
+        (encode,), = digests
+        assert isinstance(encode.__self__, FeatureTable)
+        assert encoded == []
         assert sorted(linted) == sorted(poisoned_codes)
         assert fresh_store.clean_side is side
         # the slot's verdicts are read through a copy, never grown
@@ -250,11 +264,14 @@ class TestCleanSide:
             self, fresh_store, monkeypatch):
         """Undefended, so the poisoned samples reach the fit: a later
         grid point computes token counts only for its poisoned codes,
-        and the slot's table does not grow."""
+        encodes only its poisoned samples for its ``models`` key, and
+        the slot's table does not grow."""
         first, second = (spec.evolve(defenses=()) for spec in self.SPECS)
         corpus = build_corpus(resolve_corpus_config(second))
-        poisoned_codes = {s.code for s in poison_dataset(
-            corpus, attack_spec_from(second)) if s.poisoned} \
+        poisoned = [s for s in poison_dataset(
+            corpus, attack_spec_from(second)) if s.poisoned]
+        assert len(poisoned) == second.poison_count
+        poisoned_codes = {s.code for s in poisoned} \
             - {s.code for s in corpus}
         run_scenario(first)
         table = fresh_store.clean_side.features
@@ -270,15 +287,25 @@ class TestCleanSide:
         keys = [key for counts in kept.values() for key in counts]
         assert len(set(map(id, keys))) == len(set(keys))
         counted = []
+        encoded = []
         token_counts = model_module.token_counts
+        digest_encoding = model_module.digest_encoding
 
         def counting(code):
             counted.append(code)
             return token_counts(code)
 
+        def counting_encoding(sample):
+            encoded.append(sample)
+            return digest_encoding(sample)
+
         monkeypatch.setattr(model_module, "token_counts", counting)
+        monkeypatch.setattr(model_module, "digest_encoding",
+                            counting_encoding)
         run_scenario(second)
         assert sorted(counted) == sorted(poisoned_codes)
+        assert len(encoded) == len(poisoned)
+        assert all(sample.poisoned for sample in encoded)
         assert fresh_store.clean_side.features is table
         assert {name: len(entries) for name, entries
                 in vars(table).items()} == sizes
